@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import ifft
 
 from .errors import ParamError, ProfileError, RateMismatchError
 from .gmsk import IqFrame, resample
@@ -206,13 +207,13 @@ def wlan_interferer(n_samples: int, config: InterfererConfig, fs: float) -> IqFr
     bins = occupied % n_fft
     qpsk_lut = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
-    out = np.empty(n_syms * sym_len, dtype=np.complex128)
-    for s in range(n_syms):
-        spec = np.zeros(n_fft, dtype=np.complex128)
-        spec[bins] = qpsk_lut[rng.integers(0, 4, size=bins.size)]
-        sym = np.fft.ifft(spec) * np.sqrt(n_fft**2 / bins.size)
-        out[s * sym_len: (s + 1) * sym_len] = np.concatenate([sym[-cp:], sym])
-    out = out[:n_samples]
+    spec = np.zeros((n_syms, n_fft), dtype=np.complex128)
+    spec[:, bins] = qpsk_lut[rng.integers(0, 4, size=(n_syms, bins.size))]
+    out = np.empty((n_syms, sym_len), dtype=np.complex128)
+    out[:, cp:] = ifft(spec, axis=1, overwrite_x=True)
+    out[:, cp:] *= np.sqrt(n_fft**2 / bins.size)
+    out[:, :cp] = out[:, -cp:]
+    out = out.ravel()[:n_samples]
 
     if config.duty_cycle < 1.0:
         burst_on = config.burst_symbols * sym_len

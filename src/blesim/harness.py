@@ -13,7 +13,9 @@ import csv
 import json
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .channel import (
 from .chansel import ChannelMap, HopState, csa1_next, csa2_select
 from .coded import assemble_coded
 from .errors import ConfigError, InsufficientDataError, IoError
-from .gmsk import IqFrame, gaussian_taps, gmsk_modulate
+from .gmsk import IqFrame, PulseShape, gaussian_taps, gmsk_modulate
 from .llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
     ADVERTISING_CRC_INIT,
@@ -140,6 +142,12 @@ def _scenario_channel(cfg: ScenarioConfig, frame_idx: int) -> int:
     return csa1_next(state, cmap)[0].index
 
 
+@lru_cache(maxsize=8)
+def _tx_pulse(sps: int) -> PulseShape:
+    """The transmitter's BT=0.5 frequency pulse, built once per rate."""
+    return gaussian_taps(0.5, sps)
+
+
 def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
               sir_db: float | None, frame_idx: int, mode_idx: int = 0,
               point_idx: int = 0, trace: list | None = None):
@@ -160,7 +168,7 @@ def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
         assemble_coded(packet, mode) if mode.coded
         else assemble_uncoded(packet, mode)
     )
-    pulse = gaussian_taps(0.5, cfg.sps)
+    pulse = _tx_pulse(cfg.sps)
     tx = gmsk_modulate(bits, pulse, symbol_rate=mode.symbol_rate)
 
     lead = 256 + int(rng.integers(0, 64))
@@ -217,32 +225,31 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> list[PerResult]:
         for snr in cfg.snr_sweep_db
         for sir in (cfg.sir_sweep_db if cfg.sir_sweep_db is not None else (None,))
     ]
+    n = cfg.frames
+    parallel = jobs > 1
+    bounds = np.linspace(0, n, (jobs if parallel else 1) + 1, dtype=int)
     results = []
-    for mode_idx, mode in enumerate(cfg.phy_modes):
-        for point_idx, (snr, sir) in enumerate(points):
-            n = cfg.frames
-            if jobs > 1:
-                bounds = np.linspace(0, n, jobs + 1, dtype=int)
+    # One pool serves the whole campaign; each point still splits into
+    # `jobs` chunks of consecutive frames, as it did with a pool per point.
+    pool = ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext()
+    with pool:
+        for mode_idx, mode in enumerate(cfg.phy_modes):
+            for point_idx, (snr, sir) in enumerate(points):
                 tasks = [
                     (cfg, mode, snr, sir, int(a), int(b), mode_idx, point_idx)
                     for a, b in zip(bounds[:-1], bounds[1:]) if b > a
                 ]
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    counts = list(pool.map(_count_chunk, tasks))
+                counts = list((pool.map if parallel else map)(_count_chunk, tasks))
                 detected = sum(c[0] for c in counts)
                 valid = sum(c[1] for c in counts)
-            else:
-                detected, valid = _count_chunk(
-                    (cfg, mode, snr, sir, 0, n, mode_idx, point_idx)
-                )
-            errors = n - valid
-            lo, hi = wilson_interval(errors, n)
-            results.append(PerResult(
-                scenario=cfg.id, phy=mode.value, snr_db=float(snr),
-                sir_db=None if sir is None else float(sir),
-                frames=n, detected=detected, valid=valid,
-                per=errors / n, wilson_lo=lo, wilson_hi=hi,
-            ))
+                errors = n - valid
+                lo, hi = wilson_interval(errors, n)
+                results.append(PerResult(
+                    scenario=cfg.id, phy=mode.value, snr_db=float(snr),
+                    sir_db=None if sir is None else float(sir),
+                    frames=n, detected=detected, valid=valid,
+                    per=errors / n, wilson_lo=lo, wilson_hi=hi,
+                ))
     return results
 
 

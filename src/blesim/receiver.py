@@ -14,7 +14,8 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
+from scipy.fft import fft, fftfreq, ifft
+from scipy.signal import lfilter
 
 from .bits import bits_to_int
 from .coded import (
@@ -170,22 +171,27 @@ def coarse_cfo_estimate(frame: IqFrame, method: str = "fft",
     if method != "fft":
         raise ParamError(f"unknown CFO method {method!r}")
 
-    nfft = 1 << max(15, int(np.ceil(np.log2(2 * len(sq)))))
-    spec = np.abs(np.fft.fft(sq, nfft)) ** 2
-    freqs = np.fft.fftfreq(nfft, 1.0 / fs)
+    # A power of two keeps the pair shift rs/2 a whole number of bins
+    # (fs/nfft divides rs/2 for a power-of-two sps); next_fast_len sizes
+    # do not, and the pair metric then misses its lines.
+    nfft = 1 << int(np.ceil(np.log2(2 * len(sq))))
+    spec = np.abs(fft(sq, nfft)) ** 2
+    freqs = fftfreq(nfft, 1.0 / fs)
     # Any residual DC offset squares to a line at 0 Hz which would alias
     # into the pair metric at +-rs/4; the genuine lines sit at
     # 2*cfo +- rs/2 and never come near 0 Hz for in-range offsets.
     spec[np.abs(freqs) < rs / 8.0] = 0.0
     shift = int(round((rs / 2.0) / (fs / nfft)))
-    pair = np.roll(spec, shift) + np.roll(spec, -shift)
-    window = np.abs(freqs) <= 2.0 * max_offset_hz
-    idx = np.flatnonzero(window)
-    k = idx[np.argmax(pair[idx])]
+
+    def pair(k):
+        return spec[(k - shift) % nfft] + spec[(k + shift) % nfft]
+
+    idx = np.flatnonzero(np.abs(freqs) <= 2.0 * max_offset_hz)
+    k = idx[np.argmax(pair(idx))]
     # Parabolic refinement on the log-magnitude around the winning bin.
-    km, kp = (k - 1) % nfft, (k + 1) % nfft
-    denom = pair[km] - 2.0 * pair[k] + pair[kp]
-    delta = 0.0 if denom == 0 else 0.5 * (pair[km] - pair[kp]) / denom
+    below, peak, above = pair(np.array([k - 1, k, k + 1]))
+    denom = below - 2.0 * peak + above
+    delta = 0.0 if denom == 0 else 0.5 * (below - above) / denom
     f2 = (freqs[k] + delta * fs / nfft)
     return float(f2 / 2.0)
 
@@ -225,36 +231,68 @@ def _reference(mode: PhyMode, aa: int, sps: int, bt: float, h: float):
     return ref.samples, segments
 
 
+@lru_cache(maxsize=16)
+def _template_spectra(mode: PhyMode, aa: int, sps: int, bt: float, h: float):
+    """Overlap-save block size, conjugate spectra and norms of the sync
+    segments.
+
+    The block size is fixed per mode (8x the segment length, rounded up to
+    a power of two), so the cache holds one entry per reference whatever
+    the frame lengths are.
+    """
+    ref, segments = _reference(mode, aa, sps, bt, h)
+    seg_len = segments[0][1] - segments[0][0]
+    nfft = 8 << int(np.ceil(np.log2(seg_len)))
+    spectra = np.conj(fft([ref[a:b] for a, b in segments], nfft, axis=1))
+    spectra.setflags(write=False)
+    norms = tuple(float(np.linalg.norm(ref[a:b])) for a, b in segments)
+    return nfft, spectra, norms
+
+
 def synchronize(frame: IqFrame, cfg: ReceiverConfig) -> SyncResult:
     """Locate the packet and estimate residual CFO from the preamble region.
 
     The reference is split into short segments that are correlated
     coherently and combined non-coherently, so the search tolerates a few
     kHz of post-coarse frequency error; the phase ramp across segment
-    correlations then gives the fine CFO.
+    correlations then gives the fine CFO.  The correlations run by
+    overlap-save: one FFT of the frame's blocks is shared by every
+    segment, and each segment costs one inverse FFT.
     """
     if frame.sps != cfg.sps:
         raise RateMismatchError(f"frame at {frame.sps} sps, config says {cfg.sps}")
-    ref, segments = _reference(
-        cfg.phy_mode, cfg.expected_access_address, cfg.sps, cfg.pulse_bt, cfg.h
-    )
+    key = (cfg.phy_mode, cfg.expected_access_address, cfg.sps, cfg.pulse_bt, cfg.h)
+    ref, segments = _reference(*key)
     x = frame.samples
     if len(x) < ref.size:
         raise SyncFailure(f"frame ({len(x)}) shorter than sync reference ({ref.size})")
     n_lags = len(x) - ref.size + 1
+    nfft, spectra, norms = _template_spectra(*key)
+    seg_len = segments[0][1] - segments[0][0]
+    # The segments are contiguous and equally long, so they share the
+    # energy of the seg_len samples starting at each lag.
     energy = np.concatenate([[0.0], np.cumsum(np.abs(x) ** 2)])
+    rms = np.sqrt(np.maximum(energy[seg_len:] - energy[:-seg_len], 1e-30))
+
+    # Overlap-save: block i holds x[p0 + i*step:][:nfft] (zero-padded past
+    # the end), and its first `step` outputs are a segment's correlations
+    # starting at samples p0 + i*step + [0, step).  Segment (a, b) needs
+    # those starting at a + [0, n_lags); each of them ends inside x.
+    step = nfft - seg_len + 1
+    p0 = segments[0][0]
+    n_blocks = -(-(segments[-1][0] - p0 + n_lags) // step)
+    blocks = np.zeros((n_blocks, nfft), dtype=np.complex128)
+    for i, row in enumerate(blocks):
+        part = x[p0 + i * step:p0 + i * step + nfft]
+        row[:part.size] = part
+    blocks = fft(blocks, axis=1, overwrite_x=True)
 
     num = np.zeros(n_lags)
     den = np.full(n_lags, 1e-30)
-    seg_corrs = []
-    for a, b in segments:
-        r = ref[a:b]
-        c_full = fftconvolve(x, np.conj(r[::-1]), mode="valid")
-        c = c_full[a: a + n_lags]
-        seg_corrs.append(c)
-        win = energy[a + (b - a):][:n_lags] - energy[a:a + n_lags]
-        num += np.abs(c)
-        den += np.linalg.norm(r) * np.sqrt(np.maximum(win, 1e-30))
+    for (a, _), spec, norm in zip(segments, spectra, norms):
+        c = ifft(blocks * spec, axis=1, overwrite_x=True)
+        num += np.abs(c[:, :step]).ravel()[a - p0:a - p0 + n_lags]
+        den += norm * rms[a:a + n_lags]
     rho = num / den
     tau = int(np.argmax(rho))
     peak = float(rho[tau])
@@ -264,9 +302,10 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig) -> SyncResult:
             f"{cfg.preamble_detect_threshold:.3f}"
         )
 
-    # Fine CFO: weighted slope of the segment correlation phases.
-    phases = np.unwrap(np.array([np.angle(c[tau]) for c in seg_corrs]))
-    weights = np.array([np.abs(c[tau]) for c in seg_corrs])
+    # Fine CFO: weighted slope of the segment correlation phases at tau.
+    corrs = np.array([np.vdot(ref[a:b], x[tau + a:tau + b]) for a, b in segments])
+    phases = np.unwrap(np.angle(corrs))
+    weights = np.abs(corrs)
     times = np.array([(a + b) / 2.0 for a, b in segments]) / frame.sample_rate
     if len(segments) >= 2 and weights.sum() > 0:
         slope = np.polyfit(times, phases, 1, w=weights)[0]

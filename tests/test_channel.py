@@ -196,6 +196,45 @@ def test_wlan_duty_cycle_gates_bursts():
     assert runs.max() > 1000
 
 
+def _wlan_interferer_loop(n_samples, config, fs):
+    """Oracle: the OFDM symbols built one at a time, as seeded."""
+    rng = np.random.default_rng(config.seed)
+    if config.duty_cycle == 0.0:
+        return np.zeros(n_samples, dtype=np.complex128)
+    n_fft = int(round(fs / (config.bandwidth_hz / 64.0)))
+    cp = n_fft // 4
+    sym_len = n_fft + cp
+    n_syms = -(-n_samples // sym_len)
+    bins = np.concatenate([np.arange(1, 27), np.arange(-26, 0)]) % n_fft
+    qpsk_lut = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
+    out = np.empty(n_syms * sym_len, dtype=np.complex128)
+    for s in range(n_syms):
+        spec = np.zeros(n_fft, dtype=np.complex128)
+        spec[bins] = qpsk_lut[rng.integers(0, 4, size=bins.size)]
+        sym = np.fft.ifft(spec) * np.sqrt(n_fft**2 / bins.size)
+        out[s * sym_len: (s + 1) * sym_len] = np.concatenate([sym[-cp:], sym])
+    out = out[:n_samples]
+    if config.duty_cycle < 1.0:
+        burst_on = config.burst_symbols * sym_len
+        period = int(round(burst_on / config.duty_cycle))
+        start = int(rng.integers(0, period))
+        out = out * (((np.arange(n_samples) + start) % period) < burst_on)
+    if config.center_offset_hz:
+        n = np.arange(n_samples)
+        out = out * np.exp(2j * np.pi * config.center_offset_hz * n / fs)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 79, 81, 25_000])
+@pytest.mark.parametrize("duty", [1.0, 0.5, 0.0])
+@pytest.mark.parametrize("offset", [0.0, -5e6])
+def test_wlan_interferer_matches_symbol_loop(n, duty, offset):
+    cfg = InterfererConfig(center_offset_hz=offset, duty_cycle=duty, seed=n)
+    for fs in (40e6, 32e6):
+        got = wlan_interferer(n, cfg, fs)
+        assert np.array_equal(got.samples, _wlan_interferer_loop(n, cfg, fs))
+
+
 def test_mix_power_and_linearity():
     rng = np.random.default_rng(47)
     sig = IqFrame(np.exp(2j * np.pi * 0.01 * np.arange(40_000)), 8e6, 1e6)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from blesim import harness
 from blesim.channel import InterfererConfig, nlos_profile
 from blesim.cli import _parse_sweep, main
 from blesim.errors import ConfigError, InsufficientDataError, IoError
@@ -92,6 +93,36 @@ def test_run_campaign_independent_of_jobs():
     b = run_campaign(cfg, jobs=2)
     c = run_campaign(cfg, jobs=3)
     assert a == b == c
+
+
+def test_run_campaign_creates_one_pool(monkeypatch):
+    created = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    cfg = small_scenario(phy_modes=(PhyMode.LE1M, PhyMode.LE2M),
+                         snr_sweep_db=(30.0, 4.0), frames=5)
+    assert run_campaign(cfg, jobs=2) == run_campaign(cfg, jobs=1)
+    assert created == [2]
+
+
+def test_coded_frame_decodes_despite_fft_size_sensitive_cfo():
+    # Acceptance criterion 8's scenario.  Its LE125K frame 29 at 12 dB
+    # decodes with a power-of-two coarse-CFO FFT; sized by next_fast_len
+    # the pair metric's rs/2 shift is not a whole number of bins, the
+    # estimate lands near 161 kHz and the frame is lost.
+    cfg = ScenarioConfig(
+        id="acc-repro", seed=808, phy_modes=(PhyMode.LE1M, PhyMode.LE125K),
+        snr_sweep_db=(8.0, 12.0), channel=None,
+        hopping=HoppingConfig("csa2", "0x1FFFFFFFFF", 7),
+        profile=nlos_profile(), frames=40, pdu_bits=64,
+    )
+    rep = run_frame(cfg, PhyMode.LE125K, 12.0, None, 29, mode_idx=1, point_idx=1)
+    assert rep.crc_ok
 
 
 def test_run_frame_deterministic():

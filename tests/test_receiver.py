@@ -111,6 +111,55 @@ def test_coarse_cfo_plus_50k():
     assert all(40e3 < e < 60e3 for e in ests)
 
 
+@pytest.mark.parametrize("offset", [-50e3, 50e3])
+@pytest.mark.parametrize("mode, pdu_bits", [(PhyMode.LE2M, 64),
+                                            (PhyMode.LE125K, 128)])
+def test_coarse_cfo_50k_on_le2m_and_coded_frames(mode, pdu_bits, offset):
+    # LE2M runs at fs 16 MHz; a 128-bit LE125K frame is about 13k samples,
+    # six times an LE1M frame, so the FFT size differs from the LE1M tests.
+    for seed in range(5):
+        frame, _ = make_frame(mode, pdu_bits=pdu_bits, seed=seed)
+        est = coarse_cfo_estimate(awgn(apply_cfo(frame, offset), 15.0,
+                                       seed=seed + 9))
+        assert abs(est - offset) < 10e3, (seed, est)
+
+
+def _coarse_cfo_rolled(frame, max_offset_hz=None):
+    """Oracle: the pair metric built by rolling the whole spectrum."""
+    x, fs, rs = frame.samples, frame.sample_rate, frame.symbol_rate
+    if max_offset_hz is None:
+        max_offset_hz = rs / 4.0
+    sq = x * x
+    nfft = 1 << int(np.ceil(np.log2(2 * len(sq))))
+    spec = np.abs(np.fft.fft(sq, nfft)) ** 2
+    freqs = np.fft.fftfreq(nfft, 1.0 / fs)
+    spec[np.abs(freqs) < rs / 8.0] = 0.0
+    shift = int(round((rs / 2.0) / (fs / nfft)))
+    pair = np.roll(spec, shift) + np.roll(spec, -shift)
+    idx = np.flatnonzero(np.abs(freqs) <= 2.0 * max_offset_hz)
+    k = idx[np.argmax(pair[idx])]
+    km, kp = (k - 1) % nfft, (k + 1) % nfft
+    denom = pair[km] - 2.0 * pair[k] + pair[kp]
+    delta = 0.0 if denom == 0 else 0.5 * (pair[km] - pair[kp]) / denom
+    return float((freqs[k] + delta * fs / nfft) / 2.0)
+
+
+def test_coarse_cfo_matches_rolled_pair_metric():
+    rng = np.random.default_rng(57)
+    for trial in range(60):
+        n = int(rng.integers(16, 20_000))
+        rs = (1e6, 2e6)[trial % 2]
+        frame = IqFrame(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                        8 * rs, rs)
+        max_offset = (None, 100e3, 400e3)[trial % 3]
+        assert (coarse_cfo_estimate(frame, max_offset_hz=max_offset)
+                == _coarse_cfo_rolled(frame, max_offset))
+    frame, _ = make_frame(seed=12)
+    for offset in (-150e3, 0.0, 240e3):
+        hit = apply_cfo(frame, offset)
+        assert coarse_cfo_estimate(hit) == _coarse_cfo_rolled(hit)
+
+
 def test_coarse_cfo_minus_100k():
     est = coarse_cfo_estimate(_cfo_probe(-100e3, snr_db=np.inf))
     assert abs(est - (-100e3)) < 10e3
