@@ -42,31 +42,3 @@ def bits_to_int(bits: np.ndarray, lsb_first: bool = True) -> int:
 def random_bits(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=n, dtype=np.uint8)
 
-
-def hex_dump(bits: np.ndarray) -> str:
-    """Hex string of a bit vector, MSB-left within each byte.
-
-    The vector is padded with trailing zeros to a whole number of bytes;
-    bit order within each byte follows the vector (first bit = LSB of the
-    byte, as on air), but the printed nibbles read MSB-left as usual.
-    """
-    bits = as_bits(bits)
-    pad = (-bits.size) % 8
-    padded = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    out = []
-    for k in range(0, padded.size, 8):
-        byte = bits_to_int(padded[k:k + 8], lsb_first=True)
-        out.append(f"{byte:02x}")
-    return "".join(out)
-
-
-def parse_hex(text: str, n_bits: int) -> np.ndarray:
-    """Inverse of hex_dump for the first n_bits bits."""
-    raw = bytes.fromhex(text)
-    if len(raw) * 8 < n_bits:
-        raise LengthError(f"hex string holds {len(raw) * 8} bits, need {n_bits}")
-    bits = np.zeros(len(raw) * 8, dtype=np.uint8)
-    for i, byte in enumerate(raw):
-        for j in range(8):
-            bits[8 * i + j] = (byte >> j) & 1
-    return bits[:n_bits]

@@ -8,7 +8,8 @@ PHY mode.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import ifft
@@ -73,6 +74,13 @@ class ChannelProfile:
             raise ProfileError("tap delays must be non-negative")
         if len(set(delays)) != len(delays):
             raise ProfileError("duplicate tap delays")
+        # Levels within 300 dB keep 10**(dB/10) a finite float.
+        k = self.rician_k_db
+        if not (all(int(d) == d and abs(p) <= 300.0 for d, p in self.taps)
+                and (k is None or abs(k) <= 300.0 or k == math.inf)
+                and 0.0 < self.reference_rate_hz < math.inf):
+            raise ProfileError("need whole-sample delays, powers and K within 300 "
+                               "dB (or K inf), and a positive reference rate")
 
     def with_seed(self, seed: int) -> "ChannelProfile":
         return ChannelProfile(
@@ -165,8 +173,12 @@ class InterfererConfig:
     def __post_init__(self):
         if not 0.0 <= self.duty_cycle <= 1.0:
             raise ParamError(f"duty cycle {self.duty_cycle} outside [0, 1]")
-        if self.bandwidth_hz <= 0:
-            raise ParamError("bandwidth must be positive")
+        # At least 1 MHz keeps the generator's 64-bin FFT small.
+        if not (1e6 <= self.bandwidth_hz < math.inf
+                and abs(self.center_offset_hz) < math.inf):
+            raise ParamError("bandwidth must be 1 MHz or more, the offset finite")
+        if self.duty_cycle and not 1 <= self.burst_symbols <= 2**31 * self.duty_cycle:
+            raise ParamError("bursts must hold 1 or more symbols, period below 2^31")
 
     def with_seed(self, seed: int) -> "InterfererConfig":
         return InterfererConfig(
@@ -262,8 +274,13 @@ def interferer_inband_fraction(config: InterfererConfig, fs: float) -> float:
     return width / occupied
 
 
+# Rate at which interferer_at_rate generates an interferer wider than fs.
+INTERFERER_GEN_RATE_HZ = 40e6
+
+
 def interferer_at_rate(
-    n_samples: int, config: InterfererConfig, fs: float, gen_fs: float = 40e6
+    n_samples: int, config: InterfererConfig, fs: float,
+    gen_fs: float = INTERFERER_GEN_RATE_HZ,
 ) -> IqFrame:
     """Interferer wider than fs: generate at gen_fs, then resample down.
 

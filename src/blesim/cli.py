@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .channel import InterfererConfig, los_profile, nlos_profile, reverberant_profile
 from .errors import ConfigError, IoError
@@ -46,7 +47,7 @@ def _parse_sweep(text: str) -> tuple:
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     results = run_campaign(cfg, jobs=args.jobs)
     emit_results(results, args.out, fmt=args.format)
     print(f"wrote {len(results)} rows to {args.out}")
@@ -79,12 +80,8 @@ _PROFILES = {
 
 
 def _cmd_per(args) -> int:
-    try:
-        modes = tuple(PhyMode(m) for m in args.phy)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     cfg = ScenarioConfig(
-        id=args.id, seed=args.seed, phy_modes=modes,
+        id=args.id, seed=args.seed, phy_modes=tuple(args.phy),
         snr_sweep_db=_parse_sweep(args.snr),
         sir_sweep_db=None if args.sir is None else _parse_sweep(args.sir),
         profile=_PROFILES[args.profile],

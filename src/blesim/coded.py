@@ -13,6 +13,8 @@ symbols 0011 and coded bit 1 to 1100; S=2 maps bits straight through.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .bits import as_bits, int_to_bits
@@ -29,12 +31,24 @@ _PATTERN_ZERO = np.array([0, 0, 1, 1], dtype=np.uint8)
 _PATTERN_ONE = np.array([1, 1, 0, 0], dtype=np.uint8)
 
 
-def spreading_factor(s: int) -> int:
+class CodingScheme(NamedTuple):
+    ci: int         # coding-indicator field value announcing block 2's scheme
+    s: int          # coding scheme S of block 2
+    spreading: int  # on-air symbols per coded bit
+
+
+# The one table of the coded modes' block-2 coding.
+CODING_SCHEMES = {
+    PhyMode.LE125K: CodingScheme(ci=0b00, s=8, spreading=4),
+    PhyMode.LE500K: CodingScheme(ci=0b01, s=2, spreading=1),
+}
+
+
+def _spreading(s: int) -> int:
     """Symbols per coded bit for coding scheme S."""
-    if s == 8:
-        return 4
-    if s == 2:
-        return 1
+    for scheme in CODING_SCHEMES.values():
+        if scheme.s == s:
+            return scheme.spreading
     raise ParamError(f"coding scheme S={s} (expected 2 or 8)")
 
 
@@ -61,7 +75,7 @@ def fec_encode(bits: np.ndarray) -> np.ndarray:
 def pattern_map(coded_bits: np.ndarray, s: int) -> np.ndarray:
     """Expand coded bits to on-air symbols for coding scheme S."""
     coded_bits = as_bits(coded_bits)
-    p = spreading_factor(s)
+    p = _spreading(s)
     if p == 1:
         return coded_bits.copy()
     out = np.where(
@@ -77,7 +91,7 @@ def pattern_demap(soft_symbols: np.ndarray, s: int) -> np.ndarray:
     bit are combined with the pattern's antipodal signs (+,+,-,-).
     """
     soft = _as_soft(soft_symbols)
-    p = spreading_factor(s)
+    p = _spreading(s)
     if soft.size % p:
         raise LengthError(f"{soft.size} symbols not divisible by spreading {p}")
     if p == 1:
@@ -118,7 +132,6 @@ def viterbi_decode(symbols: np.ndarray, s: int) -> np.ndarray:
     block whose input ended with the TERM flush, so the traceback starts
     from state zero.  Returns the decoded input bits including the flush.
     """
-    p = spreading_factor(s)
     soft = pattern_demap(symbols, s)
     if soft.size % 2:
         raise LengthError(f"{soft.size} coded bits do not form (g0, g1) pairs")
@@ -151,12 +164,13 @@ def assemble_coded(packet: LinkLayerPacket, mode: PhyMode) -> np.ndarray:
         raise ModeError(f"{mode.value} packets are built by assemble_uncoded")
     preamble = mode.preamble_bits()
     aa = int_to_bits(packet.access_address, 32, lsb_first=True)
-    ci = int_to_bits(mode.ci_bits, CI_FIELD_BITS, lsb_first=True)
+    scheme = CODING_SCHEMES[mode]
+    ci = int_to_bits(scheme.ci, CI_FIELD_BITS, lsb_first=True)
     term = np.zeros(TERM_BITS, dtype=np.uint8)
     block1 = pattern_map(fec_encode(np.concatenate([aa, ci, term])), 8)
     body = np.concatenate([packet.pdu, crc24_bits(packet.pdu, packet.crc_init)])
     block2_in = np.concatenate([whiten(body, packet.channel.index), term])
-    block2 = pattern_map(fec_encode(block2_in), 8 if mode.spreading == 4 else 2)
+    block2 = pattern_map(fec_encode(block2_in), scheme.s)
     return np.concatenate([preamble, block1, block2])
 
 
@@ -165,13 +179,5 @@ def block1_symbol_count() -> int:
 
 
 def block2_symbol_count(pdu_bits: int, s: int) -> int:
-    return (pdu_bits + 24 + TERM_BITS) * 2 * spreading_factor(s)
+    return (pdu_bits + 24 + TERM_BITS) * 2 * _spreading(s)
 
-
-def scheme_from_ci(ci_value: int) -> int | None:
-    """Coding scheme announced by a decoded CI field (None if reserved)."""
-    if ci_value == 0b00:
-        return 8
-    if ci_value == 0b01:
-        return 2
-    return None

@@ -1,15 +1,11 @@
-"""GMSK modulator/demodulator and the complex-baseband frame container.
+"""GMSK modulator, pulse filters and the complex-baseband frame container.
 
 The modulator is a classic CPM chain: NRZ impulses -> Gaussian frequency
 pulse -> phase accumulator -> unit-envelope complex exponential.  The
 frequency pulse is the convolution of a Gaussian (3 dB bandwidth bt times
 the symbol rate) with a one-symbol rectangle, normalised so each symbol
-advances the phase by exactly pi*h.
-
-Demodulation is non-coherent: the receive half of the pulse filter is
-applied to the IQ samples, a phase discriminator recovers instantaneous
-frequency, and symbol-spaced samples (group delay compensated) give soft
-values whose sign is the hard bit.
+advances the phase by exactly pi*h.  The same pulse serves as the
+receiver's matched filter; demodulation itself lives in the receiver.
 """
 from __future__ import annotations
 
@@ -153,52 +149,6 @@ def matched_filter(frame: IqFrame, pulse: PulseShape) -> IqFrame:
             f"pulse designed for {pulse.sps} sps, frame has {frame.sps}"
         )
     return frame.replace(np.convolve(frame.samples, pulse.taps))
-
-
-def instantaneous_frequency(frame: IqFrame) -> np.ndarray:
-    """Per-sample frequency in Hz via a central-difference discriminator."""
-    x = frame.samples
-    out = np.zeros(len(x))
-    if len(x) >= 3:
-        out[1:-1] = np.angle(x[2:] * np.conj(x[:-2])) / 2.0
-    return out * frame.sample_rate / (2.0 * np.pi)
-
-
-def _soft_symbols(
-    mf_samples: np.ndarray, sps: int, h: float, start: int, count: int
-) -> np.ndarray:
-    """Sample the discriminator at symbol-spaced decision instants.
-
-    `start` is the decision instant of symbol 0 in `mf_samples`; values are
-    scaled so a long run of equal bits sits near +-1.
-    """
-    disc = np.zeros(len(mf_samples))
-    disc[1:-1] = np.angle(mf_samples[2:] * np.conj(mf_samples[:-2])) / 2.0
-    idx = start + sps * np.arange(count)
-    valid = idx < len(mf_samples)
-    soft = np.zeros(count)
-    soft[valid] = disc[idx[valid]]
-    return soft * (sps / (np.pi * h))
-
-
-def gmsk_demodulate(frame: IqFrame, pulse: PulseShape, h: float = 0.5) -> np.ndarray:
-    """Demodulate a frame produced by gmsk_modulate back to soft bits.
-
-    Returns one soft value per symbol period that fits in the frame (a few
-    trailing entries are filter-tail artifacts); sign > 0 means bit 1.
-    """
-    if len(frame) < pulse.taps.size:
-        raise LengthError(
-            f"frame of {len(frame)} samples is shorter than the "
-            f"{pulse.taps.size}-tap filter span"
-        )
-    mf = matched_filter(frame, pulse)
-    sps = pulse.sps
-    start = 2 * pulse.delay  # TX transient plus RX filter group delay
-    count = (len(mf) - 2 - start) // sps + 1
-    if count < 1:
-        raise LengthError("frame shorter than one symbol after filtering")
-    return _soft_symbols(mf.samples, sps, h, start, count)
 
 
 def resample(frame: IqFrame, new_rate: float) -> IqFrame:

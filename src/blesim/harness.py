@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .bits import random_bits
 from .channel import (
+    INTERFERER_GEN_RATE_HZ,
     ChannelProfile,
     InterfererConfig,
     apply_cfo,
@@ -36,7 +39,7 @@ from .channel import (
 )
 from .chansel import ChannelMap, HopState, csa1_next, csa2_select
 from .coded import assemble_coded
-from .errors import ConfigError, InsufficientDataError, IoError
+from .errors import BlesimError, ConfigError, InsufficientDataError, IoError
 from .gmsk import IqFrame, PulseShape, gaussian_taps, gmsk_modulate
 from .llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
@@ -62,12 +65,64 @@ class HoppingConfig:
     map_mask: str = "0x1FFFFFFFFF"
     hop_increment: int = 7
 
-    def channel_map(self) -> ChannelMap:
-        return ChannelMap.from_mask(self.map_mask)
+
+# ReceiverConfig fields a scenario's `receiver` object may set; the
+# scenario sets the others itself.
+_RECEIVER_KEYS = {f.name for f in fields(ReceiverConfig)} - {
+    "phy_mode", "expected_access_address", "channel", "pdu_bits", "crc_init",
+    "sps",
+}
+
+
+@contextmanager
+def _as_config_error():
+    """Report any bad-value error raised inside as a ConfigError."""
+    try:
+        yield
+    except (BlesimError, ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _integer(name: str, value, lo=-math.inf, hi=math.inf) -> int:
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or not lo <= value <= hi):
+        raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value, lo: float, hi: float) -> float:
+    """A number in [lo, hi]; NaN never is."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not lo <= value <= hi):
+        raise ConfigError(f"{name} must be a number in [{lo}, {hi}], got {value!r}")
+    return float(value)
+
+
+def _nonempty(name: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+    return tuple(value)
+
+
+def _sweep_db(name: str, value) -> tuple:
+    # +inf means no noise (SNR) or no interferer power (SIR); finite levels
+    # stay within 300 dB so that 10**(dB/10) is a finite float.
+    return tuple(
+        v if v == math.inf else _real(name, v, -300.0, 300.0)
+        for v in _nonempty(name, value)
+    )
 
 
 @dataclass
 class ScenarioConfig:
+    """One campaign: the link, its impairments and the sweep.
+
+    Construction checks every field, from JSON, the CLI or Python alike,
+    and builds once what every frame reuses; a bad value raises
+    ConfigError here, never mid-campaign.  Change a field with
+    dataclasses.replace, which checks again; attribute assignment does not.
+    """
+
     id: str
     seed: int
     phy_modes: tuple = (PhyMode.LE1M, PhyMode.LE2M, PhyMode.LE500K, PhyMode.LE125K)
@@ -85,23 +140,90 @@ class ScenarioConfig:
     crc_init: int = ADVERTISING_CRC_INIT
     sps: int = 8
     receiver: dict = field(default_factory=dict)
+    # Built by __post_init__: crc32 of the id, the ReceiverConfig of each
+    # mode, the fixed channel, and the hop map plus CSA#1 hop state.
+    _id_key: int = field(init=False, repr=False, compare=False)
+    _rx: dict = field(init=False, repr=False, compare=False)
+    _channel: ChannelIndex | None = field(init=False, repr=False, compare=False)
+    _channel_map: ChannelMap | None = field(init=False, repr=False, compare=False)
+    _hop: HopState | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.seed is None:
-            raise ConfigError("scenario seed is mandatory")
-        self.phy_modes = tuple(
-            PhyMode(m) if isinstance(m, str) else m for m in self.phy_modes
-        )
-        if not self.phy_modes:
-            raise ConfigError("at least one PHY mode required")
-        if self.frames < 1:
-            raise ConfigError("frames must be >= 1")
+        with _as_config_error():
+            self._check_and_build()
+
+    def _check_and_build(self):
+        if not isinstance(self.id, str):
+            raise ConfigError(f"id must be a string, got {self.id!r}")
+        self._id_key = zlib.crc32(self.id.encode())
+        self.seed = _integer("seed", self.seed, 0)
+        modes = _nonempty("phy_modes", self.phy_modes)
+        self.phy_modes = tuple(PhyMode(m) for m in modes)
+        self.snr_sweep_db = _sweep_db("snr_sweep_db", self.snr_sweep_db)
+        if (self.sir_sweep_db is None) != (self.interferer is None):
+            raise ConfigError("a sir sweep needs an interferer and vice versa")
+        if self.sir_sweep_db is not None:
+            self.sir_sweep_db = _sweep_db("sir_sweep_db", self.sir_sweep_db)
+        self.frames = _integer("frames", self.frames, 1)
+        self.pdu_bits = _integer("pdu_bits", self.pdu_bits)
+        self.access_address = _integer("access_address", self.access_address,
+                                       0, 2**32 - 1)
+        self.crc_init = _integer("crc_init", self.crc_init, 0, 2**24 - 1)
+        # 64 bounds the samples, and so the memory, of one frame.
+        self.sps = _integer("sps", self.sps, 2, 64)
+        if self.dc_dbc is not None:
+            self.dc_dbc = _real("dc_dbc", self.dc_dbc, -300.0, 300.0)
+
+        self._channel = self._channel_map = self._hop = None
         if (self.channel is None) == (self.hopping is None):
             raise ConfigError("exactly one of channel / hopping must be set")
-        if self.sir_sweep_db is not None and self.interferer is None:
-            raise ConfigError("sir sweep given but no interferer configured")
-        if self.interferer is not None and self.sir_sweep_db is None:
-            raise ConfigError("interferer configured but no sir sweep")
+        if self.channel is not None:
+            self._channel = ChannelIndex(_integer("channel", self.channel, 0, 39))
+        else:
+            hop = self.hopping
+            if hop.algorithm not in ("csa1", "csa2"):
+                raise ConfigError(f"unknown hop algorithm {hop.algorithm!r}")
+            self._channel_map = ChannelMap.from_mask(hop.map_mask)
+            increment = _integer("hop_increment", hop.hop_increment)
+            if hop.algorithm == "csa1":
+                self._hop = HopState(increment)
+
+        if not isinstance(self.receiver, dict) or set(self.receiver) - _RECEIVER_KEYS:
+            raise ConfigError(f"receiver must be an object with keys among "
+                              f"{sorted(_RECEIVER_KEYS)}, got {self.receiver!r}")
+        self._rx = {  # under hopping run_frame sets each frame's channel
+            mode: ReceiverConfig(
+                phy_mode=mode, expected_access_address=self.access_address,
+                channel=37 if self.channel is None else self.channel,
+                pdu_bits=self.pdu_bits, crc_init=self.crc_init, sps=self.sps,
+                **self.receiver,
+            )
+            for mode in self.phy_modes
+        }
+
+        rates = [mode.symbol_rate * self.sps for mode in self.phy_modes]
+        # apply_cfo needs every draw strictly inside +-fs/2.
+        nyquist = math.nextafter(min(rates) / 2.0, 0.0)
+        cfo = _nonempty("cfo_range_hz", self.cfo_range_hz)
+        self.cfo_range_hz = tuple(
+            _real("cfo_range_hz", v, -nyquist, nyquist) for v in cfo)
+        if len(cfo) != 2 or cfo[0] > cfo[1]:
+            raise ConfigError(f"cfo_range_hz must be [lo, hi], lo <= hi, got {cfo!r}")
+
+        for mode, fs in zip(self.phy_modes, rates):
+            prof, inter = self.profile, self.interferer
+            if prof is not None:
+                # fade() needs the impulse response shorter than the frame:
+                # 384 padding samples plus at least an uncoded packet.
+                taps = round(max(d for d, _ in prof.taps) * fs / prof.reference_rate_hz)
+                packet = (mode.preamble_len + 56 + self.pdu_bits) * self.sps
+                if taps + 1 >= 384 + packet:
+                    raise ConfigError(f"profile delay spread too long for {mode.value}")
+            if inter is not None:
+                gen_fs = fs if fs >= inter.bandwidth_hz else INTERFERER_GEN_RATE_HZ
+                if abs(inter.center_offset_hz) + inter.bandwidth_hz / 2 > gen_fs / 2:
+                    raise ConfigError(f"interferer band exceeds Nyquist at "
+                                      f"{gen_fs / 1e6:g} MHz")
 
 
 @dataclass
@@ -129,17 +251,16 @@ def wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def _scenario_channel(cfg: ScenarioConfig, frame_idx: int) -> int:
-    if cfg.channel is not None:
-        return cfg.channel
-    hop = cfg.hopping
-    cmap = hop.channel_map()
-    if hop.algorithm == "csa2":
-        return csa2_select(frame_idx & 0xFFFF, cmap, cfg.access_address).index
+def _frame_channel(cfg: ScenarioConfig, frame_idx: int) -> ChannelIndex:
+    if cfg._channel is not None:
+        return cfg._channel
+    if cfg._hop is None:
+        return csa2_select(frame_idx & 0xFFFF, cfg._channel_map, cfg.access_address)
     # CSA#1's state recursion has the closed form used here: after k+1
     # hops the unmapped channel is (k+1)*hop mod 37.
-    state = HopState(hop.hop_increment, (frame_idx * hop.hop_increment) % 37)
-    return csa1_next(state, cmap)[0].index
+    hop = cfg._hop
+    state = replace(hop, last_unmapped=(frame_idx * hop.hop_increment) % 37)
+    return csa1_next(state, cfg._channel_map)[0]
 
 
 @lru_cache(maxsize=8)
@@ -151,18 +272,17 @@ def _tx_pulse(sps: int) -> PulseShape:
 def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
               sir_db: float | None, frame_idx: int, mode_idx: int = 0,
               point_idx: int = 0, trace: list | None = None):
-    """Simulate one frame end to end; returns the receiver report."""
+    """Simulate one frame of one of cfg's modes; returns the receiver report."""
     ss = np.random.SeedSequence(
-        [cfg.seed & 0xFFFFFFFF, zlib.crc32(cfg.id.encode()), mode_idx,
-         point_idx, frame_idx]
+        [cfg.seed, cfg._id_key, mode_idx, point_idx, frame_idx]
     )
     rng = np.random.default_rng(ss)
 
-    ch = _scenario_channel(cfg, frame_idx)
+    channel = _frame_channel(cfg, frame_idx)
     pdu = random_bits(cfg.pdu_bits, rng)
     packet = LinkLayerPacket(
         access_address=cfg.access_address, pdu=pdu,
-        channel=ChannelIndex(ch), crc_init=cfg.crc_init,
+        channel=channel, crc_init=cfg.crc_init,
     )
     bits = (
         assemble_coded(packet, mode) if mode.coded
@@ -196,11 +316,9 @@ def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
     if not np.isinf(snr_db):
         frame = awgn(frame, snr_db, int(rng.integers(2**63)))
 
-    rx = ReceiverConfig(
-        phy_mode=mode, expected_access_address=cfg.access_address,
-        channel=ch, pdu_bits=cfg.pdu_bits, crc_init=cfg.crc_init,
-        sps=cfg.sps, **cfg.receiver,
-    )
+    rx = cfg._rx[mode]
+    if cfg._channel is None:
+        rx = replace(rx, channel=channel.index)
     return receive(frame, rx, trace=trace)
 
 
@@ -340,7 +458,9 @@ _PROFILE_FACTORIES = {
 }
 
 
-def _check_keys(obj: dict, allowed, where: str) -> None:
+def _check_keys(obj, allowed, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
@@ -349,17 +469,16 @@ def _check_keys(obj: dict, allowed, where: str) -> None:
 def _profile_from_dict(obj: dict) -> ChannelProfile:
     _check_keys(obj, {"kind", "rician_k_db", "taps", "reference_rate_hz"}, "profile")
     kind = obj.get("kind")
-    if kind in _PROFILE_FACTORIES and "taps" not in obj:
+    if isinstance(kind, str) and kind in _PROFILE_FACTORIES and "taps" not in obj:
         prof = _PROFILE_FACTORIES[kind]()
         if "rician_k_db" in obj:
             prof = replace(prof, rician_k_db=obj["rician_k_db"])
         return prof
     if "taps" not in obj:
         raise ConfigError(f"profile kind {kind!r} needs explicit taps")
-    taps = tuple((int(d), float(p)) for d, p in obj["taps"])
     return ChannelProfile(
-        kind or "custom", taps, obj.get("rician_k_db"),
-        obj.get("reference_rate_hz", 8e6),
+        kind or "custom", tuple(tuple(tap) for tap in obj["taps"]),
+        obj.get("rician_k_db"), obj.get("reference_rate_hz", 8e6),
     )
 
 
@@ -374,6 +493,8 @@ def _profile_to_dict(p: ChannelProfile) -> dict:
     }
 
 
+# The InterfererConfig fields a scenario's interferer object carries.
+_INTERFERER_KEYS = ("bandwidth_hz", "center_offset_hz", "duty_cycle", "burst_symbols")
 _TOP_KEYS = {
     "version", "id", "seed", "phy_modes", "snr_sweep_db", "sir_sweep_db",
     "channel", "profile", "interferer", "frames", "pdu_bits", "cfo_range_hz",
@@ -382,8 +503,7 @@ _TOP_KEYS = {
 
 
 def scenario_from_dict(obj: dict) -> ScenarioConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("scenario must be a JSON object")
+    """Map a JSON scenario onto ScenarioConfig, which checks the values."""
     _check_keys(obj, _TOP_KEYS, "scenario")
     version = obj.get("version")
     if version != SCHEMA_VERSION:
@@ -391,81 +511,41 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
     for key in ("id", "seed"):
         if key not in obj:
             raise ConfigError(f"missing required key {key!r}")
+    nested = {"version", "channel", "profile", "interferer"}
+    kwargs = {key: obj[key] for key in _TOP_KEYS - nested if key in obj}
 
-    kwargs = {"id": obj["id"], "seed": obj["seed"]}
-    if "phy_modes" in obj:
-        try:
-            kwargs["phy_modes"] = tuple(PhyMode(m) for m in obj["phy_modes"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    for key in ("frames", "pdu_bits", "access_address", "crc_init", "sps",
-                "dc_dbc", "receiver"):
-        if key in obj:
-            kwargs[key] = obj[key]
-    if "snr_sweep_db" in obj:
-        kwargs["snr_sweep_db"] = tuple(float(s) for s in obj["snr_sweep_db"])
-    if "sir_sweep_db" in obj:
-        v = obj["sir_sweep_db"]
-        kwargs["sir_sweep_db"] = None if v is None else tuple(float(s) for s in v)
-    if "cfo_range_hz" in obj:
-        lo, hi = obj["cfo_range_hz"]
-        kwargs["cfo_range_hz"] = (float(lo), float(hi))
+    with _as_config_error():
+        chan = obj.get("channel", {"index": 37})
+        if isinstance(chan, dict) and "index" in chan:
+            _check_keys(chan, {"index"}, "channel")
+            kwargs["channel"], kwargs["hopping"] = chan["index"], None
+        elif isinstance(chan, dict) and "hopping" in chan:
+            _check_keys(chan, {"hopping"}, "channel")
+            hop = chan["hopping"]
+            _check_keys(hop, {"algorithm", "map", "hop_increment"}, "channel.hopping")
+            kwargs["channel"] = None
+            kwargs["hopping"] = HoppingConfig(
+                hop.get("algorithm", "csa2"), hop.get("map", "0x1FFFFFFFFF"),
+                hop.get("hop_increment", 7),
+            )
+        else:
+            raise ConfigError("channel must carry either 'index' or 'hopping'")
 
-    chan = obj.get("channel", {"index": 37})
-    if isinstance(chan, dict) and "index" in chan:
-        _check_keys(chan, {"index"}, "channel")
-        kwargs["channel"], kwargs["hopping"] = int(chan["index"]), None
-    elif isinstance(chan, dict) and "hopping" in chan:
-        _check_keys(chan, {"hopping"}, "channel")
-        hop = chan["hopping"]
-        _check_keys(hop, {"algorithm", "map", "hop_increment"}, "channel.hopping")
-        algo = hop.get("algorithm", "csa2")
-        if algo not in ("csa1", "csa2"):
-            raise ConfigError(f"unknown hop algorithm {algo!r}")
-        kwargs["channel"] = None
-        kwargs["hopping"] = HoppingConfig(
-            algo, hop.get("map", "0x1FFFFFFFFF"), hop.get("hop_increment", 7)
-        )
-    else:
-        raise ConfigError("channel must carry either 'index' or 'hopping'")
-
-    if obj.get("profile") is not None:
-        kwargs["profile"] = _profile_from_dict(obj["profile"])
-    if obj.get("interferer") is not None:
-        inter = obj["interferer"]
-        _check_keys(
-            inter,
-            {"bandwidth_hz", "center_offset_hz", "duty_cycle", "burst_symbols"},
-            "interferer",
-        )
-        kwargs["interferer"] = InterfererConfig(
-            bandwidth_hz=float(inter.get("bandwidth_hz", 20e6)),
-            center_offset_hz=float(inter.get("center_offset_hz", 0.0)),
-            duty_cycle=float(inter.get("duty_cycle", 1.0)),
-            burst_symbols=int(inter.get("burst_symbols", 20)),
-        )
-    try:
+        if obj.get("profile") is not None:
+            kwargs["profile"] = _profile_from_dict(obj["profile"])
+        if obj.get("interferer") is not None:
+            inter = obj["interferer"]
+            _check_keys(inter, _INTERFERER_KEYS, "interferer")
+            kwargs["interferer"] = InterfererConfig(**inter)
         return ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    out = {
-        "version": SCHEMA_VERSION,
-        "id": cfg.id,
-        "seed": cfg.seed,
-        "phy_modes": [m.value for m in cfg.phy_modes],
-        "frames": cfg.frames,
-        "pdu_bits": cfg.pdu_bits,
-        "snr_sweep_db": list(cfg.snr_sweep_db),
-        "sir_sweep_db": None if cfg.sir_sweep_db is None else list(cfg.sir_sweep_db),
-        "cfo_range_hz": list(cfg.cfo_range_hz),
-        "dc_dbc": cfg.dc_dbc,
-        "access_address": cfg.access_address,
-        "crc_init": cfg.crc_init,
-        "sps": cfg.sps,
-    }
+    out = {"version": SCHEMA_VERSION, "id": cfg.id, "seed": cfg.seed,
+           "phy_modes": [m.value for m in cfg.phy_modes]}
+    for key in ("frames", "pdu_bits", "snr_sweep_db", "sir_sweep_db",
+                "cfo_range_hz", "dc_dbc", "access_address", "crc_init", "sps"):
+        out[key] = getattr(cfg, key)
     if cfg.channel is not None:
         out["channel"] = {"index": cfg.channel}
     else:
@@ -475,15 +555,9 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
             "hop_increment": cfg.hopping.hop_increment,
         }}
     out["profile"] = None if cfg.profile is None else _profile_to_dict(cfg.profile)
-    if cfg.interferer is None:
-        out["interferer"] = None
-    else:
-        out["interferer"] = {
-            "bandwidth_hz": cfg.interferer.bandwidth_hz,
-            "center_offset_hz": cfg.interferer.center_offset_hz,
-            "duty_cycle": cfg.interferer.duty_cycle,
-            "burst_symbols": cfg.interferer.burst_symbols,
-        }
+    out["interferer"] = None if cfg.interferer is None else {
+        key: getattr(cfg.interferer, key) for key in _INTERFERER_KEYS
+    }
     if cfg.receiver:
         out["receiver"] = dict(cfg.receiver)
     return out
@@ -495,7 +569,7 @@ def load_scenario(path) -> ScenarioConfig:
             obj = json.load(fh)
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return scenario_from_dict(obj)
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bits import as_bits, int_to_bits
-from .errors import LengthError, PduLengthError
+from .errors import LengthError, ModeError, PduLengthError
 from .phymode import PhyMode
 
 ADVERTISING_ACCESS_ADDRESS = 0x8E89BED6
@@ -158,8 +158,6 @@ class LinkLayerPacket:
 def assemble_uncoded(packet: LinkLayerPacket, mode: PhyMode) -> np.ndarray:
     """On-air bit stream for LE1M/LE2M: preamble | AA | whitened(PDU | CRC)."""
     if mode.coded:
-        from .errors import ModeError
-
         raise ModeError(f"{mode.value} packets are built by assemble_coded")
     preamble = mode.preamble_bits(packet.access_address)
     aa = int_to_bits(packet.access_address, 32, lsb_first=True)

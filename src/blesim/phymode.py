@@ -29,24 +29,6 @@ class PhyMode(Enum):
             return 16
         return 80
 
-    @property
-    def spreading(self) -> int:
-        """Symbols emitted per FEC-coded bit in block 2 (P of the pattern mapper)."""
-        if self is PhyMode.LE125K:
-            return 4
-        if self is PhyMode.LE500K:
-            return 1
-        raise_uncoded(self)
-
-    @property
-    def ci_bits(self) -> int:
-        """Coding-indicator field value (2 bits) announcing the block-2 scheme."""
-        if self is PhyMode.LE125K:
-            return 0b00
-        if self is PhyMode.LE500K:
-            return 0b01
-        raise_uncoded(self)
-
     def preamble_bits(self, access_address: int = 0) -> np.ndarray:
         """Preamble bit pattern in transmission order.
 
@@ -63,8 +45,3 @@ class PhyMode(Enum):
         pattern[1::2] = first ^ 1
         return pattern
 
-
-def raise_uncoded(mode: PhyMode):
-    from .errors import ModeError
-
-    raise ModeError(f"{mode.value} is not a coded mode")

@@ -9,7 +9,7 @@ public API surface as report flags, never exceptions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -17,11 +17,11 @@ import numpy as np
 from scipy.fft import fft, fftfreq, ifft
 from scipy.signal import lfilter
 
-from .bits import bits_to_int
+from .bits import bits_to_int, int_to_bits
 from .coded import (
+    CODING_SCHEMES,
     block1_symbol_count,
     block2_symbol_count,
-    scheme_from_ci,
     viterbi_decode,
 )
 from .errors import (
@@ -47,7 +47,6 @@ from .llpacket import (
     whiten,
 )
 from .phymode import PhyMode
-from .bits import int_to_bits
 
 
 class AgcMode(Enum):
@@ -79,10 +78,8 @@ class ReceiverConfig:
     cfo_max_offset_hz: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.agc_mode, str):
-            self.agc_mode = AgcMode(self.agc_mode)
-        if isinstance(self.phy_mode, str):
-            self.phy_mode = PhyMode(self.phy_mode)
+        self.agc_mode = AgcMode(self.agc_mode)
+        self.phy_mode = PhyMode(self.phy_mode)
         if not 0.9 < self.notch_radius < 1.0:
             raise ParamError(f"notch radius {self.notch_radius} outside (0.9, 1)")
         if self.preamble_detect_threshold is None:
@@ -100,6 +97,14 @@ class ReceiverConfig:
             raise ParamError(f"pdu_bits {self.pdu_bits} outside packet limits")
         if self.sps < 2:
             raise ParamError("sps must be >= 2")
+        if self.cfo_method not in ("fft", "corr"):
+            raise ParamError(f"unknown CFO method {self.cfo_method!r}")
+        # Checked here, since receive() itself never raises.
+        if not (-300.0 <= self.agc_target_power_db <= 300.0
+                and 0.0 < self.pulse_bt <= 1.0 and 0.0 < self.h <= 1.0
+                and (self.cfo_max_offset_hz is None or self.cfo_max_offset_hz > 0)):
+            raise ParamError("need agc_target_power_db within +-300 dB, pulse_bt "
+                             "and h in (0, 1], a positive cfo_max_offset_hz")
 
 
 @dataclass
@@ -346,39 +351,32 @@ def _soft_differential(mf_samples: np.ndarray, sps: int, start: int,
     return z / scale if scale > 0 else z
 
 
-def _decode_uncoded(soft: np.ndarray, cfg: ReceiverConfig, report: RxPacketReport):
+def _decode_uncoded(soft: np.ndarray, cfg: ReceiverConfig):
+    """Received access address and de-whitened PDU+CRC of an uncoded frame."""
     p = cfg.phy_mode.preamble_len
     aa_rx = bits_to_int((soft[p:p + 32] > 0).astype(np.uint8), lsb_first=True)
     body = (soft[p + 32:] > 0).astype(np.uint8)
-    clear = whiten(body, cfg.channel)
-    aa_ok, crc_ok = validate_packet(aa_rx, cfg.expected_access_address, clear,
-                                    cfg.crc_init)
-    report.aa_ok, report.crc_ok = aa_ok, crc_ok
-    if crc_ok:
-        report.pdu = clear[:-24]
-    else:
-        report.reason = "crc check failed" if aa_ok else "access address mismatch"
+    return aa_rx, whiten(body, cfg.channel)
 
 
-def _decode_coded(soft: np.ndarray, cfg: ReceiverConfig, report: RxPacketReport):
+def _decode_coded(soft: np.ndarray, cfg: ReceiverConfig):
+    """Received access address and de-whitened PDU+CRC of a coded frame.
+
+    Block 2 is decoded with the scheme its CI field announces; a reserved
+    CI value falls back to the mode's own scheme.
+    """
     b1 = block1_symbol_count()
     p = cfg.phy_mode.preamble_len
     bits1 = viterbi_decode(soft[p:p + b1], 8)
     aa_rx = bits_to_int(bits1[:32], lsb_first=True)
     ci = bits_to_int(bits1[32:34], lsb_first=True)
-    scheme = scheme_from_ci(ci)
-    if scheme is None:
-        scheme = 8 if cfg.phy_mode.spreading == 4 else 2
+    scheme = next(
+        (c.s for c in CODING_SCHEMES.values() if c.ci == ci),
+        CODING_SCHEMES[cfg.phy_mode].s,
+    )
     n2 = block2_symbol_count(cfg.pdu_bits, scheme)
     bits2 = viterbi_decode(soft[p + b1:p + b1 + n2], scheme)
-    clear = whiten(bits2[: cfg.pdu_bits + 24], cfg.channel)
-    aa_ok, crc_ok = validate_packet(aa_rx, cfg.expected_access_address, clear,
-                                    cfg.crc_init)
-    report.aa_ok, report.crc_ok = aa_ok, crc_ok
-    if crc_ok:
-        report.pdu = clear[:-24]
-    else:
-        report.reason = "crc check failed" if aa_ok else "access address mismatch"
+    return aa_rx, whiten(bits2[: cfg.pdu_bits + 24], cfg.channel)
 
 
 def expected_symbol_count(cfg: ReceiverConfig) -> int:
@@ -397,6 +395,9 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
     report = RxPacketReport()
     if len(frame) == 0:
         report.reason = "empty frame"
+        return report
+    if not np.isfinite(frame.samples).all():
+        report.reason = "non-finite samples"
         return report
 
     def _trace(name, f):
@@ -440,11 +441,18 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
         sync.aligned.samples, cfg.sps,
         start=2 * pulse.delay, count=expected_symbol_count(cfg),
     )
+    decode = _decode_coded if cfg.phy_mode.coded else _decode_uncoded
     try:
-        if cfg.phy_mode.coded:
-            _decode_coded(soft, cfg, report)
-        else:
-            _decode_uncoded(soft, cfg, report)
+        aa_rx, clear = decode(soft, cfg)
+        report.aa_ok, report.crc_ok = validate_packet(
+            aa_rx, cfg.expected_access_address, clear, cfg.crc_init
+        )
     except LengthError as exc:
         report.reason = str(exc)
+        return report
+    if report.crc_ok:
+        report.pdu = clear[:-24]
+    else:
+        report.reason = ("crc check failed" if report.aa_ok
+                         else "access address mismatch")
     return report

@@ -71,6 +71,14 @@ def test_profile_validation():
         ChannelProfile("bad", taps=((0, 0.0), (0, -3.0)))
     with pytest.raises(ProfileError):
         ChannelProfile("bad", taps=((-1, 0.0),))
+    # Whole-sample delays, levels within 300 dB, a positive reference rate:
+    # past those the channel would fail or overflow mid-campaign.
+    for bad in (dict(taps=((1.5, 0.0),)), dict(taps=((0, 400.0),)),
+                dict(taps=((0, float("nan")),)), dict(rician_k_db=-np.inf),
+                dict(rician_k_db=1e4), dict(reference_rate_hz=0.0)):
+        with pytest.raises(ProfileError):
+            ChannelProfile("bad", **bad)
+    ChannelProfile("ok", rician_k_db=np.inf)
 
 
 def test_los_realization_k_infinite():
@@ -164,6 +172,13 @@ def test_wlan_interferer_basics():
     assert not silent.samples.any()
     with pytest.raises(ParamError):
         wlan_interferer(1000, cfg, 10e6)
+    # A sub-MHz band would need a huge FFT; a burst of no symbols, or a
+    # burst period past 2^31 symbols, cannot be gated.
+    for bad in (dict(bandwidth_hz=1e5), dict(center_offset_hz=np.inf),
+                dict(duty_cycle=0.5, burst_symbols=0),
+                dict(duty_cycle=1e-12, burst_symbols=20)):
+        with pytest.raises(ParamError):
+            InterfererConfig(**bad)
 
 
 def test_wlan_interferer_occupied_bandwidth():

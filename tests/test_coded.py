@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from blesim.bits import bits_to_int, random_bits
+from blesim.bits import bits_to_int, int_to_bits, random_bits
 from blesim.coded import (
     BLOCK1_INPUT_BITS,
+    CODING_SCHEMES,
     TERM_BITS,
     assemble_coded,
     block1_symbol_count,
@@ -12,18 +13,19 @@ from blesim.coded import (
     fec_encode,
     pattern_demap,
     pattern_map,
-    scheme_from_ci,
-    spreading_factor,
     viterbi_decode,
 )
 from blesim.errors import LengthError, ModeError
+from blesim.gmsk import IqFrame, gaussian_taps, gmsk_modulate
 from blesim.llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
     ChannelIndex,
     LinkLayerPacket,
+    crc24_bits,
     whiten,
 )
 from blesim.phymode import PhyMode
+from blesim.receiver import ReceiverConfig, receive
 
 
 def fec_oracle(bits):
@@ -64,7 +66,11 @@ def test_pattern_map_shapes_and_values():
     assert np.array_equal(s2, bits)
     s8 = pattern_map(bits, 8)
     assert s8.tolist() == [0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1]
-    assert spreading_factor(8) == 4 and spreading_factor(2) == 1
+    # The table's symbols per coded bit are what the mapper emits.
+    for scheme in CODING_SCHEMES.values():
+        out = pattern_map(bits, scheme.s)
+        assert out.size == scheme.spreading * bits.size
+    assert {c.s: c.spreading for c in CODING_SCHEMES.values()} == {8: 4, 2: 1}
 
 
 def test_pattern_demap_soft_combination():
@@ -127,6 +133,7 @@ def test_assemble_coded_structure():
     pdu = random_bits(64, rng)
     pkt = LinkLayerPacket(ADVERTISING_ACCESS_ADDRESS, pdu, ChannelIndex(37))
     for mode, s in ((PhyMode.LE125K, 8), (PhyMode.LE500K, 2)):
+        assert CODING_SCHEMES[mode].s == s
         sym = assemble_coded(pkt, mode)
         assert sym.size == 80 + block1_symbol_count() + block2_symbol_count(64, s)
         assert np.array_equal(sym[:80], np.tile([0, 0, 1, 1, 1, 1, 0, 0], 10))
@@ -134,7 +141,7 @@ def test_assemble_coded_structure():
         b1 = viterbi_decode(sym[80:80 + block1_symbol_count()], 8)
         assert b1.size == BLOCK1_INPUT_BITS
         assert bits_to_int(b1[:32], lsb_first=True) == ADVERTISING_ACCESS_ADDRESS
-        assert bits_to_int(b1[32:34], lsb_first=True) == mode.ci_bits
+        assert bits_to_int(b1[32:34], lsb_first=True) == CODING_SCHEMES[mode].ci
         assert not b1[34:].any()
         # Block 2 de-whitens back to PDU + CRC.
         b2 = viterbi_decode(sym[80 + block1_symbol_count():], s)
@@ -155,8 +162,40 @@ def test_block1_depends_only_on_access_address():
     assert np.array_equal(a[:head], b[:head])
 
 
+def coded_symbols(packet, mode, ci, s):
+    """assemble_coded with the CI field and block-2 scheme given by hand."""
+    aa = int_to_bits(packet.access_address, 32, lsb_first=True)
+    term = np.zeros(TERM_BITS, dtype=np.uint8)
+    block1 = pattern_map(
+        fec_encode(np.concatenate([aa, int_to_bits(ci, 2), term])), 8)
+    body = np.concatenate([packet.pdu, crc24_bits(packet.pdu, packet.crc_init)])
+    block2 = pattern_map(
+        fec_encode(np.concatenate([whiten(body, packet.channel.index), term])), s)
+    return np.concatenate([mode.preamble_bits(), block1, block2])
+
+
 def test_scheme_from_ci():
-    assert scheme_from_ci(0b00) == 8
-    assert scheme_from_ci(0b01) == 2
-    assert scheme_from_ci(0b10) is None
-    assert scheme_from_ci(0b11) is None
+    # The one table: LE125K announces S=8 with CI 00, LE500K S=2 with CI 01.
+    assert CODING_SCHEMES[PhyMode.LE125K].ci == 0b00
+    assert CODING_SCHEMES[PhyMode.LE125K].s == 8
+    assert CODING_SCHEMES[PhyMode.LE500K].ci == 0b01
+    assert CODING_SCHEMES[PhyMode.LE500K].s == 2
+    assert set(CODING_SCHEMES) == {m for m in PhyMode if m.coded}
+    # The receiver decodes block 2 with the scheme the CI announces, and a
+    # reserved CI value falls back to the mode's own scheme.
+    rng = np.random.default_rng(29)
+    pulse = gaussian_taps(0.5, 8)
+    pkt = LinkLayerPacket(ADVERTISING_ACCESS_ADDRESS, random_bits(48, rng),
+                          ChannelIndex(12))
+    for mode, scheme in CODING_SCHEMES.items():
+        assert np.array_equal(coded_symbols(pkt, mode, scheme.ci, scheme.s),
+                              assemble_coded(pkt, mode))
+        for ci in (0b10, 0b11):
+            tx = gmsk_modulate(coded_symbols(pkt, mode, ci, scheme.s), pulse)
+            frame = IqFrame(np.concatenate([np.zeros(300, complex), tx.samples,
+                                            np.zeros(200, complex)]),
+                            tx.sample_rate, tx.symbol_rate)
+            rep = receive(frame, ReceiverConfig(phy_mode=mode, channel=12,
+                                                pdu_bits=48))
+            assert rep.crc_ok, (mode, ci)
+            assert np.array_equal(rep.pdu, pkt.pdu)

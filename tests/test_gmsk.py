@@ -1,4 +1,5 @@
-"""Modulator/demodulator and IQ file format tests."""
+"""Modulator, pulse and IQ file format tests; demodulation runs on the
+receiver's differential detector."""
 import struct
 
 import numpy as np
@@ -6,18 +7,25 @@ import pytest
 
 from blesim.bits import random_bits
 from blesim.channel import awgn
-from blesim.errors import IoError, LengthError, ParamError, RateMismatchError
+from blesim.errors import IoError, ParamError, RateMismatchError
 from blesim.gmsk import (
     IqFrame,
     gaussian_taps,
-    gmsk_demodulate,
     gmsk_modulate,
-    instantaneous_frequency,
     matched_filter,
     read_iq,
     resample,
     write_iq,
 )
+from blesim.receiver import _soft_differential
+
+
+def demodulate(frame, pulse, count):
+    """Soft bits of a frame from gmsk_modulate, as the receiver takes them:
+    matched filter, then the symbol-lag differential detector starting at
+    the TX transient plus the RX filter delay."""
+    mf = matched_filter(frame, pulse)
+    return _soft_differential(mf.samples, pulse.sps, 2 * pulse.delay, count)
 
 
 def reference_taps(bt, sps, span):
@@ -74,27 +82,13 @@ def test_modulate_terminal_phase_all_ones():
     assert abs(total - want) < 1e-6 or abs(abs(total - want) - 2 * np.pi) < 1e-6
 
 
-def test_instantaneous_frequency_plateaus():
-    pulse = gaussian_taps(0.5, 8)
-    ones = gmsk_modulate(np.ones(80, dtype=np.uint8), pulse, h=0.5,
-                         symbol_rate=1e6)
-    f = instantaneous_frequency(ones)
-    mid = f[200:400]
-    assert np.allclose(mid, 0.5 * 1e6 / 2.0, rtol=0.01)
-    zeros = gmsk_modulate(np.zeros(80, dtype=np.uint8), pulse, h=0.5,
-                          symbol_rate=1e6)
-    assert np.allclose(instantaneous_frequency(zeros)[200:400],
-                       -0.25e6, rtol=0.01)
-
-
 @pytest.mark.parametrize("sps", [4, 8])
 def test_noiseless_round_trip(sps):
     rng = np.random.default_rng(33)
     pulse = gaussian_taps(0.5, sps)
     bits = random_bits(400, rng)
-    soft = gmsk_demodulate(gmsk_modulate(bits, pulse), pulse)
-    assert soft.size >= bits.size
-    assert np.array_equal((soft[: bits.size] > 0).astype(np.uint8), bits)
+    soft = demodulate(gmsk_modulate(bits, pulse), pulse, bits.size)
+    assert np.array_equal((soft > 0).astype(np.uint8), bits)
 
 
 def test_round_trip_at_2msym():
@@ -103,8 +97,8 @@ def test_round_trip_at_2msym():
     bits = random_bits(300, rng)
     frame = gmsk_modulate(bits, pulse, symbol_rate=2e6)
     assert frame.sample_rate == 16e6
-    soft = gmsk_demodulate(frame, pulse)
-    assert np.array_equal((soft[: bits.size] > 0).astype(np.uint8), bits)
+    soft = demodulate(frame, pulse, bits.size)
+    assert np.array_equal((soft > 0).astype(np.uint8), bits)
 
 
 def test_ber_zero_at_high_snr():
@@ -112,8 +106,8 @@ def test_ber_zero_at_high_snr():
     pulse = gaussian_taps(0.5, 8)
     bits = random_bits(10000, rng)
     noisy = awgn(gmsk_modulate(bits, pulse), 30.0, seed=77)
-    soft = gmsk_demodulate(noisy, pulse)
-    errors = np.count_nonzero((soft[: bits.size] > 0).astype(np.uint8) != bits)
+    soft = demodulate(noisy, pulse, bits.size)
+    errors = np.count_nonzero((soft > 0).astype(np.uint8) != bits)
     assert errors == 0
 
 
@@ -128,12 +122,6 @@ def test_occupied_bandwidth_near_1mhz():
     edge = np.abs(freqs[order])[np.searchsorted(cum, 0.99 * cum[-1])]
     obw = 2.0 * edge
     assert 0.8e6 < obw < 1.2e6
-
-
-def test_demodulate_too_short():
-    pulse = gaussian_taps(0.5, 8)
-    with pytest.raises(LengthError):
-        gmsk_demodulate(IqFrame(np.ones(8, complex), 8e6, 1e6), pulse)
 
 
 def test_matched_filter_rate_check():

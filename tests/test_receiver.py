@@ -317,6 +317,17 @@ def test_receiver_config_validation():
         default_cfg(preamble_detect_threshold=0.0)
     with pytest.raises(ParamError):
         default_cfg(pdu_bits=8)
+    # Settings receive() would only trip over mid-campaign.
+    with pytest.raises(ParamError, match="CFO method"):
+        default_cfg(cfo_method="nope")
+    with pytest.raises(ParamError):
+        default_cfg(cfo_max_offset_hz=0.0)
+    with pytest.raises(ParamError):
+        default_cfg(pulse_bt=0.0)
+    with pytest.raises(ParamError):
+        default_cfg(agc_target_power_db=1e4)
+    with pytest.raises(ValueError):
+        default_cfg(agc_mode="medium")
     cfg = ReceiverConfig(phy_mode="LE500K", agc_mode="slow")
     assert cfg.phy_mode is PhyMode.LE500K
     assert cfg.agc_mode is AgcMode.SLOW

@@ -173,16 +173,41 @@ def test_receive_never_raises_on_zero_and_tiny_input(mode):
             assert rep.reason
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@pytest.mark.parametrize("mode", list(PhyMode))
+def test_receive_never_detects_non_finite_input(mode):
+    cfg = rx_cfg(mode)
+    fs = 8 * mode.symbol_rate
+    clean = tx_frame(mode, 300, 300).samples
+    for bad in (np.nan, np.inf, -np.inf, complex(np.nan, 1.0),
+                complex(0.0, -np.inf)):
+        frames = [np.full(5000, bad, dtype=complex), clean.copy()]
+        frames[1][len(clean) // 2] = bad
+        for x in frames:
+            rep = receive(IqFrame(x, fs, mode.symbol_rate), cfg)
+            assert not rep.detected and not rep.crc_ok
+            assert rep.peak_correlation is None
+            assert rep.reason
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(mode=st.sampled_from(list(PhyMode)),
        n=st.integers(0, 6000),
        scale=st.sampled_from([1e-30, 1e-6, 1.0, 1e6]),
-       seed=st.integers(0, 2**32 - 1))
-def test_receive_never_raises_on_random_iq(mode, n, scale, seed):
+       seed=st.integers(0, 2**32 - 1),
+       poison=st.none() | st.sampled_from(NON_FINITE),
+       where=st.floats(0.0, 1.0))
+def test_receive_never_raises_on_random_iq(mode, n, scale, seed, poison, where):
     rng = np.random.default_rng(seed)
     x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    if poison is not None and n:
+        x[int(where * (n - 1))] = poison
     fs = 8 * mode.symbol_rate
     rep = receive(IqFrame(x, fs, mode.symbol_rate), rx_cfg(mode))
     assert rep.crc_ok <= rep.aa_ok <= rep.detected
     if not rep.crc_ok:
         assert rep.reason
+    if poison is not None and n:
+        assert not rep.detected
