@@ -105,6 +105,15 @@ def reverberant_profile(seed: int = 0) -> ChannelProfile:
     return ChannelProfile("reverberant", taps, None, seed=seed)
 
 
+# The canned profiles by kind: the names a scenario's profile object and
+# `blesim per --profile` accept.
+PROFILE_FACTORIES = {
+    "los": los_profile,
+    "nlos": nlos_profile,
+    "reverberant": reverberant_profile,
+}
+
+
 def channel_realization(profile: ChannelProfile, sample_rate: float) -> np.ndarray:
     """Draw one complex impulse response at the given sample rate."""
     rng = np.random.default_rng(profile.seed)
@@ -190,6 +199,23 @@ class InterfererConfig:
         )
 
 
+# Rate at which an interferer wider than the frame's rate is generated.
+INTERFERER_GEN_RATE_HZ = 40e6
+
+
+def interferer_gen_rate(config: InterfererConfig, fs: float) -> float:
+    """Rate to generate the interferer at for a frame at fs.
+
+    fs itself when it covers the interferer's bandwidth, else
+    INTERFERER_GEN_RATE_HZ; raises ParamError when the band does not fit
+    inside +-rate/2.
+    """
+    gen_fs = fs if fs >= config.bandwidth_hz else INTERFERER_GEN_RATE_HZ
+    if abs(config.center_offset_hz) + config.bandwidth_hz / 2.0 > gen_fs / 2.0:
+        raise ParamError(f"interferer band exceeds Nyquist at {gen_fs / 1e6:g} MHz")
+    return gen_fs
+
+
 def wlan_interferer(n_samples: int, config: InterfererConfig, fs: float) -> IqFrame:
     """Generate an OFDM interference burst train at sample rate fs.
 
@@ -201,8 +227,7 @@ def wlan_interferer(n_samples: int, config: InterfererConfig, fs: float) -> IqFr
         raise ParamError(
             f"fs {fs} Hz cannot represent a {config.bandwidth_hz} Hz interferer"
         )
-    if abs(config.center_offset_hz) + config.bandwidth_hz / 2.0 > fs / 2.0:
-        raise ParamError("interferer band exceeds Nyquist at this offset")
+    interferer_gen_rate(config, fs)  # the band must fit inside +-fs/2
     if n_samples <= 0:
         raise ParamError("n_samples must be positive")
     rng = np.random.default_rng(config.seed)
@@ -274,21 +299,15 @@ def interferer_inband_fraction(config: InterfererConfig, fs: float) -> float:
     return width / occupied
 
 
-# Rate at which interferer_at_rate generates an interferer wider than fs.
-INTERFERER_GEN_RATE_HZ = 40e6
-
-
-def interferer_at_rate(
-    n_samples: int, config: InterfererConfig, fs: float,
-    gen_fs: float = INTERFERER_GEN_RATE_HZ,
-) -> IqFrame:
-    """Interferer wider than fs: generate at gen_fs, then resample down.
+def interferer_at_rate(n_samples: int, config: InterfererConfig, fs: float) -> IqFrame:
+    """The interferer at fs, generated at interferer_gen_rate and resampled.
 
     Only the in-band part of the interferer survives; mix() rescales power
     to the requested SIR afterwards, so SIR always refers to what lands in
     the simulated band.
     """
-    if fs >= config.bandwidth_hz:
+    gen_fs = interferer_gen_rate(config, fs)
+    if gen_fs == fs:
         return wlan_interferer(n_samples, config, fs)
     n_wide = int(np.ceil(n_samples * gen_fs / fs)) + 64
     wide = wlan_interferer(n_wide, config, gen_fs)

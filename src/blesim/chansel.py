@@ -36,13 +36,6 @@ class ChannelMap:
     def __contains__(self, channel: int) -> bool:
         return channel in self.used
 
-    def to_mask(self) -> str:
-        """37-bit hex mask, bit i set when channel i is used."""
-        mask = 0
-        for c in self.used:
-            mask |= 1 << c
-        return f"0x{mask:010X}"
-
     @classmethod
     def from_mask(cls, mask) -> "ChannelMap":
         value = int(mask, 16) if isinstance(mask, str) else int(mask)

@@ -10,7 +10,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .channel import InterfererConfig, los_profile, nlos_profile, reverberant_profile
+from .channel import PROFILE_FACTORIES, InterfererConfig
 from .errors import ConfigError, IoError
 from .gmsk import write_iq
 from .harness import (
@@ -71,20 +71,13 @@ def _cmd_paper_scenarios(args) -> int:
     return 0
 
 
-_PROFILES = {
-    "none": None,
-    "los": los_profile(),
-    "nlos": nlos_profile(),
-    "reverb": reverberant_profile(),
-}
-
-
 def _cmd_per(args) -> int:
     cfg = ScenarioConfig(
         id=args.id, seed=args.seed, phy_modes=tuple(args.phy),
         snr_sweep_db=_parse_sweep(args.snr),
         sir_sweep_db=None if args.sir is None else _parse_sweep(args.sir),
-        profile=_PROFILES[args.profile],
+        profile=(None if args.profile == "none"
+                 else PROFILE_FACTORIES[args.profile]()),
         interferer=None if args.sir is None else InterfererConfig(),
         frames=args.frames, pdu_bits=args.pdu_bits,
     )
@@ -94,6 +87,8 @@ def _cmd_per(args) -> int:
 
 
 def _cmd_dump_stages(args) -> int:
+    if args.frame < 0:
+        raise ConfigError(f"--frame must be non-negative, got {args.frame}")
     cfg = load_scenario(args.config)
     mode = cfg.phy_modes[0]
     snr = cfg.snr_sweep_db[0]
@@ -158,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=[m.value for m in PhyMode])
     per.add_argument("--snr", required=True, help="a:step:b or comma list (dB)")
     per.add_argument("--sir", default=None, help="comma list (dB); enables WLAN interferer")
-    per.add_argument("--profile", choices=sorted(_PROFILES), default="none")
+    per.add_argument("--profile", choices=sorted(["none", *PROFILE_FACTORIES]),
+                     default="none")
     per.add_argument("--frames", type=int, default=1000)
     per.add_argument("--pdu-bits", type=int, default=128)
     per.add_argument("--seed", type=int, default=0)

@@ -45,9 +45,5 @@ class ConfigError(BlesimError):
     """Scenario configuration rejected (unknown key, bad value, bad schema)."""
 
 
-class InsufficientDataError(BlesimError):
-    """Not enough measurement data to act on (e.g. map update from <2 channels)."""
-
-
 class IoError(BlesimError):
     """File could not be read or written."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.signal import resample_poly
@@ -98,12 +99,13 @@ class PulseShape:
         return (self.taps.size - 1) // 2
 
 
+@lru_cache(maxsize=32)
 def gaussian_taps(bt: float, sps: int, span: int = 3) -> PulseShape:
     """Build the frequency pulse for a given bandwidth-time product.
 
     `span` is the length of the Gaussian part in symbols; the returned taps
     cover span+1 symbols and sum to one so that a lone symbol integrates to
-    a full pi*h phase step.
+    a full pi*h phase step.  Pulses are cached, so the taps are read-only.
     """
     if bt <= 0:
         raise ParamError(f"bt must be positive, got {bt}")
@@ -117,6 +119,7 @@ def gaussian_taps(bt: float, sps: int, span: int = 3) -> PulseShape:
     gauss = np.exp(-2.0 * np.pi**2 * bt**2 * t**2 / np.log(2.0))
     taps = np.convolve(gauss, np.ones(sps))
     taps /= taps.sum()
+    taps.flags.writeable = False
     return PulseShape(bt=bt, sps=sps, span=span, taps=taps)
 
 

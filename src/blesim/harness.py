@@ -13,17 +13,17 @@ import csv
 import json
 import math
 import numbers
+import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .bits import random_bits
 from .channel import (
-    INTERFERER_GEN_RATE_HZ,
+    PROFILE_FACTORIES,
     ChannelProfile,
     InterfererConfig,
     apply_cfo,
@@ -31,16 +31,16 @@ from .channel import (
     awgn,
     fade,
     interferer_at_rate,
+    interferer_gen_rate,
     interferer_inband_fraction,
     los_profile,
     mix,
     nlos_profile,
-    reverberant_profile,
 )
 from .chansel import ChannelMap, HopState, csa1_next, csa2_select
 from .coded import assemble_coded
-from .errors import BlesimError, ConfigError, InsufficientDataError, IoError
-from .gmsk import IqFrame, PulseShape, gaussian_taps, gmsk_modulate
+from .errors import BlesimError, ConfigError, IoError
+from .gmsk import IqFrame, gaussian_taps, gmsk_modulate
 from .llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
     ADVERTISING_CRC_INIT,
@@ -57,6 +57,10 @@ CSV_COLUMNS = (
     "scenario", "phy", "snr_db", "sir_db", "frames",
     "detected", "valid", "per", "wilson_lo", "wilson_hi",
 )
+
+# run_frame pads LEAD + U[0, LEAD_JITTER) zero samples before the packet
+# and TAIL after it.
+LEAD, LEAD_JITTER, TAIL = 256, 64, 128
 
 
 @dataclass(frozen=True)
@@ -214,16 +218,13 @@ class ScenarioConfig:
             prof, inter = self.profile, self.interferer
             if prof is not None:
                 # fade() needs the impulse response shorter than the frame:
-                # 384 padding samples plus at least an uncoded packet.
+                # the least padding plus at least an uncoded packet.
                 taps = round(max(d for d, _ in prof.taps) * fs / prof.reference_rate_hz)
                 packet = (mode.preamble_len + 56 + self.pdu_bits) * self.sps
-                if taps + 1 >= 384 + packet:
+                if taps + 1 >= LEAD + TAIL + packet:
                     raise ConfigError(f"profile delay spread too long for {mode.value}")
             if inter is not None:
-                gen_fs = fs if fs >= inter.bandwidth_hz else INTERFERER_GEN_RATE_HZ
-                if abs(inter.center_offset_hz) + inter.bandwidth_hz / 2 > gen_fs / 2:
-                    raise ConfigError(f"interferer band exceeds Nyquist at "
-                                      f"{gen_fs / 1e6:g} MHz")
+                interferer_gen_rate(inter, fs)  # raises past Nyquist
 
 
 @dataclass
@@ -263,12 +264,6 @@ def _frame_channel(cfg: ScenarioConfig, frame_idx: int) -> ChannelIndex:
     return csa1_next(state, cfg._channel_map)[0]
 
 
-@lru_cache(maxsize=8)
-def _tx_pulse(sps: int) -> PulseShape:
-    """The transmitter's BT=0.5 frequency pulse, built once per rate."""
-    return gaussian_taps(0.5, sps)
-
-
 def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
               sir_db: float | None, frame_idx: int, mode_idx: int = 0,
               point_idx: int = 0, trace: list | None = None):
@@ -288,12 +283,12 @@ def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
         assemble_coded(packet, mode) if mode.coded
         else assemble_uncoded(packet, mode)
     )
-    pulse = _tx_pulse(cfg.sps)
-    tx = gmsk_modulate(bits, pulse, symbol_rate=mode.symbol_rate)
+    tx = gmsk_modulate(bits, gaussian_taps(0.5, cfg.sps),
+                       symbol_rate=mode.symbol_rate)
 
-    lead = 256 + int(rng.integers(0, 64))
+    lead = LEAD + int(rng.integers(0, LEAD_JITTER))
     samples = np.concatenate(
-        [np.zeros(lead, complex), tx.samples, np.zeros(128, complex)]
+        [np.zeros(lead, complex), tx.samples, np.zeros(TAIL, complex)]
     )
     frame = IqFrame(samples, tx.sample_rate, tx.symbol_rate)
 
@@ -336,8 +331,10 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> list[PerResult]:
     """Sweep every (mode, SNR, SIR) point of a scenario.
 
     A frame counts as an error unless its CRC validated; sync failures are
-    therefore errors, not exclusions.
+    therefore errors, not exclusions.  Each point splits into `jobs` chunks
+    of consecutive frames, run by at most one worker per core.
     """
+    jobs = _integer("jobs", jobs, 1)
     points = [
         (snr, sir)
         for snr in cfg.snr_sweep_db
@@ -347,9 +344,10 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> list[PerResult]:
     parallel = jobs > 1
     bounds = np.linspace(0, n, (jobs if parallel else 1) + 1, dtype=int)
     results = []
-    # One pool serves the whole campaign; each point still splits into
-    # `jobs` chunks of consecutive frames, as it did with a pool per point.
-    pool = ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext()
+    # One pool serves the whole campaign.  The fork start method starts
+    # every worker up front, so a large `jobs` must not mean as many forks.
+    pool = (ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
+            if parallel else nullcontext())
     with pool:
         for mode_idx, mode in enumerate(cfg.phy_modes):
             for point_idx, (snr, sir) in enumerate(points):
@@ -407,28 +405,6 @@ def emit_results(results: list[PerResult], out, fmt: str = "csv") -> None:
             fh.close()
 
 
-def update_channel_map(per_by_channel: dict, threshold: float = 0.5
-                       ) -> ChannelMap:
-    """Rebuild the hop map from per-channel PER measurements.
-
-    Channels at or above the threshold are dropped; if fewer than two
-    survive, the two best (ties broken by lowest index) are kept so the
-    map stays legal.
-    """
-    if len(per_by_channel) < 2:
-        raise InsufficientDataError(
-            f"need measurements on >= 2 channels, got {len(per_by_channel)}"
-        )
-    pers = {
-        int(ch): (v.per if isinstance(v, PerResult) else float(v))
-        for ch, v in per_by_channel.items()
-    }
-    good = [ch for ch, p in pers.items() if p < threshold]
-    if len(good) < 2:
-        good = [ch for ch, _ in sorted(pers.items(), key=lambda kv: (kv[1], kv[0]))[:2]]
-    return ChannelMap(good)
-
-
 # ---------------------------------------------------------------------------
 # Scenario (de)serialization: versioned JSON, unknown keys rejected.
 # ---------------------------------------------------------------------------
@@ -451,13 +427,6 @@ def paper_scenarios() -> list[ScenarioConfig]:
     ]
 
 
-_PROFILE_FACTORIES = {
-    "los": los_profile,
-    "nlos": nlos_profile,
-    "reverberant": reverberant_profile,
-}
-
-
 def _check_keys(obj, allowed, where: str) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
@@ -469,8 +438,8 @@ def _check_keys(obj, allowed, where: str) -> None:
 def _profile_from_dict(obj: dict) -> ChannelProfile:
     _check_keys(obj, {"kind", "rician_k_db", "taps", "reference_rate_hz"}, "profile")
     kind = obj.get("kind")
-    if isinstance(kind, str) and kind in _PROFILE_FACTORIES and "taps" not in obj:
-        prof = _PROFILE_FACTORIES[kind]()
+    if isinstance(kind, str) and kind in PROFILE_FACTORIES and "taps" not in obj:
+        prof = PROFILE_FACTORIES[kind]()
         if "rician_k_db" in obj:
             prof = replace(prof, rician_k_db=obj["rician_k_db"])
         return prof
@@ -483,7 +452,7 @@ def _profile_from_dict(obj: dict) -> ChannelProfile:
 
 
 def _profile_to_dict(p: ChannelProfile) -> dict:
-    if p.kind in _PROFILE_FACTORIES and p == _PROFILE_FACTORIES[p.kind]():
+    if p.kind in PROFILE_FACTORIES and p == PROFILE_FACTORIES[p.kind]():
         return {"kind": p.kind}
     return {
         "kind": p.kind,

@@ -113,24 +113,6 @@ class ChannelIndex:
         if not 0 <= self.index <= 39:
             raise ValueError(f"channel index {self.index} out of range 0..39")
 
-    @property
-    def is_advertising(self) -> bool:
-        return self.index >= 37
-
-    @property
-    def center_frequency_hz(self) -> float:
-        # Advertising channels sit at the band edges and centre; data
-        # channels fill the gaps in 2 MHz steps.
-        if self.index == 37:
-            return 2402e6
-        if self.index == 38:
-            return 2426e6
-        if self.index == 39:
-            return 2480e6
-        if self.index <= 10:
-            return 2404e6 + 2e6 * self.index
-        return 2428e6 + 2e6 * (self.index - 11)
-
 
 @dataclass
 class LinkLayerPacket:

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .gmsk import (
     IqFrame,
-    PulseShape,
     gaussian_taps,
     gmsk_modulate,
     matched_filter,
@@ -202,11 +201,6 @@ def coarse_cfo_estimate(frame: IqFrame, method: str = "fft",
 
 
 @lru_cache(maxsize=32)
-def _pulse(bt: float, sps: int) -> PulseShape:
-    return gaussian_taps(bt, sps)
-
-
-@lru_cache(maxsize=32)
 def _reference(mode: PhyMode, aa: int, sps: int, bt: float, h: float):
     """Known-waveform template for sync: preamble plus access-address part.
 
@@ -217,7 +211,7 @@ def _reference(mode: PhyMode, aa: int, sps: int, bt: float, h: float):
     """
     from .coded import fec_encode, pattern_map
 
-    pulse = _pulse(bt, sps)
+    pulse = gaussian_taps(bt, sps)
     if mode.coded:
         aa_bits = int_to_bits(aa, 32, lsb_first=True)
         coded_aa = pattern_map(fec_encode(aa_bits), 8)
@@ -409,7 +403,7 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
     _trace("agc", x)
     x = dc_notch(x, cfg.notch_radius)
     _trace("dc_notch", x)
-    pulse = _pulse(cfg.pulse_bt, cfg.sps)
+    pulse = gaussian_taps(cfg.pulse_bt, cfg.sps)
     try:
         # Estimate from a band-limited scratch copy: out-of-band interference
         # would otherwise bury the squared-signal lines.  The stream that

@@ -12,6 +12,7 @@ from blesim.channel import (
     channel_realization,
     fade,
     interferer_at_rate,
+    interferer_gen_rate,
     interferer_inband_fraction,
     los_profile,
     measured_power,
@@ -279,6 +280,22 @@ def test_interferer_at_rate_power_fraction():
     got = measured_power(narrow.samples) / measured_power(wide.samples)
     want = interferer_inband_fraction(cfg, 8e6)
     assert got == pytest.approx(want, rel=0.15)
+
+
+def test_interferer_gen_rate_rule():
+    # At fs when fs covers the bandwidth, else at 40 MHz; the band must fit
+    # inside +-rate/2 either way.
+    cfg = InterfererConfig(bandwidth_hz=2e6, center_offset_hz=2e6)
+    assert interferer_gen_rate(cfg, 8e6) == 8e6
+    assert interferer_gen_rate(InterfererConfig(bandwidth_hz=8e6), 8e6) == 8e6
+    assert interferer_gen_rate(InterfererConfig(), 8e6) == 40e6
+    with pytest.raises(ParamError, match="Nyquist at 4 MHz"):
+        interferer_gen_rate(cfg, 4e6)
+    wide = InterfererConfig(center_offset_hz=15e6)
+    for call in (lambda: interferer_gen_rate(wide, 8e6),
+                 lambda: interferer_at_rate(1000, wide, 8e6)):
+        with pytest.raises(ParamError, match="Nyquist at 40 MHz"):
+            call()
 
 
 def test_interferer_inband_fraction_cases():

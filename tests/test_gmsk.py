@@ -58,6 +58,13 @@ def test_gaussian_taps_parameter_validation():
         gaussian_taps(0.5, 8, span=0)
 
 
+def test_gaussian_taps_cached_and_read_only():
+    pulse = gaussian_taps(0.5, 8)
+    assert gaussian_taps(0.5, 8) is pulse
+    with pytest.raises(ValueError):
+        pulse.taps[0] = 1.0
+
+
 def test_modulate_unit_envelope():
     rng = np.random.default_rng(31)
     frame = gmsk_modulate(random_bits(500, rng), gaussian_taps(0.5, 8))

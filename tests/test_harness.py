@@ -1,6 +1,7 @@
 """Campaign harness tests: determinism, serialization, result emission."""
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from blesim import harness
 from blesim.channel import InterfererConfig, nlos_profile
 from blesim.cli import _parse_sweep, main
-from blesim.errors import ConfigError, InsufficientDataError, IoError
+from blesim.errors import ConfigError, IoError
 from blesim.harness import (
     CSV_COLUMNS,
     HoppingConfig,
@@ -22,7 +23,6 @@ from blesim.harness import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    update_channel_map,
     wilson_interval,
 )
 from blesim.phymode import PhyMode
@@ -107,7 +107,38 @@ def test_run_campaign_creates_one_pool(monkeypatch):
     cfg = small_scenario(phy_modes=(PhyMode.LE1M, PhyMode.LE2M),
                          snr_sweep_db=(30.0, 4.0), frames=5)
     assert run_campaign(cfg, jobs=2) == run_campaign(cfg, jobs=1)
-    assert created == [2]
+    assert created == [min(2, os.cpu_count() or 1)]
+
+
+def test_run_campaign_caps_workers_at_core_count(monkeypatch):
+    # A stand-in pool: records its size and runs the chunks in-process,
+    # so no worker is ever started.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    cfg = small_scenario(snr_sweep_db=(30.0, 4.0), frames=7)
+    serial = run_campaign(cfg, jobs=1)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    assert run_campaign(cfg, jobs=1000) == serial
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert run_campaign(cfg, jobs=5) == serial
+    assert sizes == [3, 1]
+    for jobs in (0, -2):
+        with pytest.raises(ConfigError, match="jobs"):
+            run_campaign(cfg, jobs=jobs)
 
 
 def test_coded_frame_decodes_despite_fft_size_sensitive_cfo():
@@ -163,34 +194,6 @@ def test_emit_errors():
         emit_results([], io.StringIO(), fmt="xml")
     with pytest.raises(IoError):
         emit_results([], "/nonexistent-dir/res.csv", fmt="csv")
-
-
-def test_update_channel_map_thresholding():
-    per = {c: 0.05 for c in range(10)}
-    per[3] = 0.9
-    per[7] = 0.5  # at threshold counts as bad
-    m = update_channel_map(per)
-    assert 3 not in m and 7 not in m
-    assert m.n_used == 8
-
-
-def test_update_channel_map_keeps_two_best():
-    per = {4: 0.8, 9: 0.7, 2: 0.9, 30: 0.7}
-    m = update_channel_map(per, threshold=0.5)
-    # Fewer than two good channels: keep the two lowest PERs, ties broken
-    # by channel index.
-    assert m.used == (9, 30)
-
-
-def test_update_channel_map_accepts_results_and_rejects_single():
-    res = {
-        0: PerResult("s", "LE1M", 10.0, None, 10, 10, 9, 0.1, 0.0, 0.4),
-        1: PerResult("s", "LE1M", 10.0, None, 10, 2, 1, 0.9, 0.6, 1.0),
-        2: PerResult("s", "LE1M", 10.0, None, 10, 10, 10, 0.0, 0.0, 0.3),
-    }
-    assert update_channel_map(res).used == (0, 2)
-    with pytest.raises(InsufficientDataError):
-        update_channel_map({5: 0.0})
 
 
 def test_paper_scenarios_shape():
@@ -295,6 +298,32 @@ def test_cli_per_writes_csv(capsys):
     assert row[0] == "cli" and row[1] == "LE1M" and row[4] == "8"
 
 
+def test_cli_per_profile_choices(capsys):
+    for profile in ("none", "los", "nlos", "reverberant"):
+        assert main(["per", "--phy", "LE1M", "--snr", "30", "--frames", "1",
+                     "--pdu-bits", "32", "--profile", profile]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["per", "--phy", "LE1M", "--snr", "30", "--profile", "reverb"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, monkeypatch):
+    started = []
+    monkeypatch.setattr(harness, "_count_chunk", lambda t: started.append(t))
+    cfg_path = tmp_path / "s.json"
+    save_scenario(small_scenario(frames=2), cfg_path)
+    out = tmp_path / "res.csv"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                 "--jobs", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: jobs")
+    assert not out.exists()
+    assert main(["per", "--phy", "LE1M", "--snr", "30", "--jobs", "-2"]) == 2
+    assert capsys.readouterr().err.startswith("error: jobs")
+    assert not started
+
+
 def test_cli_paper_scenarios_emit(tmp_path, capsys):
     assert main(["paper-scenarios"]) == 0
     assert "nlos_wlan" in capsys.readouterr().out
@@ -322,3 +351,14 @@ def test_cli_dump_stages(tmp_path, capsys):
                       "matched_filter", "synchronized"]
     for name in meta["stages"]:
         assert (out / name).exists()
+
+
+def test_cli_dump_stages_rejects_negative_frame(tmp_path, capsys):
+    cfg_path = tmp_path / "s.json"
+    save_scenario(small_scenario(frames=1), cfg_path)
+    out = tmp_path / "stages"
+    assert main(["dump-stages", "--config", str(cfg_path), "--frame", "-1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --frame"), err
+    assert not out.exists()

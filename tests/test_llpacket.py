@@ -122,18 +122,11 @@ def test_whitening_sequence_period_127():
     assert seq[:127].sum() == 64
 
 
-def test_channel_index_frequencies():
-    assert ChannelIndex(37).center_frequency_hz == 2402e6
-    assert ChannelIndex(38).center_frequency_hz == 2426e6
-    assert ChannelIndex(39).center_frequency_hz == 2480e6
-    assert ChannelIndex(0).center_frequency_hz == 2404e6
-    assert ChannelIndex(10).center_frequency_hz == 2424e6
-    assert ChannelIndex(11).center_frequency_hz == 2428e6
-    assert ChannelIndex(36).center_frequency_hz == 2478e6
-    assert ChannelIndex(37).is_advertising
-    assert not ChannelIndex(12).is_advertising
-    with pytest.raises(Exception):
-        ChannelIndex(40)
+def test_channel_index_range():
+    assert ChannelIndex(0).index == 0 and ChannelIndex(39).index == 39
+    for bad in (-1, 40):
+        with pytest.raises(ValueError):
+            ChannelIndex(bad)
 
 
 def test_packet_pdu_length_limits():

@@ -14,8 +14,8 @@ from blesim.channel import (
     InterfererConfig,
     los_profile,
     nlos_profile,
+    reverberant_profile,
 )
-from blesim.chansel import ChannelMap
 from blesim.errors import ConfigError
 from blesim.harness import (
     HoppingConfig,
@@ -144,6 +144,22 @@ def test_seed_above_32_bits_is_its_own_campaign():
     assert rows(1 + 2**32) != rows(1)
 
 
+def test_pinned_rows_hopping_interferer_reverberant():
+    # Pins what run_frame draws and builds: the frame padding, the TX
+    # pulse, CSA#1 hops, a gated, offset interferer generated at 40 MHz
+    # and resampled to 4 Msps, and the reverberant profile at sps 4.
+    cfg = ScenarioConfig(
+        id="pinned", seed=2024, phy_modes=("LE1M", "LE125K"),
+        snr_sweep_db=(8.0, 20.0), sir_sweep_db=(10.0,), channel=None,
+        hopping=HoppingConfig("csa1", "0x1F0F0FF0F3", 11),
+        profile=reverberant_profile(),
+        interferer=InterfererConfig(center_offset_hz=2e6, duty_cycle=0.5,
+                                    burst_symbols=8),
+        frames=16, pdu_bits=32, sps=4)
+    rows = [(r.detected, r.valid) for r in run_campaign(cfg)]
+    assert rows == [(6, 0), (4, 0), (15, 14), (13, 11)]
+
+
 # -- fuzz: one key of a valid scenario replaced by an arbitrary JSON value --
 
 _WORDS = st.sampled_from([
@@ -247,7 +263,7 @@ def scenarios(draw):
         kw["channel"] = None
         kw["hopping"] = HoppingConfig(
             draw(st.sampled_from(["csa1", "csa2"])),
-            ChannelMap(used).to_mask(), draw(st.integers(5, 16)))
+            f"0x{sum(1 << c for c in used):010X}", draw(st.integers(5, 16)))
     kw["profile"] = draw(st.sampled_from([None, los_profile(), nlos_profile()])
                          | st.builds(
         lambda delays, k: replace(
