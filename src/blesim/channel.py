@@ -1,10 +1,10 @@
 """Channel impairments: noise, block fading, CFO/DC offsets, WLAN interference.
 
 Fading is a block model: one tapped-delay-line realization is drawn per
-call and applied to the whole frame.  Tap delays are expressed in samples
-at a profile reference rate (8 Msps by default) and rescaled to the
-frame's actual rate so the physical delay spread is the same for every
-PHY mode.
+call, from the call's seed, and applied to the whole frame.  Tap delays
+are expressed in samples at a profile reference rate (8 Msps by default)
+and rescaled to the frame's actual rate so the physical delay spread is
+the same for every PHY mode.
 """
 from __future__ import annotations
 
@@ -64,7 +64,6 @@ class ChannelProfile:
     taps: tuple = ((0, 0.0),)
     rician_k_db: float | None = None
     reference_rate_hz: float = 8e6
-    seed: int = 0
 
     def __post_init__(self):
         if not self.taps:
@@ -82,27 +81,22 @@ class ChannelProfile:
             raise ProfileError("need whole-sample delays, powers and K within 300 "
                                "dB (or K inf), and a positive reference rate")
 
-    def with_seed(self, seed: int) -> "ChannelProfile":
-        return ChannelProfile(
-            self.kind, self.taps, self.rician_k_db, self.reference_rate_hz, seed
-        )
 
-
-def los_profile(rician_k_db: float = 10.0, seed: int = 0) -> ChannelProfile:
+def los_profile(rician_k_db: float = 10.0) -> ChannelProfile:
     """Single dominant path with a mild diffuse component."""
-    return ChannelProfile("los", ((0, 0.0),), rician_k_db, seed=seed)
+    return ChannelProfile("los", ((0, 0.0),), rician_k_db)
 
 
-def nlos_profile(seed: int = 0) -> ChannelProfile:
+def nlos_profile() -> ChannelProfile:
     """Eight Rayleigh taps with an exponential decay, ~0.5 us RMS spread."""
     taps = tuple((d, -10.0 * (d / 6.0) / np.log(10.0)) for d in range(0, 16, 2))
-    return ChannelProfile("nlos", taps, None, seed=seed)
+    return ChannelProfile("nlos", taps)
 
 
-def reverberant_profile(seed: int = 0) -> ChannelProfile:
+def reverberant_profile() -> ChannelProfile:
     """Dense uniform Rayleigh taps, as in a highly reflective cavity."""
     taps = tuple((d, 0.0) for d in range(32))
-    return ChannelProfile("reverberant", taps, None, seed=seed)
+    return ChannelProfile("reverberant", taps)
 
 
 # The canned profiles by kind: the names a scenario's profile object and
@@ -114,9 +108,10 @@ PROFILE_FACTORIES = {
 }
 
 
-def channel_realization(profile: ChannelProfile, sample_rate: float) -> np.ndarray:
+def channel_realization(profile: ChannelProfile, sample_rate: float,
+                        seed: int) -> np.ndarray:
     """Draw one complex impulse response at the given sample rate."""
-    rng = np.random.default_rng(profile.seed)
+    rng = np.random.default_rng(seed)
     scale = sample_rate / profile.reference_rate_hz
     delays = np.array([int(round(d * scale)) for d, _ in profile.taps])
     powers = np.array([10.0 ** (p / 10.0) for _, p in profile.taps])
@@ -140,9 +135,9 @@ def channel_realization(profile: ChannelProfile, sample_rate: float) -> np.ndarr
     return cir
 
 
-def fade(frame: IqFrame, profile: ChannelProfile) -> IqFrame:
+def fade(frame: IqFrame, profile: ChannelProfile, seed: int) -> IqFrame:
     """Apply one block-fading realization; output grows by the delay spread."""
-    cir = channel_realization(profile, frame.sample_rate)
+    cir = channel_realization(profile, frame.sample_rate, seed)
     if cir.size >= len(frame):
         raise ProfileError(
             f"delay spread {cir.size} samples exceeds frame length {len(frame)}"
@@ -177,7 +172,6 @@ class InterfererConfig:
     center_offset_hz: float = 0.0
     duty_cycle: float = 1.0
     burst_symbols: int = 20
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.duty_cycle <= 1.0:
@@ -188,15 +182,6 @@ class InterfererConfig:
             raise ParamError("bandwidth must be 1 MHz or more, the offset finite")
         if self.duty_cycle and not 1 <= self.burst_symbols <= 2**31 * self.duty_cycle:
             raise ParamError("bursts must hold 1 or more symbols, period below 2^31")
-
-    def with_seed(self, seed: int) -> "InterfererConfig":
-        return InterfererConfig(
-            self.bandwidth_hz,
-            self.center_offset_hz,
-            self.duty_cycle,
-            self.burst_symbols,
-            seed,
-        )
 
 
 # Rate at which an interferer wider than the frame's rate is generated.
@@ -216,7 +201,8 @@ def interferer_gen_rate(config: InterfererConfig, fs: float) -> float:
     return gen_fs
 
 
-def wlan_interferer(n_samples: int, config: InterfererConfig, fs: float) -> IqFrame:
+def wlan_interferer(n_samples: int, config: InterfererConfig, fs: float,
+                    seed: int) -> IqFrame:
     """Generate an OFDM interference burst train at sample rate fs.
 
     Subcarrier spacing is bandwidth/64 with subcarriers +-1..+-26 carrying
@@ -230,7 +216,7 @@ def wlan_interferer(n_samples: int, config: InterfererConfig, fs: float) -> IqFr
     interferer_gen_rate(config, fs)  # the band must fit inside +-fs/2
     if n_samples <= 0:
         raise ParamError("n_samples must be positive")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     if config.duty_cycle == 0.0:
         return IqFrame(np.zeros(n_samples, dtype=np.complex128), fs, config.bandwidth_hz / 64.0)
 
@@ -299,7 +285,8 @@ def interferer_inband_fraction(config: InterfererConfig, fs: float) -> float:
     return width / occupied
 
 
-def interferer_at_rate(n_samples: int, config: InterfererConfig, fs: float) -> IqFrame:
+def interferer_at_rate(n_samples: int, config: InterfererConfig, fs: float,
+                       seed: int) -> IqFrame:
     """The interferer at fs, generated at interferer_gen_rate and resampled.
 
     Only the in-band part of the interferer survives; mix() rescales power
@@ -308,8 +295,8 @@ def interferer_at_rate(n_samples: int, config: InterfererConfig, fs: float) -> I
     """
     gen_fs = interferer_gen_rate(config, fs)
     if gen_fs == fs:
-        return wlan_interferer(n_samples, config, fs)
+        return wlan_interferer(n_samples, config, fs, seed)
     n_wide = int(np.ceil(n_samples * gen_fs / fs)) + 64
-    wide = wlan_interferer(n_wide, config, gen_fs)
+    wide = wlan_interferer(n_wide, config, gen_fs, seed)
     narrow = resample(wide, fs)
     return IqFrame(narrow.samples[:n_samples], fs, wide.symbol_rate)

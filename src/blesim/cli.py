@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -26,22 +27,45 @@ from .harness import (
 from .phymode import PhyMode
 
 
+# Most points one --snr or --sir sweep may hold.
+MAX_SWEEP_POINTS = 1000
+
+
 def _parse_sweep(text: str) -> tuple:
     """Parse 'a:step:b' (inclusive) or a comma list into floats."""
+    try:
+        values = [float(p) for p in text.split(":" if ":" in text else ",")]
+    except ValueError:
+        raise ConfigError(f"sweep parts must be numbers, got {text!r}") from None
+    too_many = ConfigError(f"a sweep holds at most {MAX_SWEEP_POINTS} points")
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"sweep must be a:step:b, got {text!r}")
-        a, step, b = (float(p) for p in parts)
+        if len(values) != 3 or not all(map(math.isfinite, values)):
+            raise ConfigError(f"sweep must be a:step:b, all finite, got {text!r}")
+        a, step, b = values
         if step <= 0:
             raise ConfigError("sweep step must be positive")
-        out = []
-        v = a
-        while v <= b + 1e-9:
-            out.append(round(v, 9))
+        if (b - a) / step >= MAX_SWEEP_POINTS:
+            raise too_many
+        values, v = [], a
+        # The bound also ends a step too fine to move v at all.
+        while v <= b + 1e-9 and len(values) <= MAX_SWEEP_POINTS:
+            values.append(round(v, 9))
             v += step
-        return tuple(out)
-    return tuple(float(p) for p in text.split(","))
+    if len(values) > MAX_SWEEP_POINTS:
+        raise too_many
+    return tuple(values)
+
+
+def _attach_sweeps(argv: list) -> list:
+    """Join `--snr V` and `--sir V` into `--snr=V`, which argparse takes
+    even when V starts with a minus sign (`--sir -10,0,10`)."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--snr", "--sir"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _cmd_run(args) -> int:
@@ -172,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = _attach_sweeps(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -17,7 +17,7 @@ import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -293,16 +293,14 @@ def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
     frame = IqFrame(samples, tx.sample_rate, tx.symbol_rate)
 
     if cfg.profile is not None:
-        frame = fade(frame, cfg.profile.with_seed(int(rng.integers(2**63))))
+        frame = fade(frame, cfg.profile, int(rng.integers(2**63)))
     lo, hi = cfg.cfo_range_hz
     frame = apply_cfo(frame, float(rng.uniform(lo, hi)))
     if cfg.dc_dbc is not None:
         frame = apply_dc(frame, cfg.dc_dbc, float(rng.uniform(0, 2 * np.pi)))
     if cfg.interferer is not None and sir_db is not None:
-        inter = interferer_at_rate(
-            len(frame), cfg.interferer.with_seed(int(rng.integers(2**63))),
-            frame.sample_rate,
-        )
+        inter = interferer_at_rate(len(frame), cfg.interferer, frame.sample_rate,
+                                   int(rng.integers(2**63)))
         # Scenario SIR counts the interferer's full occupied-band power;
         # only the in-band fraction lands in the simulated bandwidth.
         frac = interferer_inband_fraction(cfg.interferer, frame.sample_rate)
@@ -435,40 +433,33 @@ def _check_keys(obj, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+# The JSON keys: the dataclass fields, HoppingConfig's under these names,
+# and ScenarioConfig's init fields with hopping nested under channel.
+_PROFILE_KEYS = {f.name for f in fields(ChannelProfile)}
+_INTERFERER_KEYS = {f.name for f in fields(InterfererConfig)}
+_HOP_KEYS = {"algorithm": "algorithm", "map": "map_mask",
+             "hop_increment": "hop_increment"}
+_TOP_KEYS = {"version"} | {
+    f.name for f in fields(ScenarioConfig) if f.init and f.name != "hopping"}
+
+
 def _profile_from_dict(obj: dict) -> ChannelProfile:
-    _check_keys(obj, {"kind", "rician_k_db", "taps", "reference_rate_hz"}, "profile")
-    kind = obj.get("kind")
-    if isinstance(kind, str) and kind in PROFILE_FACTORIES and "taps" not in obj:
-        prof = PROFILE_FACTORIES[kind]()
-        if "rician_k_db" in obj:
-            prof = replace(prof, rician_k_db=obj["rician_k_db"])
-        return prof
-    if "taps" not in obj:
-        raise ConfigError(f"profile kind {kind!r} needs explicit taps")
-    return ChannelProfile(
-        kind or "custom", tuple(tuple(tap) for tap in obj["taps"]),
-        obj.get("rician_k_db"), obj.get("reference_rate_hz", 8e6),
-    )
+    """A canned kind with any field overridden, or explicit taps."""
+    _check_keys(obj, _PROFILE_KEYS, "profile")
+    given = dict(obj)
+    kind = given.pop("kind", None)
+    if "taps" not in given:
+        if not (isinstance(kind, str) and kind in PROFILE_FACTORIES):
+            raise ConfigError(f"profile kind {kind!r} needs explicit taps")
+        return replace(PROFILE_FACTORIES[kind](), **given)
+    given["taps"] = tuple(tuple(tap) for tap in given["taps"])
+    return ChannelProfile(kind or "custom", **given)
 
 
 def _profile_to_dict(p: ChannelProfile) -> dict:
     if p.kind in PROFILE_FACTORIES and p == PROFILE_FACTORIES[p.kind]():
         return {"kind": p.kind}
-    return {
-        "kind": p.kind,
-        "taps": [[d, pw] for d, pw in p.taps],
-        "rician_k_db": p.rician_k_db,
-        "reference_rate_hz": p.reference_rate_hz,
-    }
-
-
-# The InterfererConfig fields a scenario's interferer object carries.
-_INTERFERER_KEYS = ("bandwidth_hz", "center_offset_hz", "duty_cycle", "burst_symbols")
-_TOP_KEYS = {
-    "version", "id", "seed", "phy_modes", "snr_sweep_db", "sir_sweep_db",
-    "channel", "profile", "interferer", "frames", "pdu_bits", "cfo_range_hz",
-    "dc_dbc", "access_address", "crc_init", "sps", "receiver",
-}
+    return asdict(p)
 
 
 def scenario_from_dict(obj: dict) -> ScenarioConfig:
@@ -484,19 +475,17 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
     kwargs = {key: obj[key] for key in _TOP_KEYS - nested if key in obj}
 
     with _as_config_error():
-        chan = obj.get("channel", {"index": 37})
+        chan = obj.get("channel", {"index": ScenarioConfig.channel})
         if isinstance(chan, dict) and "index" in chan:
             _check_keys(chan, {"index"}, "channel")
             kwargs["channel"], kwargs["hopping"] = chan["index"], None
         elif isinstance(chan, dict) and "hopping" in chan:
             _check_keys(chan, {"hopping"}, "channel")
             hop = chan["hopping"]
-            _check_keys(hop, {"algorithm", "map", "hop_increment"}, "channel.hopping")
+            _check_keys(hop, _HOP_KEYS, "channel.hopping")
             kwargs["channel"] = None
             kwargs["hopping"] = HoppingConfig(
-                hop.get("algorithm", "csa2"), hop.get("map", "0x1FFFFFFFFF"),
-                hop.get("hop_increment", 7),
-            )
+                **{_HOP_KEYS[key]: value for key, value in hop.items()})
         else:
             raise ConfigError("channel must carry either 'index' or 'hopping'")
 
@@ -519,14 +508,9 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
         out["channel"] = {"index": cfg.channel}
     else:
         out["channel"] = {"hopping": {
-            "algorithm": cfg.hopping.algorithm,
-            "map": cfg.hopping.map_mask,
-            "hop_increment": cfg.hopping.hop_increment,
-        }}
+            key: getattr(cfg.hopping, name) for key, name in _HOP_KEYS.items()}}
     out["profile"] = None if cfg.profile is None else _profile_to_dict(cfg.profile)
-    out["interferer"] = None if cfg.interferer is None else {
-        key: getattr(cfg.interferer, key) for key in _INTERFERER_KEYS
-    }
+    out["interferer"] = None if cfg.interferer is None else asdict(cfg.interferer)
     if cfg.receiver:
         out["receiver"] = dict(cfg.receiver)
     return out

@@ -28,7 +28,6 @@ from .errors import (
     LengthError,
     NoSignalError,
     ParamError,
-    RateMismatchError,
     SyncFailure,
 )
 from .gmsk import (
@@ -258,8 +257,6 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig) -> SyncResult:
     overlap-save: one FFT of the frame's blocks is shared by every
     segment, and each segment costs one inverse FFT.
     """
-    if frame.sps != cfg.sps:
-        raise RateMismatchError(f"frame at {frame.sps} sps, config says {cfg.sps}")
     key = (cfg.phy_mode, cfg.expected_access_address, cfg.sps, cfg.pulse_bt, cfg.h)
     ref, segments = _reference(*key)
     x = frame.samples
@@ -387,6 +384,9 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
             ) -> RxPacketReport:
     """Run the full chain on one frame; failures land in the report."""
     report = RxPacketReport()
+    if frame.sps != cfg.sps:
+        report.reason = f"frame at {frame.sps} sps, config says {cfg.sps}"
+        return report
     if len(frame) == 0:
         report.reason = "empty frame"
         return report

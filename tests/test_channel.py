@@ -83,8 +83,8 @@ def test_profile_validation():
 
 
 def test_los_realization_k_infinite():
-    prof = ChannelProfile("los", ((0, 0.0),), rician_k_db=np.inf, seed=9)
-    h = channel_realization(prof, 8e6)
+    prof = ChannelProfile("los", ((0, 0.0),), rician_k_db=np.inf)
+    h = channel_realization(prof, 8e6, 9)
     assert h.shape == (1,)
     assert abs(abs(h[0]) - 1.0) < 1e-12
 
@@ -93,7 +93,7 @@ def test_rayleigh_tap_distribution():
     # Single diffuse tap: |h| should be Rayleigh with sigma = 1/sqrt(2).
     prof = ChannelProfile("flat", ((0, 0.0),))
     mags = np.array([
-        abs(channel_realization(prof.with_seed(s), 8e6)[0]) for s in range(4000)
+        abs(channel_realization(prof, 8e6, s)[0]) for s in range(4000)
     ])
     _, p = stats.kstest(mags, "rayleigh", args=(0, 1 / np.sqrt(2)))
     assert p > 0.01
@@ -101,11 +101,11 @@ def test_rayleigh_tap_distribution():
 
 def test_rician_concentrates_envelope():
     los = np.array([
-        abs(channel_realization(los_profile().with_seed(s), 8e6)[0])
+        abs(channel_realization(los_profile(), 8e6, s)[0])
         for s in range(2000)
     ])
     ray = np.array([
-        abs(channel_realization(ChannelProfile("flat", ((0, 0.0),), seed=s), 8e6)[0])
+        abs(channel_realization(ChannelProfile("flat", ((0, 0.0),)), 8e6, s)[0])
         for s in range(2000)
     ])
     assert np.std(los) / np.mean(los) < 0.5 * np.std(ray) / np.mean(ray)
@@ -113,9 +113,9 @@ def test_rician_concentrates_envelope():
 
 def test_delay_scaling_with_sample_rate():
     prof = ChannelProfile("two", ((0, 0.0), (8, -3.0)), reference_rate_hz=8e6)
-    assert channel_realization(prof, 8e6).size == 9
-    assert channel_realization(prof, 16e6).size == 17
-    assert channel_realization(prof, 4e6).size == 5
+    assert channel_realization(prof, 8e6, 0).size == 9
+    assert channel_realization(prof, 16e6, 0).size == 17
+    assert channel_realization(prof, 4e6, 0).size == 5
 
 
 def test_fade_unit_average_gain():
@@ -125,14 +125,14 @@ def test_fade_unit_average_gain():
     for prof_fn in (nlos_profile, reverberant_profile, los_profile):
         gains = []
         for s in range(1000):
-            out = fade(frame, prof_fn().with_seed(s))
+            out = fade(frame, prof_fn(), s)
             gains.append(np.sum(np.abs(out.samples) ** 2) /
                          np.sum(np.abs(x) ** 2))
         assert 0.9 < np.mean(gains) < 1.1, prof_fn.__name__
 
 
 def test_nlos_realization_is_frequency_selective():
-    h = channel_realization(nlos_profile().with_seed(3), 8e6)
+    h = channel_realization(nlos_profile(), 8e6, 3)
     H = np.abs(np.fft.fft(h, 256))
     swing = 20 * np.log10(H.max() / H.min())
     assert swing > 6.0
@@ -141,7 +141,7 @@ def test_nlos_realization_is_frequency_selective():
 def test_fade_rejects_short_frames():
     frame = IqFrame(np.ones(8, complex), 8e6, 1e6)
     with pytest.raises(ProfileError):
-        fade(frame, reverberant_profile())
+        fade(frame, reverberant_profile(), 0)
 
 
 def test_apply_cfo_exact_rotation():
@@ -164,15 +164,15 @@ def test_apply_dc_level_and_phase():
 
 
 def test_wlan_interferer_basics():
-    cfg = InterfererConfig(seed=5)
-    a = wlan_interferer(50_000, cfg, 40e6)
-    b = wlan_interferer(50_000, cfg, 40e6)
+    cfg = InterfererConfig()
+    a = wlan_interferer(50_000, cfg, 40e6, 5)
+    b = wlan_interferer(50_000, cfg, 40e6, 5)
     assert len(a) == 50_000
     assert np.array_equal(a.samples, b.samples)
-    silent = wlan_interferer(10_000, InterfererConfig(duty_cycle=0.0, seed=5), 40e6)
+    silent = wlan_interferer(10_000, InterfererConfig(duty_cycle=0.0), 40e6, 5)
     assert not silent.samples.any()
     with pytest.raises(ParamError):
-        wlan_interferer(1000, cfg, 10e6)
+        wlan_interferer(1000, cfg, 10e6, 5)
     # A sub-MHz band would need a huge FFT; a burst of no symbols, or a
     # burst period past 2^31 symbols, cannot be gated.
     for bad in (dict(bandwidth_hz=1e5), dict(center_offset_hz=np.inf),
@@ -183,7 +183,7 @@ def test_wlan_interferer_basics():
 
 
 def test_wlan_interferer_occupied_bandwidth():
-    x = wlan_interferer(400_000, InterfererConfig(seed=6), 40e6)
+    x = wlan_interferer(400_000, InterfererConfig(), 40e6, 6)
     f, psd = signal.welch(x.samples, fs=40e6, nperseg=1024,
                           return_onesided=False)
     order = np.argsort(np.abs(f), kind="stable")
@@ -193,7 +193,7 @@ def test_wlan_interferer_occupied_bandwidth():
 
 
 def test_wlan_interferer_spectral_flatness():
-    x = wlan_interferer(400_000, InterfererConfig(seed=7), 40e6)
+    x = wlan_interferer(400_000, InterfererConfig(), 40e6, 7)
     f, psd = signal.welch(x.samples, fs=40e6, nperseg=512,
                           return_onesided=False)
     # Inner 90% of the occupied band, away from the edge roll-off.
@@ -203,8 +203,8 @@ def test_wlan_interferer_spectral_flatness():
 
 
 def test_wlan_duty_cycle_gates_bursts():
-    cfg = InterfererConfig(duty_cycle=0.3, seed=8)
-    x = wlan_interferer(200_000, cfg, 40e6).samples
+    cfg = InterfererConfig(duty_cycle=0.3)
+    x = wlan_interferer(200_000, cfg, 40e6, 8).samples
     active = np.abs(x) > 0
     assert 0.15 < active.mean() < 0.45
     # Bursts, not speckle: long contiguous active runs exist.
@@ -212,9 +212,9 @@ def test_wlan_duty_cycle_gates_bursts():
     assert runs.max() > 1000
 
 
-def _wlan_interferer_loop(n_samples, config, fs):
+def _wlan_interferer_loop(n_samples, config, fs, seed):
     """Oracle: the OFDM symbols built one at a time, as seeded."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     if config.duty_cycle == 0.0:
         return np.zeros(n_samples, dtype=np.complex128)
     n_fft = int(round(fs / (config.bandwidth_hz / 64.0)))
@@ -245,10 +245,10 @@ def _wlan_interferer_loop(n_samples, config, fs):
 @pytest.mark.parametrize("duty", [1.0, 0.5, 0.0])
 @pytest.mark.parametrize("offset", [0.0, -5e6])
 def test_wlan_interferer_matches_symbol_loop(n, duty, offset):
-    cfg = InterfererConfig(center_offset_hz=offset, duty_cycle=duty, seed=n)
+    cfg = InterfererConfig(center_offset_hz=offset, duty_cycle=duty)
     for fs in (40e6, 32e6):
-        got = wlan_interferer(n, cfg, fs)
-        assert np.array_equal(got.samples, _wlan_interferer_loop(n, cfg, fs))
+        got = wlan_interferer(n, cfg, fs, n)
+        assert np.array_equal(got.samples, _wlan_interferer_loop(n, cfg, fs, n))
 
 
 def test_mix_power_and_linearity():
@@ -273,9 +273,9 @@ def test_mix_power_and_linearity():
 def test_interferer_at_rate_power_fraction():
     # Resampling to a narrow band keeps the analytically predicted share
     # of the wideband power.
-    cfg = InterfererConfig(seed=9)
-    wide = wlan_interferer(400_000, cfg, 40e6)
-    narrow = interferer_at_rate(80_000, cfg, 8e6)
+    cfg = InterfererConfig()
+    wide = wlan_interferer(400_000, cfg, 40e6, 9)
+    narrow = interferer_at_rate(80_000, cfg, 8e6, 9)
     assert narrow.sample_rate == 8e6 and len(narrow) == 80_000
     got = measured_power(narrow.samples) / measured_power(wide.samples)
     want = interferer_inband_fraction(cfg, 8e6)
@@ -293,7 +293,7 @@ def test_interferer_gen_rate_rule():
         interferer_gen_rate(cfg, 4e6)
     wide = InterfererConfig(center_offset_hz=15e6)
     for call in (lambda: interferer_gen_rate(wide, 8e6),
-                 lambda: interferer_at_rate(1000, wide, 8e6)):
+                 lambda: interferer_at_rate(1000, wide, 8e6, 0)):
         with pytest.raises(ParamError, match="Nyquist at 40 MHz"):
             call()
 
@@ -313,7 +313,7 @@ def test_impairments_end_to_end_on_modulated_frame():
     rng = np.random.default_rng(48)
     pulse = gaussian_taps(0.5, 8)
     frame = gmsk_modulate((rng.integers(0, 2, 200)).astype(np.uint8), pulse)
-    out = fade(frame, los_profile().with_seed(1))
+    out = fade(frame, los_profile(), 1)
     out = apply_cfo(out, 10e3)
     out = apply_dc(out, -20.0)
     out = awgn(out, 15.0, seed=4)

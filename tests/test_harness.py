@@ -8,7 +8,7 @@ import pytest
 
 from blesim import harness
 from blesim.channel import InterfererConfig, nlos_profile
-from blesim.cli import _parse_sweep, main
+from blesim.cli import MAX_SWEEP_POINTS, _parse_sweep, main
 from blesim.errors import ConfigError, IoError
 from blesim.harness import (
     CSV_COLUMNS,
@@ -269,6 +269,33 @@ def test_parse_sweep():
         _parse_sweep("1:2")
     with pytest.raises(ConfigError):
         _parse_sweep("0:0:10")
+    assert _parse_sweep("0:0.1:1")[-1] == 1.0
+    assert len(_parse_sweep(f"0:1:{MAX_SWEEP_POINTS - 1}")) == MAX_SWEEP_POINTS
+
+
+@pytest.mark.parametrize("sweep", [
+    "abc", "1,,2", "0:1:inf", "nan:1:3", "0:1e-12:1", f"0:1:{MAX_SWEEP_POINTS}",
+    ",".join(["0"] * (MAX_SWEEP_POINTS + 1)), "1e20:1:1e20",
+])
+def test_cli_per_rejects_bad_sweeps(sweep, capsys):
+    assert main(["per", "--phy", "LE1M", "--snr", sweep]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert main(["per", "--phy", "LE1M", "--snr", "30", "--sir", sweep]) == 2
+    capsys.readouterr()
+
+
+def test_cli_per_sweeps_with_a_leading_minus(capsys):
+    outputs = []
+    for args in (["--snr", "-2:4:2", "--sir", "-10,0"],
+                 ["--snr=-2:4:2", "--sir=-10,0"]):
+        assert main(["per", "--phy", "LE1M", "--frames", "2",
+                     "--pdu-bits", "32", *args]) == 0
+        outputs.append(capsys.readouterr().out)
+    rows = [line.split(",")[2:4] for line in outputs[0].splitlines()[1:]]
+    assert rows == [["-2.0", "-10.0"], ["-2.0", "0.0"],
+                    ["2.0", "-10.0"], ["2.0", "0.0"]]
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):

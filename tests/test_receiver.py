@@ -301,7 +301,7 @@ def test_coded_beats_uncoded_under_interference():
         for seed in range(n):
             frame, _ = make_frame(mode, seed=seed)
             inter = interferer_at_rate(
-                len(frame), InterfererConfig(seed=seed + 1), frame.sample_rate
+                len(frame), InterfererConfig(), frame.sample_rate, seed + 1
             )
             hit = awgn(mix(frame, inter, -5.0), 20.0, seed=seed + 2)
             ok += int(receive(hit, default_cfg(mode)).crc_ok)

@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from blesim import cli
 from blesim.channel import (
     ChannelProfile,
     InterfererConfig,
+    channel_realization,
     los_profile,
     nlos_profile,
     reverberant_profile,
@@ -63,6 +65,8 @@ BAD_CONFIGS = {
     "frames true": {"frames": True},
     "seed -1": {"seed": -1},
     "cfo past fs/2": {"cfo_range_hz": [-5e6, 5e6]},
+    "canned profile rate -5": {"profile": {"kind": "nlos",
+                                           "reference_rate_hz": -5}},
 }
 
 
@@ -120,6 +124,31 @@ def test_python_constructor_checks_like_json():
     cfg = ScenarioConfig(id="x", seed=1)
     with pytest.raises(ConfigError, match="seed"):
         replace(cfg, seed=-1)
+
+
+def test_canned_profile_takes_every_given_field():
+    # The tap delays are samples at the reference rate, so at a 16 MHz
+    # reference each NLOS tap sits half as many samples late at any frame
+    # rate: the default 8 MHz reference doubles them.
+    cfg = scenario_from_dict(dict(BASE, profile={"kind": "nlos",
+                                                 "reference_rate_hz": 16e6}))
+    assert cfg.profile == replace(nlos_profile(), reference_rate_hz=16e6)
+    default = channel_realization(nlos_profile(), 16e6, 0)
+    faster = channel_realization(cfg.profile, 16e6, 0)
+    assert (np.flatnonzero(default) == 2 * np.flatnonzero(faster)).all()
+    assert scenario_from_dict(scenario_to_dict(cfg)) == cfg
+    los = scenario_from_dict(dict(BASE, profile={"kind": "los",
+                                                 "rician_k_db": 3.0}))
+    assert los.profile == los_profile(3.0)
+
+
+def test_json_defaults_come_from_the_dataclasses():
+    base = {key: value for key, value in BASE.items() if key != "channel"}
+    assert scenario_from_dict(base).channel == ScenarioConfig.channel
+    cfg = scenario_from_dict(dict(base, channel={"hopping": {}}))
+    assert cfg.hopping == HoppingConfig()
+    wlan = scenario_from_dict(dict(base, interferer={}, sir_sweep_db=[0.0]))
+    assert wlan.interferer == InterfererConfig()
 
 
 def test_infinite_snr_stays_valid():

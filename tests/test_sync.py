@@ -198,16 +198,22 @@ NON_FINITE = [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)]
        scale=st.sampled_from([1e-30, 1e-6, 1.0, 1e6]),
        seed=st.integers(0, 2**32 - 1),
        poison=st.none() | st.sampled_from(NON_FINITE),
-       where=st.floats(0.0, 1.0))
-def test_receive_never_raises_on_random_iq(mode, n, scale, seed, poison, where):
+       where=st.floats(0.0, 1.0),
+       sps=st.sampled_from([8, 8, 2, 16]))
+def test_receive_never_raises_on_random_iq(mode, n, scale, seed, poison, where,
+                                           sps):
+    # The receiver is set for 8 sps; a frame at another rate is reported,
+    # not raised.
     rng = np.random.default_rng(seed)
     x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     if poison is not None and n:
         x[int(where * (n - 1))] = poison
-    fs = 8 * mode.symbol_rate
+    fs = sps * mode.symbol_rate
     rep = receive(IqFrame(x, fs, mode.symbol_rate), rx_cfg(mode))
     assert rep.crc_ok <= rep.aa_ok <= rep.detected
     if not rep.crc_ok:
         assert rep.reason
-    if poison is not None and n:
+    if (poison is not None and n) or sps != 8:
         assert not rep.detected
+    if sps != 8:
+        assert rep.reason == f"frame at {sps} sps, config says 8"
