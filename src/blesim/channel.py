@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import ifft
 
 from .errors import ParamError, ProfileError, RateMismatchError
-from .gmsk import IqFrame, resample
+from .gmsk import IqFrame
 
 
 def _active_mask(samples: np.ndarray) -> np.ndarray:
@@ -166,7 +167,8 @@ def apply_dc(frame: IqFrame, dc_dbc: float, phase_rad: float = 0.0) -> IqFrame:
 
 @dataclass(frozen=True)
 class InterfererConfig:
-    """OFDM interferer knobs (64 subcarriers, 52 occupied, CP 1/4)."""
+    """802.11a/g-style OFDM interferer knobs (64 subcarriers, 52 occupied,
+    CP 1/4)."""
 
     bandwidth_hz: float = 20e6
     center_offset_hz: float = 0.0
@@ -176,78 +178,91 @@ class InterfererConfig:
     def __post_init__(self):
         if not 0.0 <= self.duty_cycle <= 1.0:
             raise ParamError(f"duty cycle {self.duty_cycle} outside [0, 1]")
-        # At least 1 MHz keeps the generator's 64-bin FFT small.
-        if not (1e6 <= self.bandwidth_hz < math.inf
+        # 1 MHz bounds the samples of one cached symbol; up to 160 MHz, the
+        # widest 802.11 channel, a symbol spans a sample or more at 2 Msps.
+        if not (1e6 <= self.bandwidth_hz <= 160e6
                 and abs(self.center_offset_hz) < math.inf):
-            raise ParamError("bandwidth must be 1 MHz or more, the offset finite")
+            raise ParamError("bandwidth must be 1 to 160 MHz, the offset finite")
         if self.duty_cycle and not 1 <= self.burst_symbols <= 2**31 * self.duty_cycle:
             raise ParamError("bursts must hold 1 or more symbols, period below 2^31")
 
 
-# Rate at which an interferer wider than the frame's rate is generated.
-INTERFERER_GEN_RATE_HZ = 40e6
+# 802.11a/g OFDM (IEEE 802.11-2020, clause 17): subcarriers +-1..+-26 of
+# 64 carry data, and a symbol lasts 80 / bandwidth, a 16-sample cyclic
+# prefix plus 64 samples at the nominal rate.
+_SUBCARRIERS = np.concatenate([np.arange(1, 27), np.arange(-26, 0)])
+_QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 
-def interferer_gen_rate(config: InterfererConfig, fs: float) -> float:
-    """Rate to generate the interferer at for a frame at fs.
+def _kept_subcarriers(config: InterfererConfig, fs: float) -> tuple:
+    """Mask over _SUBCARRIERS of those strictly inside +-fs/2, and the
+    frequencies (Hz) of the kept ones."""
+    freqs = config.center_offset_hz + _SUBCARRIERS * (config.bandwidth_hz / 64.0)
+    kept = np.abs(freqs) < fs / 2.0
+    return kept, freqs[kept]
 
-    fs itself when it covers the interferer's bandwidth, else
-    INTERFERER_GEN_RATE_HZ; raises ParamError when the band does not fit
-    inside +-rate/2.
+
+# A campaign runs at two rates at most (1 and 2 Msym/s times sps), and a
+# basis can reach 52 x 10240 samples (1 MHz wide at 128 Msps).
+@lru_cache(maxsize=8)
+def _ofdm_tones(config: InterfererConfig, fs: float) -> tuple:
+    """What every draw at fs shares.
+
+    Returns the kept-subcarrier mask, the samples per symbol
+    L = 80 fs / bandwidth as an exact fraction, each kept tone's phase
+    step per sample, and the basis: the kept tones over ceil(L) samples,
+    timed from the end of the cyclic prefix and scaled so that all 52
+    tones together have unit power.  The arrays are read-only.
     """
-    gen_fs = fs if fs >= config.bandwidth_hz else INTERFERER_GEN_RATE_HZ
-    if abs(config.center_offset_hz) + config.bandwidth_hz / 2.0 > gen_fs / 2.0:
-        raise ParamError(f"interferer band exceeds Nyquist at {gen_fs / 1e6:g} MHz")
-    return gen_fs
+    kept, freqs = _kept_subcarriers(config, fs)
+    per_symbol = Fraction(fs) * 80 / Fraction(config.bandwidth_hz)
+    step = 2.0 * np.pi * freqs / fs
+    # The prefix lasts 16 / bandwidth, L / 5 samples.
+    t = np.arange(math.ceil(per_symbol)) - float(per_symbol) / 5.0
+    basis = np.exp(1j * np.outer(step, t)) / np.sqrt(_SUBCARRIERS.size)
+    for a in (kept, step, basis):
+        a.flags.writeable = False
+    return kept, per_symbol, step, basis
 
 
-def wlan_interferer(n_samples: int, config: InterfererConfig, fs: float,
-                    seed: int) -> IqFrame:
-    """Generate an OFDM interference burst train at sample rate fs.
+def interferer_at_rate(n_samples: int, config: InterfererConfig, fs: float,
+                       seed: int) -> IqFrame:
+    """An OFDM interference burst train, synthesised at sample rate fs.
 
-    Subcarrier spacing is bandwidth/64 with subcarriers +-1..+-26 carrying
-    random QPSK, so the occupied band is 52/64 of the nominal bandwidth.
-    duty_cycle gates the stream into bursts of `burst_symbols` OFDM symbols.
+    Each symbol draws random QPSK on all 52 subcarriers, so a symbol's
+    data does not depend on fs; only the subcarriers whose frequency
+    (center offset plus k * bandwidth / 64) lies inside +-fs/2 are
+    synthesised.  Symbol m starts at time m T, T = 80 / bandwidth, and
+    sample n = ceil(m L) is its first; the offset of that sample from
+    m T is folded into the symbol's phases, so a symbol need not be a
+    whole number of samples.  duty_cycle gates whole symbols into bursts
+    of `burst_symbols`.  With all 52 subcarriers kept the mean power is
+    1; in general it is interferer_inband_fraction(config, fs).
     """
-    if fs < config.bandwidth_hz:
-        raise ParamError(
-            f"fs {fs} Hz cannot represent a {config.bandwidth_hz} Hz interferer"
-        )
-    interferer_gen_rate(config, fs)  # the band must fit inside +-fs/2
     if n_samples <= 0:
         raise ParamError("n_samples must be positive")
-    rng = np.random.default_rng(seed)
-    if config.duty_cycle == 0.0:
-        return IqFrame(np.zeros(n_samples, dtype=np.complex128), fs, config.bandwidth_hz / 64.0)
-
     spacing = config.bandwidth_hz / 64.0
-    n_fft = int(round(fs / spacing))
-    cp = n_fft // 4
-    sym_len = n_fft + cp
-    n_syms = -(-n_samples // sym_len)
+    if config.duty_cycle == 0.0:
+        return IqFrame(np.zeros(n_samples, dtype=np.complex128), fs, spacing)
+    rng = np.random.default_rng(seed)
+    kept, per_symbol, step, basis = _ofdm_tones(config, fs)
+    p, q = per_symbol.numerator, per_symbol.denominator
+    n_syms = (n_samples - 1) * q // p + 1
+    # Exact integers: s_m = ceil(m p / q); past int64, Python ints.
+    m = np.arange(n_syms + 1, dtype=np.int64 if n_syms * p < 2**62 else object)
+    starts = (-(-m * p // q)).astype(np.int64)
 
-    occupied = np.concatenate([np.arange(1, 27), np.arange(-26, 0)])
-    bins = occupied % n_fft
-    qpsk_lut = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
-
-    spec = np.zeros((n_syms, n_fft), dtype=np.complex128)
-    spec[:, bins] = qpsk_lut[rng.integers(0, 4, size=(n_syms, bins.size))]
-    out = np.empty((n_syms, sym_len), dtype=np.complex128)
-    out[:, cp:] = ifft(spec, axis=1, overwrite_x=True)
-    out[:, cp:] *= np.sqrt(n_fft**2 / bins.size)
-    out[:, :cp] = out[:, -cp:]
-    out = out.ravel()[:n_samples]
-
+    symbols = _QPSK[rng.integers(0, 4, size=(n_syms, _SUBCARRIERS.size))[:, kept]]
     if config.duty_cycle < 1.0:
-        burst_on = config.burst_symbols * sym_len
-        period = int(round(burst_on / config.duty_cycle))
+        period = round(config.burst_symbols / config.duty_cycle)
         start = int(rng.integers(0, period))
-        gate = ((np.arange(n_samples) + start) % period) < burst_on
-        out = out * gate
-    if config.center_offset_hz:
-        n = np.arange(n_samples)
-        out = out * np.exp(2j * np.pi * config.center_offset_hz * n / fs)
-    return IqFrame(out, fs, config.bandwidth_hz / 64.0)
+        symbols[(np.arange(n_syms) + start) % period >= config.burst_symbols] = 0.0
+    if q > 1:
+        delay = ((-m[:-1] * p) % q).astype(np.float64) / q  # s_m - m L
+        symbols *= np.exp(1j * np.outer(delay, step))
+    rows = symbols @ basis
+    keep = np.arange(basis.shape[1]) < np.diff(starts)[:, None]
+    return IqFrame(rows[keep][:n_samples], fs, spacing)
 
 
 def mix(signal: IqFrame, interferer: IqFrame, sir_db: float) -> IqFrame:
@@ -270,33 +285,11 @@ def mix(signal: IqFrame, interferer: IqFrame, sir_db: float) -> IqFrame:
 
 
 def interferer_inband_fraction(config: InterfererConfig, fs: float) -> float:
-    """Fraction of the interferer's occupied-band power inside +-fs/2.
+    """Share of the interferer's 52 subcarriers that interferer_at_rate
+    synthesises at fs: those inside +-fs/2.
 
-    The occupied band is flat (52 of 64 subcarriers), so the fraction is
-    the simple overlap ratio.  Campaigns quote SIR against the full
-    interferer power the way a lab sets transmit gains; mix() measures
-    only what survives band-limiting, so its target must be offset by
-    this fraction.
+    Campaigns quote SIR against the full interferer power the way a lab
+    sets transmit gains; mix() measures only what lands in the simulated
+    band, so its target must be offset by this fraction.
     """
-    occupied = config.bandwidth_hz * 52.0 / 64.0
-    lo = config.center_offset_hz - occupied / 2.0
-    hi = config.center_offset_hz + occupied / 2.0
-    width = max(0.0, min(hi, fs / 2.0) - max(lo, -fs / 2.0))
-    return width / occupied
-
-
-def interferer_at_rate(n_samples: int, config: InterfererConfig, fs: float,
-                       seed: int) -> IqFrame:
-    """The interferer at fs, generated at interferer_gen_rate and resampled.
-
-    Only the in-band part of the interferer survives; mix() rescales power
-    to the requested SIR afterwards, so SIR always refers to what lands in
-    the simulated band.
-    """
-    gen_fs = interferer_gen_rate(config, fs)
-    if gen_fs == fs:
-        return wlan_interferer(n_samples, config, fs, seed)
-    n_wide = int(np.ceil(n_samples * gen_fs / fs)) + 64
-    wide = wlan_interferer(n_wide, config, gen_fs, seed)
-    narrow = resample(wide, fs)
-    return IqFrame(narrow.samples[:n_samples], fs, wide.symbol_rate)
+    return np.count_nonzero(_kept_subcarriers(config, fs)[0]) / _SUBCARRIERS.size

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from .bits import as_bits
 from .errors import IoError, LengthError, ParamError, RateMismatchError
@@ -153,9 +151,3 @@ def matched_filter(frame: IqFrame, pulse: PulseShape) -> IqFrame:
         )
     return frame.replace(np.convolve(frame.samples, pulse.taps))
 
-
-def resample(frame: IqFrame, new_rate: float) -> IqFrame:
-    """Polyphase resample to a new sample rate (symbol rate unchanged)."""
-    ratio = Fraction(new_rate / frame.sample_rate).limit_denominator(1000)
-    out = resample_poly(frame.samples, ratio.numerator, ratio.denominator)
-    return IqFrame(out, new_rate, frame.symbol_rate)

@@ -31,7 +31,6 @@ from .channel import (
     awgn,
     fade,
     interferer_at_rate,
-    interferer_gen_rate,
     interferer_inband_fraction,
     los_profile,
     mix,
@@ -188,7 +187,8 @@ class ScenarioConfig:
             if hop.algorithm not in ("csa1", "csa2"):
                 raise ConfigError(f"unknown hop algorithm {hop.algorithm!r}")
             self._channel_map = ChannelMap.from_mask(hop.map_mask)
-            increment = _integer("hop_increment", hop.hop_increment)
+            # 5..16 under either algorithm, though only CSA#1 hops by it.
+            increment = _integer("hop_increment", hop.hop_increment, 5, 16)
             if hop.algorithm == "csa1":
                 self._hop = HopState(increment)
 
@@ -215,7 +215,7 @@ class ScenarioConfig:
             raise ConfigError(f"cfo_range_hz must be [lo, hi], lo <= hi, got {cfo!r}")
 
         for mode, fs in zip(self.phy_modes, rates):
-            prof, inter = self.profile, self.interferer
+            prof = self.profile
             if prof is not None:
                 # fade() needs the impulse response shorter than the frame:
                 # the least padding plus at least an uncoded packet.
@@ -223,8 +223,6 @@ class ScenarioConfig:
                 packet = (mode.preamble_len + 56 + self.pdu_bits) * self.sps
                 if taps + 1 >= LEAD + TAIL + packet:
                     raise ConfigError(f"profile delay spread too long for {mode.value}")
-            if inter is not None:
-                interferer_gen_rate(inter, fs)  # raises past Nyquist
 
 
 @dataclass
@@ -299,12 +297,13 @@ def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
     if cfg.dc_dbc is not None:
         frame = apply_dc(frame, cfg.dc_dbc, float(rng.uniform(0, 2 * np.pi)))
     if cfg.interferer is not None and sir_db is not None:
-        inter = interferer_at_rate(len(frame), cfg.interferer, frame.sample_rate,
-                                   int(rng.integers(2**63)))
+        inter_seed = int(rng.integers(2**63))
         # Scenario SIR counts the interferer's full occupied-band power;
         # only the in-band fraction lands in the simulated bandwidth.
         frac = interferer_inband_fraction(cfg.interferer, frame.sample_rate)
         if frac > 0.0:
+            inter = interferer_at_rate(len(frame), cfg.interferer,
+                                       frame.sample_rate, inter_seed)
             frame = mix(frame, inter, sir_db - 10.0 * np.log10(frac))
     if not np.isinf(snr_db):
         frame = awgn(frame, snr_db, int(rng.integers(2**63)))

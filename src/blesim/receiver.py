@@ -384,8 +384,13 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
             ) -> RxPacketReport:
     """Run the full chain on one frame; failures land in the report."""
     report = RxPacketReport()
-    if frame.sps != cfg.sps:
-        report.reason = f"frame at {frame.sps} sps, config says {cfg.sps}"
+    rs = cfg.phy_mode.symbol_rate
+    if frame.symbol_rate != rs:
+        report.reason = (f"frame at {frame.symbol_rate / 1e6:g} Msym/s, "
+                         f"{cfg.phy_mode.value} is {rs / 1e6:g} Msym/s")
+        return report
+    if frame.sample_rate != rs * cfg.sps:
+        report.reason = f"frame at {frame.sample_rate / rs:g} sps, config says {cfg.sps}"
         return report
     if len(frame) == 0:
         report.reason = "empty frame"

@@ -14,7 +14,6 @@ from blesim.gmsk import (
     gmsk_modulate,
     matched_filter,
     read_iq,
-    resample,
     write_iq,
 )
 from blesim.receiver import _soft_differential
@@ -162,15 +161,3 @@ def test_read_iq_errors(tmp_path):
     with pytest.raises(IoError):
         read_iq(bad)
 
-
-def test_resample_preserves_tone():
-    fs = 8e6
-    n = 4096
-    t = np.arange(n) / fs
-    tone = np.exp(2j * np.pi * 3e5 * t)
-    out = resample(IqFrame(tone, fs, 1e6), 4e6)
-    assert out.sample_rate == 4e6
-    assert abs(len(out) - n // 2) <= 2
-    spec = np.abs(np.fft.fft(out.samples[100:-100]))
-    freqs = np.fft.fftfreq(spec.size, 1 / 4e6)
-    assert abs(freqs[np.argmax(spec)] - 3e5) < 3e3

@@ -59,6 +59,9 @@ BAD_CONFIGS = {
     "id number": {"id": 5},
     "one-channel hop map": hopping(algorithm="csa2", map="0x0000000001"),
     "csa1 hop increment 3": hopping(algorithm="csa1", hop_increment=3),
+    "csa2 hop increment 3": hopping(algorithm="csa2", hop_increment=3),
+    "csa2 hop increment 17": hopping(hop_increment=17),
+    "interferer 200 MHz wide": dict(WLAN, interferer={"bandwidth_hz": 200e6}),
     "frames 2.5": {"frames": 2.5},
     "snr empty": {"snr_sweep_db": []},
     "snr nan": {"snr_sweep_db": ["nan"]},
@@ -118,9 +121,6 @@ def test_python_constructor_checks_like_json():
     with pytest.raises(ConfigError, match="delay spread"):
         ScenarioConfig(id="x", seed=1, profile=replace(
             los_profile(), taps=((0, 0.0), (10**6, -3.0))))
-    with pytest.raises(ConfigError, match="Nyquist"):
-        ScenarioConfig(id="x", seed=1, sir_sweep_db=(0.0,),
-                       interferer=InterfererConfig(bandwidth_hz=60e6))
     cfg = ScenarioConfig(id="x", seed=1)
     with pytest.raises(ConfigError, match="seed"):
         replace(cfg, seed=-1)
@@ -175,8 +175,9 @@ def test_seed_above_32_bits_is_its_own_campaign():
 
 def test_pinned_rows_hopping_interferer_reverberant():
     # Pins what run_frame draws and builds: the frame padding, the TX
-    # pulse, CSA#1 hops, a gated, offset interferer generated at 40 MHz
-    # and resampled to 4 Msps, and the reverberant profile at sps 4.
+    # pulse, CSA#1 hops, a gated, offset interferer synthesised at 4 Msps
+    # (the 12 of its 52 subcarriers inside +-2 MHz), and the reverberant
+    # profile at sps 4.
     cfg = ScenarioConfig(
         id="pinned", seed=2024, phy_modes=("LE1M", "LE125K"),
         snr_sweep_db=(8.0, 20.0), sir_sweep_db=(10.0,), channel=None,
@@ -186,7 +187,38 @@ def test_pinned_rows_hopping_interferer_reverberant():
                                     burst_symbols=8),
         frames=16, pdu_bits=32, sps=4)
     rows = [(r.detected, r.valid) for r in run_campaign(cfg)]
-    assert rows == [(6, 0), (4, 0), (15, 14), (13, 11)]
+    assert rows == [(6, 0), (5, 0), (16, 15), (13, 11)]
+
+
+def test_interferer_past_nyquist_loads_and_runs():
+    # 20 MHz wide at a 15 MHz offset reaches past +-fs/2 at every rate
+    # here: at 8 Msps (LE1M) none of its subcarriers lands in band, so the
+    # LE1M frames are those without interference; at 16 Msps (LE2M) the 4
+    # inside +-8 MHz do.  A 60 MHz-wide band loads too.
+    def rows(sir, **inter):
+        cfg = scenario_from_dict(dict(
+            BASE, phy_modes=["LE1M", "LE2M"], snr_sweep_db=[20.0],
+            sir_sweep_db=[sir], interferer=inter, frames=12,
+            profile={"kind": "los"}))
+        return [(r.phy, r.detected, r.valid) for r in run_campaign(cfg)]
+
+    wide = rows(-10.0, center_offset_hz=15e6)
+    assert [r[0] for r in wide] == ["LE1M", "LE2M"]
+    assert wide[0] == rows(math.inf, center_offset_hz=15e6)[0]
+    assert wide[0][2] == 12
+    assert len(rows(0.0, bandwidth_hz=60e6)) == 2
+
+
+def test_csa2_ignores_a_valid_hop_increment():
+    # CSA#2 does not hop by hop_increment, but checks it like CSA#1 does,
+    # so files that carry the default 7 load and run as before.
+    def rows(**hop):
+        cfg = scenario_from_dict(dict(BASE, frames=6, **hopping(**hop)))
+        return [(r.detected, r.valid) for r in run_campaign(cfg)]
+
+    base = rows(algorithm="csa2")
+    assert rows(algorithm="csa2", hop_increment=7) == base
+    assert rows(algorithm="csa2", hop_increment=16) == base
 
 
 # -- fuzz: one key of a valid scenario replaced by an arbitrary JSON value --

@@ -199,21 +199,31 @@ NON_FINITE = [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)]
        seed=st.integers(0, 2**32 - 1),
        poison=st.none() | st.sampled_from(NON_FINITE),
        where=st.floats(0.0, 1.0),
-       sps=st.sampled_from([8, 8, 2, 16]))
+       sps=st.sampled_from([8, 8, 2, 16]),
+       label=st.sampled_from(["mode", "mode", "other mode", "off grid"]))
 def test_receive_never_raises_on_random_iq(mode, n, scale, seed, poison, where,
-                                           sps):
-    # The receiver is set for 8 sps; a frame at another rate is reported,
-    # not raised.
+                                           sps, label):
+    # The receiver is set for the mode's symbol rate at 8 sps; a frame at
+    # another rate is reported, not raised.  "other mode" labels the frame
+    # with the other symbol rate (16 Msps at 2 Msym/s against LE1M),
+    # "off grid" puts it between whole samples per symbol (8.4 Msps at
+    # 1 Msym/s).
     rng = np.random.default_rng(seed)
     x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     if poison is not None and n:
         x[int(where * (n - 1))] = poison
-    fs = sps * mode.symbol_rate
-    rep = receive(IqFrame(x, fs, mode.symbol_rate), rx_cfg(mode))
+    rs = mode.symbol_rate if label != "other mode" else 3e6 - mode.symbol_rate
+    fs = (sps + 0.4 * (label == "off grid")) * rs
+    rep = receive(IqFrame(x, fs, rs), rx_cfg(mode))
     assert rep.crc_ok <= rep.aa_ok <= rep.detected
     if not rep.crc_ok:
         assert rep.reason
-    if (poison is not None and n) or sps != 8:
+    if (poison is not None and n) or sps != 8 or label != "mode":
         assert not rep.detected
-    if sps != 8:
+    if label == "other mode":
+        assert rep.reason == (f"frame at {rs / 1e6:g} Msym/s, {mode.value} is "
+                              f"{mode.symbol_rate / 1e6:g} Msym/s")
+    elif label == "off grid":
+        assert rep.reason == f"frame at {sps + 0.4:g} sps, config says 8"
+    elif sps != 8:
         assert rep.reason == f"frame at {sps} sps, config says 8"
