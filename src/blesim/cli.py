@@ -68,12 +68,28 @@ def _attach_sweeps(argv: list) -> list:
     return out
 
 
+def _make_dir(path) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+
+
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    results = run_campaign(cfg, jobs=args.jobs)
-    emit_results(results, args.out, fmt=args.format)
+    if args.jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {args.jobs}")
+    # Opened before any frame runs: an unwritable --out fails at once,
+    # not after the whole campaign.
+    try:
+        out = open(args.out, "w", newline="")
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    with out:
+        results = run_campaign(cfg, jobs=args.jobs)
+        emit_results(results, out, fmt=args.format)
     print(f"wrote {len(results)} rows to {args.out}")
     return 0
 
@@ -87,7 +103,7 @@ def _cmd_paper_scenarios(args) -> int:
                 sweep += ", sir " + ",".join(f"{x:g}" for x in s.sir_sweep_db)
             print(f"{s.id}: {len(s.phy_modes)} modes, {s.frames} frames, {sweep}")
         return 0
-    os.makedirs(args.emit, exist_ok=True)
+    _make_dir(args.emit)
     for s in scenarios:
         path = os.path.join(args.emit, f"{s.id}.json")
         save_scenario(s, path)
@@ -119,7 +135,7 @@ def _cmd_dump_stages(args) -> int:
     sir = None if cfg.sir_sweep_db is None else cfg.sir_sweep_db[0]
     trace: list = []
     report = run_frame(cfg, mode, snr, sir, args.frame, trace=trace)
-    os.makedirs(args.out, exist_ok=True)
+    _make_dir(args.out)
     for i, (name, frame) in enumerate(trace):
         write_iq(frame, os.path.join(args.out, f"{i:02d}_{name}.iq"))
     meta = {

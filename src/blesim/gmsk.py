@@ -18,6 +18,10 @@ import numpy as np
 from .bits import as_bits
 from .errors import IoError, LengthError, ParamError, RateMismatchError
 
+# BLE's bandwidth-time product: the transmitter's pulse and the
+# receiver's matched filter.
+BT = 0.5
+
 _IQ_MAGIC = b"BIQ1"
 _IQ_HEADER = struct.Struct("<4sIII")  # magic, sample_rate, symbol_rate, reserved
 

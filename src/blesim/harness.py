@@ -39,7 +39,7 @@ from .channel import (
 from .chansel import ChannelMap, HopState, csa1_next, csa2_select
 from .coded import assemble_coded
 from .errors import BlesimError, ConfigError, IoError
-from .gmsk import IqFrame, gaussian_taps, gmsk_modulate
+from .gmsk import BT, IqFrame, gaussian_taps, gmsk_modulate
 from .llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
     ADVERTISING_CRC_INIT,
@@ -281,7 +281,7 @@ def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
         assemble_coded(packet, mode) if mode.coded
         else assemble_uncoded(packet, mode)
     )
-    tx = gmsk_modulate(bits, gaussian_taps(0.5, cfg.sps),
+    tx = gmsk_modulate(bits, gaussian_taps(BT, cfg.sps),
                        symbol_rate=mode.symbol_rate)
 
     lead = LEAD + int(rng.integers(0, LEAD_JITTER))

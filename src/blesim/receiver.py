@@ -4,8 +4,9 @@ Stage order is fixed: AGC -> DC notch -> coarse CFO correction -> matched
 filter -> preamble synchronization (timing + fine CFO) -> differential
 demod -> FEC decode (coded modes) -> de-whitening -> AA/CRC validation.
 Frequency offset is corrected before the matched filter so the filter
-passband actually covers the signal.  All failures downstream of the
-public API surface as report flags, never exceptions.
+passband actually covers the signal.  The pulse (gmsk.BT) and the
+modulation index h = 0.5 are the transmitter's.  All failures
+downstream of the public API surface as report flags, never exceptions.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .errors import (
     SyncFailure,
 )
 from .gmsk import (
+    BT,
     IqFrame,
     gaussian_taps,
     gmsk_modulate,
@@ -66,13 +68,9 @@ class ReceiverConfig:
     pdu_bits: int = 16
     crc_init: int = ADVERTISING_CRC_INIT
     agc_mode: AgcMode = AgcMode.FAST
-    agc_target_power_db: float = 0.0
     notch_radius: float = 0.999
     preamble_detect_threshold: float | None = None
     sps: int = 8
-    pulse_bt: float = 0.5
-    h: float = 0.5
-    cfo_method: str = "fft"
     cfo_max_offset_hz: float | None = None
 
     def __post_init__(self):
@@ -95,14 +93,9 @@ class ReceiverConfig:
             raise ParamError(f"pdu_bits {self.pdu_bits} outside packet limits")
         if self.sps < 2:
             raise ParamError("sps must be >= 2")
-        if self.cfo_method not in ("fft", "corr"):
-            raise ParamError(f"unknown CFO method {self.cfo_method!r}")
         # Checked here, since receive() itself never raises.
-        if not (-300.0 <= self.agc_target_power_db <= 300.0
-                and 0.0 < self.pulse_bt <= 1.0 and 0.0 < self.h <= 1.0
-                and (self.cfo_max_offset_hz is None or self.cfo_max_offset_hz > 0)):
-            raise ParamError("need agc_target_power_db within +-300 dB, pulse_bt "
-                             "and h in (0, 1], a positive cfo_max_offset_hz")
+        if not (self.cfo_max_offset_hz is None or self.cfo_max_offset_hz > 0):
+            raise ParamError("cfo_max_offset_hz must be positive")
 
 
 @dataclass
@@ -127,8 +120,8 @@ class RxPacketReport:
     reason: str = ""
 
 
-def agc(frame: IqFrame, mode: AgcMode, target_power_db: float = 0.0) -> IqFrame:
-    """Normalize power with a one-pole tracker (fast or slow attack)."""
+def agc(frame: IqFrame, mode: AgcMode) -> IqFrame:
+    """Normalize power to 1 with a one-pole tracker (fast or slow attack)."""
     x = frame.samples
     if len(x) == 0:
         return frame.replace(x.copy())
@@ -139,8 +132,7 @@ def agc(frame: IqFrame, mode: AgcMode, target_power_db: float = 0.0) -> IqFrame:
     zi = np.array([(1.0 - a) * max(power[0], 1e-18)])
     p, _ = lfilter([a], [1.0, -(1.0 - a)], power, zi=zi)
     p = np.maximum(p, 1e-18)
-    target = 10.0 ** (target_power_db / 10.0)
-    return frame.replace(x * np.sqrt(target / p))
+    return frame.replace(x * np.sqrt(1.0 / p))
 
 
 def dc_notch(frame: IqFrame, radius: float = 0.999) -> IqFrame:
@@ -151,14 +143,13 @@ def dc_notch(frame: IqFrame, radius: float = 0.999) -> IqFrame:
     return frame.replace(y)
 
 
-def coarse_cfo_estimate(frame: IqFrame, method: str = "fft",
-                        max_offset_hz: float | None = None) -> float:
+def coarse_cfo_estimate(frame: IqFrame, max_offset_hz: float | None = None) -> float:
     """Estimate carrier offset from the modulation-stripped (squared) signal.
 
     Squaring doubles the modulation index to 1, which concentrates energy
     in two lines at 2*cfo +- symbol_rate/2; the midpoint of that pair is
-    twice the offset.  The correlation method reads the same quantity from
-    the mean phase increment of the squared signal.
+    twice the offset.  An FFT searches the pair's midpoint over offsets up
+    to max_offset_hz (default a quarter of the symbol rate).
     """
     x = frame.samples
     if len(x) < 16 or float(np.mean(np.abs(x) ** 2)) < 1e-15:
@@ -168,12 +159,6 @@ def coarse_cfo_estimate(frame: IqFrame, method: str = "fft",
     if max_offset_hz is None:
         max_offset_hz = rs / 4.0
     sq = x * x
-    if method == "corr":
-        acc = np.sum(sq[1:] * np.conj(sq[:-1]))
-        return float(np.angle(acc) * fs / (4.0 * np.pi))
-    if method != "fft":
-        raise ParamError(f"unknown CFO method {method!r}")
-
     # A power of two keeps the pair shift rs/2 a whole number of bins
     # (fs/nfft divides rs/2 for a power-of-two sps); next_fast_len sizes
     # do not, and the pair metric then misses its lines.
@@ -199,18 +184,20 @@ def coarse_cfo_estimate(frame: IqFrame, method: str = "fft",
     return float(f2 / 2.0)
 
 
-@lru_cache(maxsize=32)
-def _reference(mode: PhyMode, aa: int, sps: int, bt: float, h: float):
+@lru_cache(maxsize=16)
+def _template(mode: PhyMode, aa: int, sps: int):
     """Known-waveform template for sync: preamble plus access-address part.
 
     Coded modes use the 80-symbol preamble and the (address-only prefix of
     the) S=8 first FEC block, both independent of payload.  Returns the
-    matched-filtered samples and per-segment sample ranges used for
-    piecewise-coherent correlation.
+    matched-filtered samples, the segments' sample ranges for
+    piecewise-coherent correlation, and their overlap-save block size
+    (fixed per mode, so one cache entry serves every frame length),
+    conjugate spectra and norms.
     """
     from .coded import fec_encode, pattern_map
 
-    pulse = gaussian_taps(bt, sps)
+    pulse = gaussian_taps(BT, sps)
     if mode.coded:
         aa_bits = int_to_bits(aa, 32, lsb_first=True)
         coded_aa = pattern_map(fec_encode(aa_bits), 8)
@@ -221,30 +208,16 @@ def _reference(mode: PhyMode, aa: int, sps: int, bt: float, h: float):
             [mode.preamble_bits(aa), int_to_bits(aa, 32, lsb_first=True)]
         )
         seg_sym = 8
-    ref = matched_filter(gmsk_modulate(bits, pulse, h), pulse)
+    ref = matched_filter(gmsk_modulate(bits, pulse), pulse).samples
     d = 2 * pulse.delay
     n_seg = bits.size // seg_sym
     seg_len = seg_sym * sps
     segments = tuple((d + i * seg_len, d + (i + 1) * seg_len) for i in range(n_seg))
-    return ref.samples, segments
-
-
-@lru_cache(maxsize=16)
-def _template_spectra(mode: PhyMode, aa: int, sps: int, bt: float, h: float):
-    """Overlap-save block size, conjugate spectra and norms of the sync
-    segments.
-
-    The block size is fixed per mode (8x the segment length, rounded up to
-    a power of two), so the cache holds one entry per reference whatever
-    the frame lengths are.
-    """
-    ref, segments = _reference(mode, aa, sps, bt, h)
-    seg_len = segments[0][1] - segments[0][0]
     nfft = 8 << int(np.ceil(np.log2(seg_len)))
     spectra = np.conj(fft([ref[a:b] for a, b in segments], nfft, axis=1))
     spectra.setflags(write=False)
     norms = tuple(float(np.linalg.norm(ref[a:b])) for a, b in segments)
-    return nfft, spectra, norms
+    return ref, segments, nfft, spectra, norms
 
 
 def synchronize(frame: IqFrame, cfg: ReceiverConfig) -> SyncResult:
@@ -257,13 +230,12 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig) -> SyncResult:
     overlap-save: one FFT of the frame's blocks is shared by every
     segment, and each segment costs one inverse FFT.
     """
-    key = (cfg.phy_mode, cfg.expected_access_address, cfg.sps, cfg.pulse_bt, cfg.h)
-    ref, segments = _reference(*key)
+    ref, segments, nfft, spectra, norms = _template(
+        cfg.phy_mode, cfg.expected_access_address, cfg.sps)
     x = frame.samples
     if len(x) < ref.size:
         raise SyncFailure(f"frame ({len(x)}) shorter than sync reference ({ref.size})")
     n_lags = len(x) - ref.size + 1
-    nfft, spectra, norms = _template_spectra(*key)
     seg_len = segments[0][1] - segments[0][0]
     # The segments are contiguous and equally long, so they share the
     # energy of the seg_len samples starting at each lag.
@@ -404,18 +376,17 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
             trace.append((name, f))
 
     _trace("input", frame)
-    x = agc(frame, cfg.agc_mode, cfg.agc_target_power_db)
+    x = agc(frame, cfg.agc_mode)
     _trace("agc", x)
     x = dc_notch(x, cfg.notch_radius)
     _trace("dc_notch", x)
-    pulse = gaussian_taps(cfg.pulse_bt, cfg.sps)
+    pulse = gaussian_taps(BT, cfg.sps)
     try:
         # Estimate from a band-limited scratch copy: out-of-band interference
         # would otherwise bury the squared-signal lines.  The stream that
         # flows on is corrected first and matched-filtered after.
-        coarse = coarse_cfo_estimate(
-            matched_filter(x, pulse), cfg.cfo_method, cfg.cfo_max_offset_hz
-        )
+        coarse = coarse_cfo_estimate(matched_filter(x, pulse),
+                                     cfg.cfo_max_offset_hz)
     except NoSignalError:
         report.reason = "no signal"
         return report

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from blesim import harness
+from blesim import cli, harness
 from blesim.channel import InterfererConfig, nlos_profile
 from blesim.cli import MAX_SWEEP_POINTS, _parse_sweep, main
 from blesim.errors import ConfigError, IoError
@@ -223,7 +223,8 @@ def test_scenario_round_trip_hopping_and_custom_profile():
         channel=None,
         hopping=HoppingConfig("csa1", "0x0000000FFF", 9),
         profile=nlos_profile(),
-        receiver={"cfo_method": "corr"},
+        receiver={"agc_mode": "slow", "notch_radius": 0.99,
+                  "preamble_detect_threshold": 0.5, "cfo_max_offset_hz": 1e5},
     )
     assert scenario_from_dict(scenario_to_dict(cfg)) == cfg
 
@@ -388,4 +389,49 @@ def test_cli_dump_stages_rejects_negative_frame(tmp_path, capsys):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: --frame"), err
+    assert not out.exists()
+
+
+def test_cli_output_path_under_a_file_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg_path = tmp_path / "s.json"
+    save_scenario(small_scenario(frames=1), cfg_path)
+    for argv in (["paper-scenarios", "--emit", str(blocker / "x")],
+                 ["dump-stages", "--config", str(cfg_path),
+                  "--out", str(blocker / "y")]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_cli_run_checks_out_before_any_frame(tmp_path, capsys, monkeypatch):
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("campaign ran")
+
+    monkeypatch.setattr(cli, "run_campaign", no_campaign)
+    cfg_path = tmp_path / "s.json"
+    save_scenario(small_scenario(frames=2), cfg_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker / "z.csv", tmp_path):
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("removed", [
+    {"cfo_method": "corr"}, {"agc_target_power_db": 0.0},
+    {"pulse_bt": 0.5}, {"h": 0.5},
+])
+def test_cli_run_rejects_removed_receiver_keys(removed, tmp_path, capsys,
+                                               monkeypatch):
+    monkeypatch.setattr(harness, "_count_chunk", lambda t: pytest.fail("ran"))
+    cfg_path = tmp_path / "s.json"
+    cfg_path.write_text(json.dumps(
+        dict(scenario_to_dict(small_scenario(frames=2)), receiver=removed)))
+    out = tmp_path / "res.csv"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: receiver"), err
     assert not out.exists()

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from blesim import harness
 from blesim.bits import random_bits
 from blesim.channel import apply_cfo, apply_dc, awgn, interferer_at_rate, mix
 from blesim.errors import NoSignalError, ParamError, SyncFailure
@@ -48,7 +49,7 @@ def default_cfg(mode=PhyMode.LE1M, pdu_bits=64, **kw):
 def test_agc_fixed_point():
     rng = np.random.default_rng(51)
     x = np.exp(2j * np.pi * rng.random(4000))
-    out = agc(IqFrame(x, 8e6, 1e6), AgcMode.FAST, 0.0)
+    out = agc(IqFrame(x, 8e6, 1e6), AgcMode.FAST)
     power_db = 10 * np.log10(np.mean(np.abs(out.samples[100:]) ** 2))
     assert abs(power_db) < 1.0
 
@@ -56,14 +57,14 @@ def test_agc_fixed_point():
 def test_agc_convergence_from_minus_40db():
     x = np.full(4000, 0.01 + 0j)  # -40 dB
     for mode, budget in ((AgcMode.FAST, 64), (AgcMode.SLOW, 1024)):
-        out = agc(IqFrame(x, 8e6, 1e6), mode, 0.0).samples
+        out = agc(IqFrame(x, 8e6, 1e6), mode).samples
         tail = np.abs(out[budget:]) ** 2
         assert np.all(np.abs(10 * np.log10(tail)) < 1.0), mode
 
 
 def test_agc_step_reconvergence():
     x = np.concatenate([np.ones(2000, complex), 10.0 * np.ones(2000, complex)])
-    out = agc(IqFrame(x, 8e6, 1e6), AgcMode.FAST, 0.0).samples
+    out = agc(IqFrame(x, 8e6, 1e6), AgcMode.FAST).samples
     settled = np.abs(out[2000 + 64:]) ** 2
     assert np.all(np.abs(10 * np.log10(settled)) < 1.0)
 
@@ -163,22 +164,6 @@ def test_coarse_cfo_matches_rolled_pair_metric():
 def test_coarse_cfo_minus_100k():
     est = coarse_cfo_estimate(_cfo_probe(-100e3, snr_db=np.inf))
     assert abs(est - (-100e3)) < 10e3
-
-
-def test_coarse_cfo_correlation_method():
-    # The phase-increment average rides on the data's bit imbalance, so it
-    # is coarser than the fft line search; hold it to a quarter of the
-    # symbol rate peak to peak (+-Rs/8) and near-zero mean error.
-    errors = []
-    for seed in range(6):
-        for true in (-100e3, 100e3):
-            est = coarse_cfo_estimate(
-                _cfo_probe(true, snr_db=np.inf, seed=seed), method="corr")
-            assert abs(est - true) < 1e6 / 8
-            errors.append(est - true)
-    assert abs(np.mean(errors)) < 35e3
-    with pytest.raises(ParamError):
-        coarse_cfo_estimate(_cfo_probe(0.0), method="nope")
 
 
 def test_coarse_cfo_no_signal():
@@ -310,6 +295,31 @@ def test_coded_beats_uncoded_under_interference():
     assert rates[PhyMode.LE125K] > 0.5
 
 
+# A non-default value of every option a scenario's receiver object may
+# set; a new option has to join this table to pass the test below.
+OPTION_VALUES = {
+    "agc_mode": "slow",
+    "notch_radius": 0.95,
+    "preamble_detect_threshold": 0.995,
+    "cfo_max_offset_hz": 20e3,
+}
+
+
+@pytest.mark.parametrize("key", sorted(harness._RECEIVER_KEYS))
+def test_every_receiver_option_changes_the_report(key):
+    frame, _ = make_frame(seed=21)
+    frame = awgn(apply_cfo(frame, 60e3), 12.0, seed=21)
+
+    def outcome(**option):
+        rep = receive(frame, default_cfg(**option))
+        cfo = None if rep.cfo_estimate_hz is None else round(rep.cfo_estimate_hz)
+        return rep.detected, rep.crc_ok, rep.timing_offset, cfo, rep.reason
+
+    default = outcome()
+    assert default[1], "the default receiver decodes the frame"
+    assert outcome(**{key: OPTION_VALUES[key]}) != default
+
+
 def test_receiver_config_validation():
     with pytest.raises(ParamError):
         default_cfg(notch_radius=0.5)
@@ -317,15 +327,9 @@ def test_receiver_config_validation():
         default_cfg(preamble_detect_threshold=0.0)
     with pytest.raises(ParamError):
         default_cfg(pdu_bits=8)
-    # Settings receive() would only trip over mid-campaign.
-    with pytest.raises(ParamError, match="CFO method"):
-        default_cfg(cfo_method="nope")
+    # A setting receive() would only trip over mid-campaign.
     with pytest.raises(ParamError):
         default_cfg(cfo_max_offset_hz=0.0)
-    with pytest.raises(ParamError):
-        default_cfg(pulse_bt=0.0)
-    with pytest.raises(ParamError):
-        default_cfg(agc_target_power_db=1e4)
     with pytest.raises(ValueError):
         default_cfg(agc_mode="medium")
     cfg = ReceiverConfig(phy_mode="LE500K", agc_mode="slow")

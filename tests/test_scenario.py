@@ -116,8 +116,8 @@ def test_python_constructor_checks_like_json():
         ScenarioConfig(id="x", seed=1, snr_sweep_db=(float("nan"),))
     with pytest.raises(ConfigError, match="receiver"):
         ScenarioConfig(id="x", seed=1, receiver={"sps": 4})
-    with pytest.raises(ConfigError, match="CFO method"):
-        ScenarioConfig(id="x", seed=1, receiver={"cfo_method": "nope"})
+    with pytest.raises(ConfigError, match="receiver"):
+        ScenarioConfig(id="x", seed=1, receiver={"cfo_method": "fft"})
     with pytest.raises(ConfigError, match="delay spread"):
         ScenarioConfig(id="x", seed=1, profile=replace(
             los_profile(), taps=((0, 0.0), (10**6, -3.0))))
@@ -244,7 +244,7 @@ FUZZ_BASES = [
     scenario_to_dict(ScenarioConfig(
         id="fuzz", seed=11, snr_sweep_db=(12.0,), sir_sweep_db=(0.0,),
         interferer=InterfererConfig(), profile=nlos_profile(), frames=1,
-        pdu_bits=32, receiver={"cfo_method": "fft", "cfo_max_offset_hz": 250e3})),
+        pdu_bits=32, receiver={"agc_mode": "slow", "cfo_max_offset_hz": 250e3})),
     scenario_to_dict(ScenarioConfig(
         id="fuzz", seed=11, snr_sweep_db=(12.0,), channel=None,
         hopping=HoppingConfig("csa1", "0x1FFFFFFFFF", 9),
@@ -313,8 +313,9 @@ def scenarios(draw):
         crc_init=draw(st.integers(0, 2**24 - 1)),
         receiver=draw(st.fixed_dictionaries({}, optional={
             "agc_mode": st.sampled_from(["fast", "slow"]),
-            "cfo_method": st.sampled_from(["fft", "corr"]),
             "notch_radius": st.floats(0.95, 0.9999),
+            "preamble_detect_threshold": st.floats(0.1, 1.0),
+            "cfo_max_offset_hz": st.floats(1e3, 1e6),
         })),
     )
     if draw(st.booleans()):

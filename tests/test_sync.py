@@ -14,8 +14,7 @@ from blesim.llpacket import ChannelIndex, LinkLayerPacket, assemble_uncoded
 from blesim.phymode import PhyMode
 from blesim.receiver import (
     ReceiverConfig,
-    _reference,
-    _template_spectra,
+    _template,
     receive,
     synchronize,
 )
@@ -26,8 +25,8 @@ PULSE = gaussian_taps(0.5, 8)
 def oracle_synchronize(frame, cfg):
     """(timing offset, peak, fine CFO) by one full-length fftconvolve per
     reference segment; raises SyncFailure below the detect threshold."""
-    ref, segments = _reference(cfg.phy_mode, cfg.expected_access_address,
-                               cfg.sps, cfg.pulse_bt, cfg.h)
+    ref, segments = _template(cfg.phy_mode, cfg.expected_access_address,
+                              cfg.sps)[:2]
     x = frame.samples
     if len(x) < ref.size:
         raise SyncFailure("frame shorter than sync reference")
@@ -103,9 +102,7 @@ def test_synchronize_matches_oracle(mode, lead, cfo, snr, seed):
 
 def _ref_size(mode):
     cfg = rx_cfg(mode)
-    ref, _ = _reference(mode, cfg.expected_access_address, cfg.sps,
-                        cfg.pulse_bt, cfg.h)
-    return ref.size
+    return _template(mode, cfg.expected_access_address, cfg.sps)[0].size
 
 
 @pytest.mark.parametrize("mode", list(PhyMode))
@@ -127,9 +124,8 @@ def test_synchronize_one_sample_short_fails(mode):
 @pytest.mark.parametrize("mode", list(PhyMode))
 def test_synchronize_at_overlap_save_block_boundary(mode):
     cfg = rx_cfg(mode)
-    key = (mode, cfg.expected_access_address, cfg.sps, cfg.pulse_bt, cfg.h)
-    _, segments = _reference(*key)
-    nfft = _template_spectra(*key)[0]
+    _, segments, nfft, _, _ = _template(mode, cfg.expected_access_address,
+                                        cfg.sps)
     step = nfft - (segments[0][1] - segments[0][0]) + 1
     # The lags of the last segment end exactly at the end of the fewest
     # blocks that hold them (one block for the uncoded modes), then spill
@@ -151,9 +147,9 @@ def test_synchronize_with_the_peak_on_a_block_edge(mode):
     # i*step + [0, step): put the packet at the last of those, on either
     # side, and as the first of the next block.
     cfg = rx_cfg(mode)
-    key = (mode, cfg.expected_access_address, cfg.sps, cfg.pulse_bt, cfg.h)
-    _, segments = _reference(*key)
-    step = _template_spectra(*key)[0] - (segments[0][1] - segments[0][0]) + 1
+    _, segments, nfft, _, _ = _template(mode, cfg.expected_access_address,
+                                        cfg.sps)
+    step = nfft - (segments[0][1] - segments[0][0]) + 1
     for lead in (step - 2, step - 1, step, step + 1):
         frame = awgn(tx_frame(mode, lead, lead), 20.0, seed=lead)
         mf = matched_filter(frame, PULSE)
