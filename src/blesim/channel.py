@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParamError, ProfileError, RateMismatchError
+from .errors import LengthError, ParamError, is_integer, is_number
 from .gmsk import IqFrame
 
 
@@ -68,24 +68,26 @@ class ChannelProfile:
 
     def __post_init__(self):
         if not self.taps:
-            raise ProfileError("profile needs at least one tap")
+            raise ParamError("profile needs at least one tap")
         delays = [d for d, _ in self.taps]
         if any(d < 0 for d in delays):
-            raise ProfileError("tap delays must be non-negative")
+            raise ParamError("tap delays must be non-negative")
         if len(set(delays)) != len(delays):
-            raise ProfileError("duplicate tap delays")
+            raise ParamError("duplicate tap delays")
         # Levels within 300 dB keep 10**(dB/10) a finite float.
         k = self.rician_k_db
-        if not (all(int(d) == d and abs(p) <= 300.0 for d, p in self.taps)
-                and (k is None or abs(k) <= 300.0 or k == math.inf)
-                and 0.0 < self.reference_rate_hz < math.inf):
-            raise ProfileError("need whole-sample delays, powers and K within 300 "
-                               "dB (or K inf), and a positive reference rate")
+        rate = self.reference_rate_hz
+        if not (all(is_number(d) and math.isfinite(d) and int(d) == d
+                    and is_number(p) and abs(p) <= 300.0 for d, p in self.taps)
+                and (k is None or is_number(k) and (abs(k) <= 300.0 or k == math.inf))
+                and is_number(rate) and 0.0 < rate < math.inf):
+            raise ParamError("need numbers: whole-sample delays, powers and K "
+                             "within 300 dB (or K inf), a positive reference rate")
 
 
-def los_profile(rician_k_db: float = 10.0) -> ChannelProfile:
-    """Single dominant path with a mild diffuse component."""
-    return ChannelProfile("los", ((0, 0.0),), rician_k_db)
+def los_profile() -> ChannelProfile:
+    """Single dominant path with a mild diffuse component (K 10 dB)."""
+    return ChannelProfile("los", ((0, 0.0),), 10.0)
 
 
 def nlos_profile() -> ChannelProfile:
@@ -140,7 +142,7 @@ def fade(frame: IqFrame, profile: ChannelProfile, seed: int) -> IqFrame:
     """Apply one block-fading realization; output grows by the delay spread."""
     cir = channel_realization(profile, frame.sample_rate, seed)
     if cir.size >= len(frame):
-        raise ProfileError(
+        raise ParamError(
             f"delay spread {cir.size} samples exceeds frame length {len(frame)}"
         )
     return frame.replace(np.convolve(frame.samples, cir))
@@ -176,15 +178,18 @@ class InterfererConfig:
     burst_symbols: int = 20
 
     def __post_init__(self):
-        if not 0.0 <= self.duty_cycle <= 1.0:
-            raise ParamError(f"duty cycle {self.duty_cycle} outside [0, 1]")
+        duty, burst = self.duty_cycle, self.burst_symbols
+        bandwidth, offset = self.bandwidth_hz, self.center_offset_hz
+        if not (is_number(duty) and 0.0 <= duty <= 1.0):
+            raise ParamError(f"duty cycle {duty!r} outside [0, 1]")
         # 1 MHz bounds the samples of one cached symbol; up to 160 MHz, the
         # widest 802.11 channel, a symbol spans a sample or more at 2 Msps.
-        if not (1e6 <= self.bandwidth_hz <= 160e6
-                and abs(self.center_offset_hz) < math.inf):
+        if not (is_number(bandwidth) and 1e6 <= bandwidth <= 160e6
+                and is_number(offset) and abs(offset) < math.inf):
             raise ParamError("bandwidth must be 1 to 160 MHz, the offset finite")
-        if self.duty_cycle and not 1 <= self.burst_symbols <= 2**31 * self.duty_cycle:
-            raise ParamError("bursts must hold 1 or more symbols, period below 2^31")
+        if not (is_integer(burst) and (not duty or 1 <= burst <= 2**31 * duty)):
+            raise ParamError("bursts must hold a whole number of symbols, 1 or "
+                             "more, period below 2^31")
 
 
 # 802.11a/g OFDM (IEEE 802.11-2020, clause 17): subcarriers +-1..+-26 of
@@ -266,22 +271,24 @@ def interferer_at_rate(n_samples: int, config: InterfererConfig, fs: float,
 
 
 def mix(signal: IqFrame, interferer: IqFrame, sir_db: float) -> IqFrame:
-    """Add the interferer scaled so active-sample powers obey the target SIR."""
-    if np.isinf(sir_db) and sir_db > 0:
-        return signal.replace(signal.samples.copy())
+    """Add the interferer, sample for sample, scaled so active-sample
+    powers obey the target SIR; sir_db=inf adds nothing."""
     if interferer.sample_rate != signal.sample_rate:
-        raise RateMismatchError(
+        raise ParamError(
             f"signal at {signal.sample_rate} Hz, interferer at "
             f"{interferer.sample_rate} Hz"
         )
-    reps = -(-len(signal) // len(interferer))
-    inter = np.tile(interferer.samples, reps)[: len(signal)]
+    if len(interferer) != len(signal):
+        raise LengthError(
+            f"signal has {len(signal)} samples, interferer {len(interferer)}")
+    if np.isinf(sir_db) and sir_db > 0:
+        return signal.replace(signal.samples.copy())
     p_sig = measured_power(signal.samples)
-    p_int = measured_power(inter)
+    p_int = measured_power(interferer.samples)
     if p_int == 0.0:
         return signal.replace(signal.samples.copy())
     alpha = np.sqrt(p_sig / (p_int * 10.0 ** (sir_db / 10.0)))
-    return signal.replace(signal.samples + alpha * inter)
+    return signal.replace(signal.samples + alpha * interferer.samples)
 
 
 def interferer_inband_fraction(config: InterfererConfig, fs: float) -> float:

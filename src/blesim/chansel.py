@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MapError, ParamError
+from .errors import ParamError, is_integer
 from .llpacket import ChannelIndex
 
 N_DATA_CHANNELS = 37
@@ -24,9 +24,9 @@ class ChannelMap:
     def __init__(self, used):
         channels = tuple(sorted(set(int(c) for c in used)))
         if any(c < 0 or c >= N_DATA_CHANNELS for c in channels):
-            raise MapError(f"data channels must be 0..36, got {channels}")
+            raise ParamError(f"data channels must be 0..36, got {channels}")
         if len(channels) < 2:
-            raise MapError(f"need at least 2 used channels, got {len(channels)}")
+            raise ParamError(f"need at least 2 used channels, got {len(channels)}")
         object.__setattr__(self, "used", channels)
 
     @property
@@ -38,9 +38,16 @@ class ChannelMap:
 
     @classmethod
     def from_mask(cls, mask) -> "ChannelMap":
-        value = int(mask, 16) if isinstance(mask, str) else int(mask)
+        """Channels from a bit mask, given as a hex string or an integer."""
+        if isinstance(mask, str):
+            value = int(mask, 16)
+        elif is_integer(mask):
+            value = int(mask)
+        else:
+            raise ParamError(f"channel map must be a hex string or an integer, "
+                             f"got {mask!r}")
         if value >> N_DATA_CHANNELS:
-            raise MapError(f"mask {value:#x} has bits above channel 36")
+            raise ParamError(f"mask {value:#x} has bits above channel 36")
         return cls([c for c in range(N_DATA_CHANNELS) if value & (1 << c)])
 
     @classmethod

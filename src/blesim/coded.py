@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bits import as_bits, int_to_bits
-from .errors import LengthError, ModeError, ParamError
+from .errors import LengthError, ParamError
 from .llpacket import LinkLayerPacket, crc24_bits, whiten
 from .phymode import PhyMode
 
@@ -161,7 +161,7 @@ def viterbi_decode(symbols: np.ndarray, s: int) -> np.ndarray:
 def assemble_coded(packet: LinkLayerPacket, mode: PhyMode) -> np.ndarray:
     """On-air symbol stream for the coded modes."""
     if not mode.coded:
-        raise ModeError(f"{mode.value} packets are built by assemble_uncoded")
+        raise ParamError(f"{mode.value} packets are built by assemble_uncoded")
     preamble = mode.preamble_bits()
     aa = int_to_bits(packet.access_address, 32, lsb_first=True)
     scheme = CODING_SCHEMES[mode]

@@ -1,16 +1,11 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the number tests the
+components' value checks share."""
+
+import numbers
 
 
 class BlesimError(Exception):
     """Base class for all simulator errors."""
-
-
-class PduLengthError(BlesimError):
-    """PDU length outside the allowed 16..2056 bit range."""
-
-
-class ModeError(BlesimError):
-    """Operation applied to an incompatible PHY mode."""
 
 
 class LengthError(BlesimError):
@@ -18,15 +13,7 @@ class LengthError(BlesimError):
 
 
 class ParamError(BlesimError):
-    """Parameter outside its documented range."""
-
-
-class ProfileError(BlesimError):
-    """Malformed channel profile (empty taps, negative delay, ...)."""
-
-
-class RateMismatchError(BlesimError):
-    """Two streams with different sample rates were combined."""
+    """Argument outside its documented range or of the wrong type."""
 
 
 class SyncFailure(BlesimError):
@@ -37,13 +24,19 @@ class NoSignalError(BlesimError):
     """Input has no usable signal power for estimation."""
 
 
-class MapError(BlesimError):
-    """Invalid channel map (out-of-range channel, fewer than 2 used)."""
-
-
 class ConfigError(BlesimError):
     """Scenario configuration rejected (unknown key, bad value, bad schema)."""
 
 
 class IoError(BlesimError):
     """File could not be read or written."""
+
+
+def is_number(value) -> bool:
+    """An int or a float, but not a bool: JSON's true is no number."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    """An int, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

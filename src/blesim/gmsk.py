@@ -2,10 +2,12 @@
 
 The modulator is a classic CPM chain: NRZ impulses -> Gaussian frequency
 pulse -> phase accumulator -> unit-envelope complex exponential.  The
-frequency pulse is the convolution of a Gaussian (3 dB bandwidth bt times
-the symbol rate) with a one-symbol rectangle, normalised so each symbol
-advances the phase by exactly pi*h.  The same pulse serves as the
-receiver's matched filter; demodulation itself lives in the receiver.
+frequency pulse is the convolution of a Gaussian (3 dB bandwidth BT times
+the symbol rate, SPAN symbols long) with a one-symbol rectangle,
+normalised so each symbol advances the phase by exactly pi*H.  BT, H and
+SPAN are BLE's for every PHY mode, so they are constants, not options.
+The same pulse serves as the receiver's matched filter; demodulation
+itself lives in the receiver.
 """
 from __future__ import annotations
 
@@ -16,11 +18,14 @@ from functools import lru_cache
 import numpy as np
 
 from .bits import as_bits
-from .errors import IoError, LengthError, ParamError, RateMismatchError
+from .errors import IoError, LengthError, ParamError
 
-# BLE's bandwidth-time product: the transmitter's pulse and the
-# receiver's matched filter.
+# BLE's GMSK, shared by the transmitter and the receiver's matched filter
+# and sync template: bandwidth-time product, modulation index, and the
+# Gaussian's length in symbols.
 BT = 0.5
+H = 0.5
+SPAN = 3
 
 _IQ_MAGIC = b"BIQ1"
 _IQ_HEADER = struct.Struct("<4sIII")  # magic, sample_rate, symbol_rate, reserved
@@ -90,9 +95,7 @@ def read_iq(path) -> IqFrame:
 class PulseShape:
     """Shared TX/RX pulse: Gaussian-filtered one-symbol rectangle."""
 
-    bt: float
     sps: int
-    span: int
     taps: np.ndarray
 
     @property
@@ -102,35 +105,30 @@ class PulseShape:
 
 
 @lru_cache(maxsize=32)
-def gaussian_taps(bt: float, sps: int, span: int = 3) -> PulseShape:
-    """Build the frequency pulse for a given bandwidth-time product.
+def gaussian_taps(sps: int) -> PulseShape:
+    """Build the frequency pulse at sps samples per symbol.
 
-    `span` is the length of the Gaussian part in symbols; the returned taps
-    cover span+1 symbols and sum to one so that a lone symbol integrates to
-    a full pi*h phase step.  Pulses are cached, so the taps are read-only.
+    The taps cover SPAN+1 symbols and sum to one so that a lone symbol
+    integrates to a full pi*H phase step.  Pulses are cached, so the taps
+    are read-only.
     """
-    if bt <= 0:
-        raise ParamError(f"bt must be positive, got {bt}")
     if sps < 2:
         raise ParamError(f"need at least 2 samples per symbol, got {sps}")
-    if span < 1:
-        raise ParamError(f"span must be >= 1 symbol, got {span}")
-    n = span * sps
+    n = SPAN * sps
     t = (np.arange(n) - (n - 1) / 2.0) / sps
-    # Gaussian with 3 dB cutoff at bt * symbol_rate.
-    gauss = np.exp(-2.0 * np.pi**2 * bt**2 * t**2 / np.log(2.0))
+    # Gaussian with 3 dB cutoff at BT * symbol_rate.
+    gauss = np.exp(-2.0 * np.pi**2 * BT**2 * t**2 / np.log(2.0))
     taps = np.convolve(gauss, np.ones(sps))
     taps /= taps.sum()
     taps.flags.writeable = False
-    return PulseShape(bt=bt, sps=sps, span=span, taps=taps)
+    return PulseShape(sps=sps, taps=taps)
 
 
-def gmsk_modulate(
-    bits: np.ndarray, pulse: PulseShape, h: float = 0.5, symbol_rate: float = 1e6
-) -> IqFrame:
+def gmsk_modulate(bits: np.ndarray, pulse: PulseShape,
+                  symbol_rate: float = 1e6) -> IqFrame:
     """Modulate a bit vector to unit-envelope complex baseband.
 
-    The map is 1 -> +h/2 frequency, 0 -> -h/2.  Output contains the full
+    The map is 1 -> +H/2 frequency, 0 -> -H/2.  Output contains the full
     filter transient on both ends; symbol k is centred at sample
     k*sps + pulse.delay.
     """
@@ -142,7 +140,7 @@ def gmsk_modulate(
     impulses = np.zeros(bits.size * sps)
     impulses[::sps] = nrz
     freq = np.convolve(impulses, pulse.taps)
-    phase = np.pi * h * np.cumsum(freq)
+    phase = np.pi * H * np.cumsum(freq)
     samples = np.exp(1j * phase)
     return IqFrame(samples, sample_rate=symbol_rate * sps, symbol_rate=symbol_rate)
 
@@ -150,8 +148,6 @@ def gmsk_modulate(
 def matched_filter(frame: IqFrame, pulse: PulseShape) -> IqFrame:
     """Receive half of the split pulse filter, applied to IQ samples."""
     if pulse.sps != frame.sps:
-        raise RateMismatchError(
-            f"pulse designed for {pulse.sps} sps, frame has {frame.sps}"
-        )
+        raise ParamError(f"pulse designed for {pulse.sps} sps, frame has {frame.sps}")
     return frame.replace(np.convolve(frame.samples, pulse.taps))
 

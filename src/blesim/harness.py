@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -38,8 +37,8 @@ from .channel import (
 )
 from .chansel import ChannelMap, HopState, csa1_next, csa2_select
 from .coded import assemble_coded
-from .errors import BlesimError, ConfigError, IoError
-from .gmsk import BT, IqFrame, gaussian_taps, gmsk_modulate
+from .errors import BlesimError, ConfigError, IoError, is_integer, is_number
+from .gmsk import IqFrame, gaussian_taps, gmsk_modulate
 from .llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
     ADVERTISING_CRC_INIT,
@@ -87,16 +86,14 @@ def _as_config_error():
 
 
 def _integer(name: str, value, lo=-math.inf, hi=math.inf) -> int:
-    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-            or not lo <= value <= hi):
+    if not (is_integer(value) and lo <= value <= hi):
         raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
     return int(value)
 
 
 def _real(name: str, value, lo: float, hi: float) -> float:
     """A number in [lo, hi]; NaN never is."""
-    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-            or not lo <= value <= hi):
+    if not (is_number(value) and lo <= value <= hi):
         raise ConfigError(f"{name} must be a number in [{lo}, {hi}], got {value!r}")
     return float(value)
 
@@ -239,10 +236,11 @@ class PerResult:
     wilson_hi: float
 
 
-def wilson_interval(errors: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for an error proportion."""
     if n == 0:
         return 0.0, 1.0
+    z = 1.96
     p = errors / n
     denom = 1.0 + z * z / n
     centre = (p + z * z / (2 * n)) / denom
@@ -281,8 +279,7 @@ def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
         assemble_coded(packet, mode) if mode.coded
         else assemble_uncoded(packet, mode)
     )
-    tx = gmsk_modulate(bits, gaussian_taps(BT, cfg.sps),
-                       symbol_rate=mode.symbol_rate)
+    tx = gmsk_modulate(bits, gaussian_taps(cfg.sps), symbol_rate=mode.symbol_rate)
 
     lead = LEAD + int(rng.integers(0, LEAD_JITTER))
     samples = np.concatenate(
@@ -305,8 +302,7 @@ def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
             inter = interferer_at_rate(len(frame), cfg.interferer,
                                        frame.sample_rate, inter_seed)
             frame = mix(frame, inter, sir_db - 10.0 * np.log10(frac))
-    if not np.isinf(snr_db):
-        frame = awgn(frame, snr_db, int(rng.integers(2**63)))
+    frame = awgn(frame, snr_db, int(rng.integers(2**63)))
 
     rx = cfg._rx[mode]
     if cfg._channel is None:
@@ -373,33 +369,22 @@ def _fmt(x) -> str:
 
 
 def emit_results(results: list[PerResult], out, fmt: str = "csv") -> None:
-    """Write results as CSV (fixed column set) or JSON."""
-    own = isinstance(out, (str, bytes))
-    if own:
-        try:
-            fh = open(out, "w", newline="")
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
+    """Write results to an open text stream as CSV (fixed column set) or
+    JSON."""
+    if fmt == "csv":
+        w = csv.writer(out, lineterminator="\n")
+        w.writerow(CSV_COLUMNS)
+        for r in results:
+            w.writerow([
+                r.scenario, r.phy, _fmt(r.snr_db), _fmt(r.sir_db),
+                r.frames, r.detected, r.valid,
+                _fmt(r.per), _fmt(r.wilson_lo), _fmt(r.wilson_hi),
+            ])
+    elif fmt == "json":
+        json.dump([r.__dict__ for r in results], out, indent=2)
+        out.write("\n")
     else:
-        fh = out
-    try:
-        if fmt == "csv":
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(CSV_COLUMNS)
-            for r in results:
-                w.writerow([
-                    r.scenario, r.phy, _fmt(r.snr_db), _fmt(r.sir_db),
-                    r.frames, r.detected, r.valid,
-                    _fmt(r.per), _fmt(r.wilson_lo), _fmt(r.wilson_hi),
-                ])
-        elif fmt == "json":
-            json.dump([r.__dict__ for r in results], fh, indent=2)
-            fh.write("\n")
-        else:
-            raise ConfigError(f"unknown output format {fmt!r}")
-    finally:
-        if own:
-            fh.close()
+        raise ConfigError(f"unknown output format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------

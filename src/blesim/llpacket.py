@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bits import as_bits, int_to_bits
-from .errors import LengthError, ModeError, PduLengthError
+from .errors import LengthError, ParamError
 from .phymode import PhyMode
 
 ADVERTISING_ACCESS_ADDRESS = 0x8E89BED6
@@ -129,7 +129,7 @@ class LinkLayerPacket:
     def __post_init__(self):
         self.pdu = as_bits(self.pdu)
         if not PDU_MIN_BITS <= self.pdu.size <= PDU_MAX_BITS:
-            raise PduLengthError(
+            raise ParamError(
                 f"PDU is {self.pdu.size} bits, allowed range is "
                 f"{PDU_MIN_BITS}..{PDU_MAX_BITS}"
             )
@@ -140,7 +140,7 @@ class LinkLayerPacket:
 def assemble_uncoded(packet: LinkLayerPacket, mode: PhyMode) -> np.ndarray:
     """On-air bit stream for LE1M/LE2M: preamble | AA | whitened(PDU | CRC)."""
     if mode.coded:
-        raise ModeError(f"{mode.value} packets are built by assemble_coded")
+        raise ParamError(f"{mode.value} packets are built by assemble_coded")
     preamble = mode.preamble_bits(packet.access_address)
     aa = int_to_bits(packet.access_address, 32, lsb_first=True)
     body = np.concatenate([packet.pdu, crc24_bits(packet.pdu, packet.crc_init)])

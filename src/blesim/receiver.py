@@ -4,9 +4,11 @@ Stage order is fixed: AGC -> DC notch -> coarse CFO correction -> matched
 filter -> preamble synchronization (timing + fine CFO) -> differential
 demod -> FEC decode (coded modes) -> de-whitening -> AA/CRC validation.
 Frequency offset is corrected before the matched filter so the filter
-passband actually covers the signal.  The pulse (gmsk.BT) and the
-modulation index h = 0.5 are the transmitter's.  All failures
-downstream of the public API surface as report flags, never exceptions.
+passband actually covers the signal.  The matched filter and the sync
+template use the transmitter's pulse and modulation index, gmsk.BT,
+gmsk.H and gmsk.SPAN; the detector's +-pi/2 steps are those of H = 0.5.
+All failures downstream of the public API surface as report flags, never
+exceptions.
 """
 from __future__ import annotations
 
@@ -30,9 +32,9 @@ from .errors import (
     NoSignalError,
     ParamError,
     SyncFailure,
+    is_number,
 )
 from .gmsk import (
-    BT,
     IqFrame,
     gaussian_taps,
     gmsk_modulate,
@@ -76,8 +78,8 @@ class ReceiverConfig:
     def __post_init__(self):
         self.agc_mode = AgcMode(self.agc_mode)
         self.phy_mode = PhyMode(self.phy_mode)
-        if not 0.9 < self.notch_radius < 1.0:
-            raise ParamError(f"notch radius {self.notch_radius} outside (0.9, 1)")
+        if not (is_number(self.notch_radius) and 0.9 < self.notch_radius < 1.0):
+            raise ParamError(f"notch radius {self.notch_radius!r} outside (0.9, 1)")
         if self.preamble_detect_threshold is None:
             # The noise-only correlation ceiling depends on the reference
             # length: the short uncoded preamble+AA template peaks near 0.70
@@ -85,17 +87,18 @@ class ReceiverConfig:
             self.preamble_detect_threshold = (
                 0.45 if self.phy_mode.coded else 0.75
             )
-        if not 0.0 < self.preamble_detect_threshold <= 1.0:
-            raise ParamError(
-                f"detect threshold {self.preamble_detect_threshold} outside (0, 1]"
-            )
+        threshold = self.preamble_detect_threshold
+        if not (is_number(threshold) and 0.0 < threshold <= 1.0):
+            raise ParamError(f"detect threshold {threshold!r} outside (0, 1]")
         if not PDU_MIN_BITS <= self.pdu_bits <= PDU_MAX_BITS:
             raise ParamError(f"pdu_bits {self.pdu_bits} outside packet limits")
         if self.sps < 2:
             raise ParamError("sps must be >= 2")
         # Checked here, since receive() itself never raises.
-        if not (self.cfo_max_offset_hz is None or self.cfo_max_offset_hz > 0):
-            raise ParamError("cfo_max_offset_hz must be positive")
+        offset = self.cfo_max_offset_hz
+        if not (offset is None or is_number(offset) and offset > 0):
+            raise ParamError(
+                f"cfo_max_offset_hz must be a positive number, got {offset!r}")
 
 
 @dataclass
@@ -197,7 +200,7 @@ def _template(mode: PhyMode, aa: int, sps: int):
     """
     from .coded import fec_encode, pattern_map
 
-    pulse = gaussian_taps(BT, sps)
+    pulse = gaussian_taps(sps)
     if mode.coded:
         aa_bits = int_to_bits(aa, 32, lsb_first=True)
         coded_aa = pattern_map(fec_encode(aa_bits), 8)
@@ -380,7 +383,7 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
     _trace("agc", x)
     x = dc_notch(x, cfg.notch_radius)
     _trace("dc_notch", x)
-    pulse = gaussian_taps(BT, cfg.sps)
+    pulse = gaussian_taps(cfg.sps)
     try:
         # Estimate from a band-limited scratch copy: out-of-band interference
         # would otherwise bury the squared-signal lines.  The stream that

@@ -22,7 +22,7 @@ from blesim.channel import (
     nlos_profile,
     reverberant_profile,
 )
-from blesim.errors import ParamError, ProfileError, RateMismatchError
+from blesim.errors import LengthError, ParamError
 from blesim.gmsk import IqFrame, gaussian_taps, gmsk_modulate
 
 
@@ -67,18 +67,19 @@ def test_awgn_snr_ignores_zero_padding():
 
 
 def test_profile_validation():
-    with pytest.raises(ProfileError):
+    with pytest.raises(ParamError):
         ChannelProfile("bad", taps=())
-    with pytest.raises(ProfileError):
+    with pytest.raises(ParamError):
         ChannelProfile("bad", taps=((0, 0.0), (0, -3.0)))
-    with pytest.raises(ProfileError):
+    with pytest.raises(ParamError):
         ChannelProfile("bad", taps=((-1, 0.0),))
     # Whole-sample delays, levels within 300 dB, a positive reference rate:
     # past those the channel would fail or overflow mid-campaign.
-    for bad in (dict(taps=((1.5, 0.0),)), dict(taps=((0, 400.0),)),
+    for bad in (dict(taps=((1.5, 0.0),)), dict(taps=((np.nan, 0.0),)),
+                dict(taps=((np.inf, 0.0),)), dict(taps=((0, 400.0),)),
                 dict(taps=((0, float("nan")),)), dict(rician_k_db=-np.inf),
                 dict(rician_k_db=1e4), dict(reference_rate_hz=0.0)):
-        with pytest.raises(ProfileError):
+        with pytest.raises(ParamError):
             ChannelProfile("bad", **bad)
     ChannelProfile("ok", rician_k_db=np.inf)
 
@@ -141,7 +142,7 @@ def test_nlos_realization_is_frequency_selective():
 
 def test_fade_rejects_short_frames():
     frame = IqFrame(np.ones(8, complex), 8e6, 1e6)
-    with pytest.raises(ProfileError):
+    with pytest.raises(ParamError):
         fade(frame, reverberant_profile(), 0)
 
 
@@ -284,20 +285,23 @@ def test_interferer_matches_per_sample_oracle(n, fs, bandwidth, offset, duty,
 def test_mix_power_and_linearity():
     rng = np.random.default_rng(47)
     sig = IqFrame(np.exp(2j * np.pi * 0.01 * np.arange(40_000)), 8e6, 1e6)
-    inter = IqFrame(rng.standard_normal(9000) + 1j * rng.standard_normal(9000),
+    inter = IqFrame(rng.standard_normal(40_000) + 1j * rng.standard_normal(40_000),
                     8e6, 312500.0)
     out = mix(sig, inter, 0.0)
     added = out.samples - sig.samples
     ratio = 10 * np.log10(measured_power(sig.samples) / measured_power(added))
     assert abs(ratio) < 0.5
-    # Pure scaling of the (tiled) interferer.
-    tiled = np.tile(inter.samples, 5)[:40_000]
-    alpha = added[0] / tiled[0]
-    assert np.allclose(added, alpha * tiled)
+    # Pure scaling of the interferer.
+    alpha = added[0] / inter.samples[0]
+    assert np.allclose(added, alpha * inter.samples)
     same = mix(sig, inter, np.inf)
     assert np.array_equal(same.samples, sig.samples)
-    with pytest.raises(RateMismatchError):
+    with pytest.raises(ParamError):
         mix(sig, IqFrame(inter.samples, 4e6, 312500.0), 0.0)
+    # An interferer of another length is an error, not tiled or cut.
+    for n in (9000, 40_001):
+        with pytest.raises(LengthError):
+            mix(sig, IqFrame(np.ones(n, complex), 8e6, 312500.0), 0.0)
 
 
 def test_interferer_at_rate_power_fraction():
@@ -334,7 +338,7 @@ def test_interferer_inband_fraction_cases():
 def test_impairments_end_to_end_on_modulated_frame():
     # The full impairment stack keeps the frame decodable metadata intact.
     rng = np.random.default_rng(48)
-    pulse = gaussian_taps(0.5, 8)
+    pulse = gaussian_taps(8)
     frame = gmsk_modulate((rng.integers(0, 2, 200)).astype(np.uint8), pulse)
     out = fade(frame, los_profile(), 1)
     out = apply_cfo(out, 10e3)

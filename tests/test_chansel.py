@@ -10,7 +10,7 @@ from blesim.chansel import (
     csa2_prn,
     csa2_select,
 )
-from blesim.errors import MapError, ParamError
+from blesim.errors import ParamError
 
 ADV_AA = 0x8E89BED6
 
@@ -29,11 +29,11 @@ def random_map(rng):
 
 
 def test_channel_map_validation():
-    with pytest.raises(MapError):
+    with pytest.raises(ParamError):
         ChannelMap([5])
-    with pytest.raises(MapError):
+    with pytest.raises(ParamError):
         ChannelMap([1, 37])
-    with pytest.raises(MapError):
+    with pytest.raises(ParamError):
         ChannelMap([-1, 3])
     m = ChannelMap([9, 3, 3, 30])
     assert m.used == (3, 9, 30)
@@ -49,7 +49,7 @@ def test_channel_map_mask_round_trip():
         mask = f"0x{sum(1 << c for c in m.used):010X}"
         assert ChannelMap.from_mask(mask).used == m.used
     assert ChannelMap.from_mask(0b11).used == (0, 1)
-    with pytest.raises(MapError):
+    with pytest.raises(ParamError):
         ChannelMap.from_mask("0x2000000000")  # bit 37
 
 

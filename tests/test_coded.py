@@ -15,7 +15,7 @@ from blesim.coded import (
     pattern_map,
     viterbi_decode,
 )
-from blesim.errors import LengthError, ModeError
+from blesim.errors import LengthError, ParamError
 from blesim.gmsk import IqFrame, gaussian_taps, gmsk_modulate
 from blesim.llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
@@ -147,7 +147,7 @@ def test_assemble_coded_structure():
         b2 = viterbi_decode(sym[80 + block1_symbol_count():], s)
         body = whiten(b2[:-TERM_BITS], 37)
         assert np.array_equal(body[:64], pdu)
-    with pytest.raises(ModeError):
+    with pytest.raises(ParamError):
         assemble_coded(pkt, PhyMode.LE1M)
 
 
@@ -184,7 +184,7 @@ def test_scheme_from_ci():
     # The receiver decodes block 2 with the scheme the CI announces, and a
     # reserved CI value falls back to the mode's own scheme.
     rng = np.random.default_rng(29)
-    pulse = gaussian_taps(0.5, 8)
+    pulse = gaussian_taps(8)
     pkt = LinkLayerPacket(ADVERTISING_ACCESS_ADDRESS, random_bits(48, rng),
                           ChannelIndex(12))
     for mode, scheme in CODING_SCHEMES.items():

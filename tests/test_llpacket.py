@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from blesim.bits import bits_to_int, int_to_bits, random_bits
-from blesim.errors import LengthError, PduLengthError
+from blesim.errors import LengthError, ParamError
 from blesim.llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
     ADVERTISING_CRC_INIT,
@@ -135,10 +135,10 @@ def test_packet_pdu_length_limits():
                     ChannelIndex(0))
     LinkLayerPacket(ADVERTISING_ACCESS_ADDRESS, random_bits(2056, rng),
                     ChannelIndex(0))
-    with pytest.raises(PduLengthError):
+    with pytest.raises(ParamError):
         LinkLayerPacket(ADVERTISING_ACCESS_ADDRESS, random_bits(8, rng),
                         ChannelIndex(0))
-    with pytest.raises(PduLengthError):
+    with pytest.raises(ParamError):
         LinkLayerPacket(ADVERTISING_ACCESS_ADDRESS, random_bits(2064, rng),
                         ChannelIndex(0))
 

@@ -26,7 +26,7 @@ from blesim.receiver import (
     synchronize,
 )
 
-PULSE = gaussian_taps(0.5, 8)
+PULSE = gaussian_taps(8)
 
 
 def make_frame(mode=PhyMode.LE1M, pdu_bits=64, lead=200, seed=0, channel=37):

@@ -18,7 +18,8 @@ from blesim.channel import (
     nlos_profile,
     reverberant_profile,
 )
-from blesim.errors import ConfigError
+from blesim.chansel import ChannelMap
+from blesim.errors import ConfigError, ParamError
 from blesim.harness import (
     HoppingConfig,
     ScenarioConfig,
@@ -31,6 +32,7 @@ from blesim.harness import (
     scenario_to_dict,
 )
 from blesim.phymode import PhyMode
+from blesim.receiver import ReceiverConfig
 
 BASE = scenario_to_dict(ScenarioConfig(
     id="bad", seed=3, phy_modes=("LE1M",), snr_sweep_db=(30.0,), frames=2,
@@ -70,6 +72,18 @@ BAD_CONFIGS = {
     "cfo past fs/2": {"cfo_range_hz": [-5e6, 5e6]},
     "canned profile rate -5": {"profile": {"kind": "nlos",
                                            "reference_rate_hz": -5}},
+    # Nested objects: a bool is no number, bursts are whole symbols and a
+    # hop map is a hex string or an integer.
+    "cfo_max_offset_hz true": {"receiver": {"cfo_max_offset_hz": True}},
+    "detect threshold true": {"receiver": {"preamble_detect_threshold": True}},
+    "duty cycle true": dict(WLAN, interferer={"duty_cycle": True}),
+    "center offset true": dict(WLAN, interferer={"center_offset_hz": True}),
+    "burst 2.5 symbols": dict(WLAN, interferer={"burst_symbols": 2.5,
+                                                "duty_cycle": 0.5}),
+    "burst true": dict(WLAN, interferer={"burst_symbols": True}),
+    "rician K true": {"profile": {"kind": "los", "rician_k_db": True}},
+    "tap delay true": {"profile": {"taps": [[True, 0.0], [0, -3]]}},
+    "hop map 3.7": hopping(map=3.7),
 }
 
 
@@ -124,6 +138,25 @@ def test_python_constructor_checks_like_json():
     cfg = ScenarioConfig(id="x", seed=1)
     with pytest.raises(ConfigError, match="seed"):
         replace(cfg, seed=-1)
+    # The nested objects' checks live in the component, so Python
+    # construction rejects what a scenario file does.
+    for make in (lambda: ReceiverConfig(cfo_max_offset_hz=True),
+                 lambda: ReceiverConfig(preamble_detect_threshold=True),
+                 lambda: InterfererConfig(duty_cycle=True),
+                 lambda: InterfererConfig(center_offset_hz=True),
+                 lambda: InterfererConfig(burst_symbols=2.5, duty_cycle=0.5),
+                 lambda: InterfererConfig(burst_symbols=True),
+                 lambda: ChannelProfile("los", rician_k_db=True),
+                 lambda: ChannelProfile("c", ((True, 0.0), (0, -3.0))),
+                 lambda: ChannelMap.from_mask(3.7)):
+        with pytest.raises(ParamError):
+            make()
+    # Whole-number float delays and integer masks stay valid.
+    taps = ((0, 0.0), (2.0, -3.0))
+    assert ChannelProfile("c", taps).taps == taps
+    cfg = scenario_from_dict(dict(BASE, profile={"taps": [[0, 0.0], [2.0, -3.0]]},
+                                  **hopping(map=0b11)))
+    assert cfg.profile.taps == taps and cfg._channel_map.used == (0, 1)
 
 
 def test_canned_profile_takes_every_given_field():
@@ -139,7 +172,7 @@ def test_canned_profile_takes_every_given_field():
     assert scenario_from_dict(scenario_to_dict(cfg)) == cfg
     los = scenario_from_dict(dict(BASE, profile={"kind": "los",
                                                  "rician_k_db": 3.0}))
-    assert los.profile == los_profile(3.0)
+    assert los.profile == replace(los_profile(), rician_k_db=3.0)
 
 
 def test_json_defaults_come_from_the_dataclasses():

@@ -19,7 +19,7 @@ from blesim.receiver import (
     synchronize,
 )
 
-PULSE = gaussian_taps(0.5, 8)
+PULSE = gaussian_taps(8)
 
 
 def oracle_synchronize(frame, cfg):
