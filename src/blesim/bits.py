@@ -8,23 +8,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthError
+from .errors import LengthError, ParamError, check_int
 
 
 def as_bits(seq) -> np.ndarray:
-    """Coerce a sequence of 0/1 values to a uint8 bit vector."""
-    bits = np.asarray(seq, dtype=np.uint8)
+    """Coerce a sequence of the integers 0 and 1 to a uint8 bit vector."""
+    bits = np.asarray(seq)
     if bits.ndim != 1:
         raise LengthError("bit vector must be one-dimensional")
-    if bits.size and bits.max() > 1:
-        raise ValueError("bit vector entries must be 0 or 1")
-    return bits
+    kind = bits.dtype.kind
+    if bits.size and (kind not in "ui" or kind == "i" and bits.min() < 0
+                      or bits.max() > 1):
+        raise ParamError("bit vector entries must be the integers 0 or 1")
+    return bits.astype(np.uint8, copy=False)
 
 
 def int_to_bits(value: int, width: int, lsb_first: bool = True) -> np.ndarray:
     """Expand an unsigned integer into `width` bits."""
-    if value < 0 or value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
+    check_int(f"{width}-bit value", value, 0, (1 << width) - 1)
     bits = np.array([(value >> i) & 1 for i in range(width)], dtype=np.uint8)
     return bits if lsb_first else bits[::-1].copy()
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParamError, is_integer
+from .errors import ParamError, check_int
 from .llpacket import ChannelIndex
 
 N_DATA_CHANNELS = 37
@@ -22,9 +22,8 @@ class ChannelMap:
     used: tuple
 
     def __init__(self, used):
-        channels = tuple(sorted(set(int(c) for c in used)))
-        if any(c < 0 or c >= N_DATA_CHANNELS for c in channels):
-            raise ParamError(f"data channels must be 0..36, got {channels}")
+        channels = tuple(sorted({check_int("data channel", c, 0, N_DATA_CHANNELS - 1)
+                                 for c in used}))
         if len(channels) < 2:
             raise ParamError(f"need at least 2 used channels, got {len(channels)}")
         object.__setattr__(self, "used", channels)
@@ -39,13 +38,11 @@ class ChannelMap:
     @classmethod
     def from_mask(cls, mask) -> "ChannelMap":
         """Channels from a bit mask, given as a hex string or an integer."""
-        if isinstance(mask, str):
-            value = int(mask, 16)
-        elif is_integer(mask):
-            value = int(mask)
-        else:
+        try:
+            value = int(mask, 16) if isinstance(mask, str) else check_int("mask", mask)
+        except ValueError:
             raise ParamError(f"channel map must be a hex string or an integer, "
-                             f"got {mask!r}")
+                             f"got {mask!r}") from None
         if value >> N_DATA_CHANNELS:
             raise ParamError(f"mask {value:#x} has bits above channel 36")
         return cls([c for c in range(N_DATA_CHANNELS) if value & (1 << c)])
@@ -63,10 +60,8 @@ class HopState:
     last_unmapped: int = 0
 
     def __post_init__(self):
-        if not 5 <= self.hop_increment <= 16:
-            raise ParamError(f"hop increment {self.hop_increment} outside 5..16")
-        if not 0 <= self.last_unmapped < N_DATA_CHANNELS:
-            raise ParamError("last unmapped channel outside 0..36")
+        check_int("hop increment", self.hop_increment, 5, 16)
+        check_int("last unmapped channel", self.last_unmapped, 0, N_DATA_CHANNELS - 1)
 
 
 def csa1_next(state: HopState, channel_map: ChannelMap

@@ -32,24 +32,22 @@ _PATTERN_ONE = np.array([1, 1, 0, 0], dtype=np.uint8)
 
 
 class CodingScheme(NamedTuple):
-    ci: int         # coding-indicator field value announcing block 2's scheme
-    s: int          # coding scheme S of block 2
-    spreading: int  # on-air symbols per coded bit
+    ci: int  # coding-indicator field value announcing block 2's scheme
+    s: int   # coding scheme S of block 2: on-air symbols per input bit
 
 
 # The one table of the coded modes' block-2 coding.
 CODING_SCHEMES = {
-    PhyMode.LE125K: CodingScheme(ci=0b00, s=8, spreading=4),
-    PhyMode.LE500K: CodingScheme(ci=0b01, s=2, spreading=1),
+    PhyMode.LE125K: CodingScheme(ci=0b00, s=8),
+    PhyMode.LE500K: CodingScheme(ci=0b01, s=2),
 }
 
 
 def _spreading(s: int) -> int:
-    """Symbols per coded bit for coding scheme S."""
-    for scheme in CODING_SCHEMES.values():
-        if scheme.s == s:
-            return scheme.spreading
-    raise ParamError(f"coding scheme S={s} (expected 2 or 8)")
+    """Symbols per coded bit for coding scheme S; the code is rate 1/2."""
+    if s not in (2, 8):
+        raise ParamError(f"coding scheme S={s} (expected 2 or 8)")
+    return s // 2
 
 
 def fec_encode(bits: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from .channel import (
 )
 from .chansel import ChannelMap, HopState, csa1_next, csa2_select
 from .coded import assemble_coded
-from .errors import BlesimError, ConfigError, IoError, is_integer, is_number
+from .errors import BlesimError, ConfigError, IoError, ParamError, check_int, check_real
 from .gmsk import IqFrame, gaussian_taps, gmsk_modulate
 from .llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
@@ -67,6 +67,13 @@ class HoppingConfig:
     map_mask: str = "0x1FFFFFFFFF"
     hop_increment: int = 7
 
+    def __post_init__(self):
+        if self.algorithm not in ("csa1", "csa2"):
+            raise ParamError(f"unknown hop algorithm {self.algorithm!r}")
+        ChannelMap.from_mask(self.map_mask)
+        # Checked under either algorithm, though only CSA#1 hops by it.
+        HopState(self.hop_increment)
+
 
 # ReceiverConfig fields a scenario's `receiver` object may set; the
 # scenario sets the others itself.
@@ -85,19 +92,6 @@ def _as_config_error():
         raise ConfigError(str(exc)) from exc
 
 
-def _integer(name: str, value, lo=-math.inf, hi=math.inf) -> int:
-    if not (is_integer(value) and lo <= value <= hi):
-        raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
-    return int(value)
-
-
-def _real(name: str, value, lo: float, hi: float) -> float:
-    """A number in [lo, hi]; NaN never is."""
-    if not (is_number(value) and lo <= value <= hi):
-        raise ConfigError(f"{name} must be a number in [{lo}, {hi}], got {value!r}")
-    return float(value)
-
-
 def _nonempty(name: str, value) -> tuple:
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
@@ -108,7 +102,7 @@ def _sweep_db(name: str, value) -> tuple:
     # +inf means no noise (SNR) or no interferer power (SIR); finite levels
     # stay within 300 dB so that 10**(dB/10) is a finite float.
     return tuple(
-        v if v == math.inf else _real(name, v, -300.0, 300.0)
+        v if v == math.inf else check_real(name, v, -300.0, 300.0)
         for v in _nonempty(name, value)
     )
 
@@ -118,8 +112,9 @@ class ScenarioConfig:
     """One campaign: the link, its impairments and the sweep.
 
     Construction checks every field, from JSON, the CLI or Python alike,
-    and builds once what every frame reuses; a bad value raises
-    ConfigError here, never mid-campaign.  Change a field with
+    and builds once what every frame reuses; the link's fields are checked
+    by the channel, hop and receiver objects built from them.  A bad value
+    raises ConfigError here, never mid-campaign.  Change a field with
     dataclasses.replace, which checks again; attribute assignment does not.
     """
 
@@ -156,7 +151,7 @@ class ScenarioConfig:
         if not isinstance(self.id, str):
             raise ConfigError(f"id must be a string, got {self.id!r}")
         self._id_key = zlib.crc32(self.id.encode())
-        self.seed = _integer("seed", self.seed, 0)
+        self.seed = check_int("seed", self.seed, 0)
         modes = _nonempty("phy_modes", self.phy_modes)
         self.phy_modes = tuple(PhyMode(m) for m in modes)
         self.snr_sweep_db = _sweep_db("snr_sweep_db", self.snr_sweep_db)
@@ -164,30 +159,20 @@ class ScenarioConfig:
             raise ConfigError("a sir sweep needs an interferer and vice versa")
         if self.sir_sweep_db is not None:
             self.sir_sweep_db = _sweep_db("sir_sweep_db", self.sir_sweep_db)
-        self.frames = _integer("frames", self.frames, 1)
-        self.pdu_bits = _integer("pdu_bits", self.pdu_bits)
-        self.access_address = _integer("access_address", self.access_address,
-                                       0, 2**32 - 1)
-        self.crc_init = _integer("crc_init", self.crc_init, 0, 2**24 - 1)
-        # 64 bounds the samples, and so the memory, of one frame.
-        self.sps = _integer("sps", self.sps, 2, 64)
+        self.frames = check_int("frames", self.frames, 1)
         if self.dc_dbc is not None:
-            self.dc_dbc = _real("dc_dbc", self.dc_dbc, -300.0, 300.0)
+            self.dc_dbc = check_real("dc_dbc", self.dc_dbc, -300.0, 300.0)
 
         self._channel = self._channel_map = self._hop = None
         if (self.channel is None) == (self.hopping is None):
             raise ConfigError("exactly one of channel / hopping must be set")
         if self.channel is not None:
-            self._channel = ChannelIndex(_integer("channel", self.channel, 0, 39))
+            self._channel = ChannelIndex(self.channel)
         else:
             hop = self.hopping
-            if hop.algorithm not in ("csa1", "csa2"):
-                raise ConfigError(f"unknown hop algorithm {hop.algorithm!r}")
             self._channel_map = ChannelMap.from_mask(hop.map_mask)
-            # 5..16 under either algorithm, though only CSA#1 hops by it.
-            increment = _integer("hop_increment", hop.hop_increment, 5, 16)
             if hop.algorithm == "csa1":
-                self._hop = HopState(increment)
+                self._hop = HopState(hop.hop_increment)
 
         if not isinstance(self.receiver, dict) or set(self.receiver) - _RECEIVER_KEYS:
             raise ConfigError(f"receiver must be an object with keys among "
@@ -201,13 +186,17 @@ class ScenarioConfig:
             )
             for mode in self.phy_modes
         }
+        # The receivers checked the link's fields; keep the ints they hold.
+        rx = self._rx[self.phy_modes[0]]
+        self.access_address, self.pdu_bits, self.crc_init, self.sps = (
+            rx.expected_access_address, rx.pdu_bits, rx.crc_init, rx.sps)
 
         rates = [mode.symbol_rate * self.sps for mode in self.phy_modes]
         # apply_cfo needs every draw strictly inside +-fs/2.
         nyquist = math.nextafter(min(rates) / 2.0, 0.0)
         cfo = _nonempty("cfo_range_hz", self.cfo_range_hz)
         self.cfo_range_hz = tuple(
-            _real("cfo_range_hz", v, -nyquist, nyquist) for v in cfo)
+            check_real("cfo_range_hz", v, -nyquist, nyquist) for v in cfo)
         if len(cfo) != 2 or cfo[0] > cfo[1]:
             raise ConfigError(f"cfo_range_hz must be [lo, hi], lo <= hi, got {cfo!r}")
 
@@ -327,7 +316,8 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> list[PerResult]:
     therefore errors, not exclusions.  Each point splits into `jobs` chunks
     of consecutive frames, run by at most one worker per core.
     """
-    jobs = _integer("jobs", jobs, 1)
+    with _as_config_error():
+        jobs = check_int("jobs", jobs, 1)
     points = [
         (snr, sir)
         for snr in cfg.snr_sweep_db

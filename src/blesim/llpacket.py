@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bits import as_bits, int_to_bits
-from .errors import LengthError, ParamError
+from .errors import LengthError, ParamError, check_int
 from .phymode import PhyMode
 
 ADVERTISING_ACCESS_ADDRESS = 0x8E89BED6
@@ -90,9 +90,7 @@ def _whitening_period(channel: int) -> np.ndarray:
 
 
 def whitening_sequence(channel: int, n: int) -> np.ndarray:
-    if not 0 <= channel <= 39:
-        raise ValueError(f"channel index {channel} out of range 0..39")
-    period = _whitening_period(channel)
+    period = _whitening_period(ChannelIndex(channel).index)
     reps = -(-n // 127)
     return np.tile(period, reps)[:n]
 
@@ -110,8 +108,7 @@ class ChannelIndex:
     index: int
 
     def __post_init__(self):
-        if not 0 <= self.index <= 39:
-            raise ValueError(f"channel index {self.index} out of range 0..39")
+        check_int("channel index", self.index, 0, 39)
 
 
 @dataclass
@@ -128,13 +125,11 @@ class LinkLayerPacket:
 
     def __post_init__(self):
         self.pdu = as_bits(self.pdu)
-        if not PDU_MIN_BITS <= self.pdu.size <= PDU_MAX_BITS:
-            raise ParamError(
-                f"PDU is {self.pdu.size} bits, allowed range is "
-                f"{PDU_MIN_BITS}..{PDU_MAX_BITS}"
-            )
-        if not 0 <= self.access_address < (1 << 32):
-            raise ValueError("access address must be a 32-bit value")
+        check_int("PDU bits", self.pdu.size, PDU_MIN_BITS, PDU_MAX_BITS)
+        check_int("access address", self.access_address, 0, 2**32 - 1)
+        check_int("crc_init", self.crc_init, 0, 2**24 - 1)
+        if not isinstance(self.channel, ChannelIndex):
+            raise ParamError(f"channel must be a ChannelIndex, got {self.channel!r}")
 
 
 def assemble_uncoded(packet: LinkLayerPacket, mode: PhyMode) -> np.ndarray:

@@ -20,9 +20,10 @@ import numpy as np
 from scipy.fft import fft, fftfreq, ifft
 from scipy.signal import lfilter
 
-from .bits import bits_to_int, int_to_bits
+from .bits import bits_to_int
 from .coded import (
     CODING_SCHEMES,
+    assemble_coded,
     block1_symbol_count,
     block2_symbol_count,
     viterbi_decode,
@@ -32,6 +33,7 @@ from .errors import (
     NoSignalError,
     ParamError,
     SyncFailure,
+    check_int,
     is_number,
 )
 from .gmsk import (
@@ -45,6 +47,9 @@ from .llpacket import (
     ADVERTISING_CRC_INIT,
     PDU_MAX_BITS,
     PDU_MIN_BITS,
+    ChannelIndex,
+    LinkLayerPacket,
+    assemble_uncoded,
     validate_packet,
     whiten,
 )
@@ -78,6 +83,14 @@ class ReceiverConfig:
     def __post_init__(self):
         self.agc_mode = AgcMode(self.agc_mode)
         self.phy_mode = PhyMode(self.phy_mode)
+        # Every field is checked here, since receive() itself never raises.
+        self.expected_access_address = check_int(
+            "access address", self.expected_access_address, 0, 2**32 - 1)
+        ChannelIndex(self.channel)
+        self.pdu_bits = check_int("pdu_bits", self.pdu_bits, PDU_MIN_BITS, PDU_MAX_BITS)
+        self.crc_init = check_int("crc_init", self.crc_init, 0, 2**24 - 1)
+        # 64 bounds the samples, and so the memory, of one frame.
+        self.sps = check_int("sps", self.sps, 2, 64)
         if not (is_number(self.notch_radius) and 0.9 < self.notch_radius < 1.0):
             raise ParamError(f"notch radius {self.notch_radius!r} outside (0.9, 1)")
         if self.preamble_detect_threshold is None:
@@ -90,11 +103,6 @@ class ReceiverConfig:
         threshold = self.preamble_detect_threshold
         if not (is_number(threshold) and 0.0 < threshold <= 1.0):
             raise ParamError(f"detect threshold {threshold!r} outside (0, 1]")
-        if not PDU_MIN_BITS <= self.pdu_bits <= PDU_MAX_BITS:
-            raise ParamError(f"pdu_bits {self.pdu_bits} outside packet limits")
-        if self.sps < 2:
-            raise ParamError("sps must be >= 2")
-        # Checked here, since receive() itself never raises.
         offset = self.cfo_max_offset_hz
         if not (offset is None or is_number(offset) and offset > 0):
             raise ParamError(
@@ -191,26 +199,19 @@ def coarse_cfo_estimate(frame: IqFrame, max_offset_hz: float | None = None) -> f
 def _template(mode: PhyMode, aa: int, sps: int):
     """Known-waveform template for sync: preamble plus access-address part.
 
-    Coded modes use the 80-symbol preamble and the (address-only prefix of
-    the) S=8 first FEC block, both independent of payload.  Returns the
-    matched-filtered samples, the segments' sample ranges for
-    piecewise-coherent correlation, and their overlap-save block size
-    (fixed per mode, so one cache entry serves every frame length),
+    The transmitter's symbols up to the end of the access address; in coded
+    modes that is the 80-symbol preamble and the first 256 symbols of the
+    S=8 first FEC block, which the causal encoder derives from the address
+    alone.  Returns the matched-filtered samples, the segments' sample
+    ranges for piecewise-coherent correlation, and their overlap-save block
+    size (fixed per mode, so one cache entry serves every frame length),
     conjugate spectra and norms.
     """
-    from .coded import fec_encode, pattern_map
-
     pulse = gaussian_taps(sps)
-    if mode.coded:
-        aa_bits = int_to_bits(aa, 32, lsb_first=True)
-        coded_aa = pattern_map(fec_encode(aa_bits), 8)
-        bits = np.concatenate([mode.preamble_bits(), coded_aa])
-        seg_sym = 32
-    else:
-        bits = np.concatenate(
-            [mode.preamble_bits(aa), int_to_bits(aa, 32, lsb_first=True)]
-        )
-        seg_sym = 8
+    assemble, aa_symbols, seg_sym = (
+        (assemble_coded, 256, 32) if mode.coded else (assemble_uncoded, 32, 8))
+    bits = assemble(LinkLayerPacket(access_address=aa), mode)[
+        :mode.preamble_len + aa_symbols]
     ref = matched_filter(gmsk_modulate(bits, pulse), pulse).samples
     d = 2 * pulse.delay
     n_seg = bits.size // seg_sym

@@ -7,6 +7,7 @@ from blesim.coded import (
     BLOCK1_INPUT_BITS,
     CODING_SCHEMES,
     TERM_BITS,
+    _spreading,
     assemble_coded,
     block1_symbol_count,
     block2_symbol_count,
@@ -66,11 +67,11 @@ def test_pattern_map_shapes_and_values():
     assert np.array_equal(s2, bits)
     s8 = pattern_map(bits, 8)
     assert s8.tolist() == [0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1]
-    # The table's symbols per coded bit are what the mapper emits.
+    # The symbols per coded bit derived from S are what the mapper emits.
     for scheme in CODING_SCHEMES.values():
         out = pattern_map(bits, scheme.s)
-        assert out.size == scheme.spreading * bits.size
-    assert {c.s: c.spreading for c in CODING_SCHEMES.values()} == {8: 4, 2: 1}
+        assert out.size == _spreading(scheme.s) * bits.size
+    assert {c.s: _spreading(c.s) for c in CODING_SCHEMES.values()} == {8: 4, 2: 1}
 
 
 def test_pattern_demap_soft_combination():

@@ -1,6 +1,7 @@
 """Receiver stage tests: AGC, notch, CFO, sync, and the full chain."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blesim import harness
 from blesim.bits import random_bits
@@ -338,3 +339,35 @@ def test_receiver_config_validation():
     # Default detect threshold tracks the sync reference length.
     assert cfg.preamble_detect_threshold == 0.45
     assert default_cfg(PhyMode.LE2M).preamble_detect_threshold == 0.75
+
+
+# Each link field's valid and boundary values, then its bool, float and
+# out-of-range ones.
+LINK_VALUES = {
+    "expected_access_address": ([0x71764129, 0, 2**32 - 1],
+                                [True, 1.0, 2.5, -1, 2**32, 2**40]),
+    "channel": ([9, 0, 39], [True, 37.0, 1.5, -1, 40, 99]),
+    "pdu_bits": ([64, 16, 2056], [True, 128.0, 15, 2057]),
+    "crc_init": ([0x123456, 0, 2**24 - 1], [True, 0.5, -1, 2**24]),
+    "sps": ([8, 2, 3, 64], [True, 8.0, 8.5, 1, 65]),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(list(PhyMode)),
+       link=st.fixed_dictionaries({
+           key: st.one_of(*3 * [st.sampled_from(good)], st.sampled_from(bad))
+           for key, (good, bad) in LINK_VALUES.items()}))
+def test_receiver_config_that_constructs_decodes_a_clean_frame(mode, link):
+    try:
+        cfg = ReceiverConfig(phy_mode=mode, **link)
+    except ParamError:
+        return
+    pdu = random_bits(cfg.pdu_bits, np.random.default_rng(5))
+    pkt = LinkLayerPacket(cfg.expected_access_address, pdu,
+                          ChannelIndex(cfg.channel), cfg.crc_init)
+    bits = assemble_coded(pkt, mode) if mode.coded else assemble_uncoded(pkt, mode)
+    tx = gmsk_modulate(bits, gaussian_taps(cfg.sps), symbol_rate=mode.symbol_rate)
+    pad = np.zeros(32 * cfg.sps, complex)
+    report = receive(tx.replace(np.concatenate([pad, tx.samples, pad])), cfg)
+    assert report.crc_ok, report.reason

@@ -18,7 +18,7 @@ from blesim.channel import (
     nlos_profile,
     reverberant_profile,
 )
-from blesim.chansel import ChannelMap
+from blesim.chansel import ChannelMap, HopState
 from blesim.errors import ConfigError, ParamError
 from blesim.harness import (
     HoppingConfig,
@@ -31,6 +31,7 @@ from blesim.harness import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from blesim.llpacket import ChannelIndex, LinkLayerPacket
 from blesim.phymode import PhyMode
 from blesim.receiver import ReceiverConfig
 
@@ -148,9 +149,19 @@ def test_python_constructor_checks_like_json():
                  lambda: InterfererConfig(burst_symbols=True),
                  lambda: ChannelProfile("los", rician_k_db=True),
                  lambda: ChannelProfile("c", ((True, 0.0), (0, -3.0))),
-                 lambda: ChannelMap.from_mask(3.7)):
+                 lambda: ChannelMap.from_mask(3.7),
+                 lambda: HoppingConfig("csa3"),
+                 lambda: HoppingConfig(hop_increment=7.5),
+                 lambda: ChannelMap([1.5, 3]),
+                 lambda: ChannelMap([True, 3]),
+                 lambda: HopState(7.5),
+                 lambda: ChannelIndex(True),
+                 lambda: LinkLayerPacket(access_address=1.5)):
         with pytest.raises(ParamError):
             make()
+    # The receivers' checks hand the link's fields back as ints.
+    cfg = ScenarioConfig(id="x", seed=1, pdu_bits=np.int64(32), sps=np.uint8(4))
+    assert type(cfg.pdu_bits) is int and type(cfg.sps) is int
     # Whole-number float delays and integer masks stay valid.
     taps = ((0, 0.0), (2.0, -3.0))
     assert ChannelProfile("c", taps).taps == taps
