@@ -19,18 +19,14 @@ from .errors import LengthError, ParamError, is_integer, is_number
 from .gmsk import IqFrame
 
 
-def _active_mask(samples: np.ndarray) -> np.ndarray:
-    power = np.abs(samples) ** 2
-    peak = power.max(initial=0.0)
-    return power > peak * 1e-12
-
-
 def measured_power(samples: np.ndarray) -> float:
-    """Mean power over active (non-padding) samples; 0 for an empty frame."""
-    mask = _active_mask(samples)
-    if not mask.any():
+    """Mean power over active (non-padding) samples, those above 1e-12 of
+    the peak power; 0 for an empty frame."""
+    power = np.abs(samples) ** 2
+    active = power[power > power.max(initial=0.0) * 1e-12]
+    if not active.size:
         return 0.0
-    return float(np.mean(np.abs(samples[mask]) ** 2))
+    return float(np.mean(active))
 
 
 def awgn(frame: IqFrame, snr_db: float, seed: int) -> IqFrame:

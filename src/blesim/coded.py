@@ -105,22 +105,20 @@ def _as_soft(symbols: np.ndarray) -> np.ndarray:
     return symbols.astype(np.float64)
 
 
-# Trellis tables, indexed by destination state (3 bits, newest first).
+# Trellis table, indexed by destination state (3 bits, newest first).
 # State s encodes (b[n-1], b[n-2], b[n-3]); destination t = (b<<2)|(s>>1)
-# has two predecessors 2*(t&3) and 2*(t&3)+1 with input bit t>>2.
-_PRED = np.empty((8, 2), dtype=np.int64)
-_SIGN0 = np.empty((8, 2), dtype=np.float64)
-_SIGN1 = np.empty((8, 2), dtype=np.float64)
-for _t in range(8):
-    _b = _t >> 2
-    for _k in range(2):
-        _s = ((_t & 3) << 1) | _k
-        _PRED[_t, _k] = _s
-        _s2, _s1, _s0 = (_s >> 2) & 1, (_s >> 1) & 1, _s & 1
-        _g0 = _b ^ _s2 ^ _s1 ^ _s0
-        _g1 = _b ^ _s1 ^ _s0
-        _SIGN0[_t, _k] = 2.0 * _g0 - 1.0
-        _SIGN1[_t, _k] = 2.0 * _g1 - 1.0
+# has two predecessors 2*(t&3) and 2*(t&3)+1 with input bit t>>2.  Entry
+# t holds, per predecessor, its state and the antipodal signs (+1 for a
+# coded 1) of the g0 and g1 bits on that branch.
+def _branch(t: int, s: int) -> tuple:
+    b, s2, s1, s0 = t >> 2, (s >> 2) & 1, (s >> 1) & 1, s & 1
+    g0 = b ^ s2 ^ s1 ^ s0
+    g1 = b ^ s1 ^ s0
+    return s, 2.0 * g0 - 1.0, 2.0 * g1 - 1.0
+
+
+_TRELLIS = tuple(_branch(t, (t & 3) << 1) + _branch(t, ((t & 3) << 1) | 1)
+                 for t in range(8))
 
 
 def viterbi_decode(symbols: np.ndarray, s: int) -> np.ndarray:
@@ -133,27 +131,37 @@ def viterbi_decode(symbols: np.ndarray, s: int) -> np.ndarray:
     soft = pattern_demap(symbols, s)
     if soft.size % 2:
         raise LengthError(f"{soft.size} coded bits do not form (g0, g1) pairs")
-    n_steps = soft.size // 2
-    if n_steps == 0:
+    if soft.size == 0:
         raise LengthError("empty coded block")
-    l0 = soft[0::2]
-    l1 = soft[1::2]
 
-    pm = np.full(8, -np.inf)
-    pm[0] = 0.0
-    backptr = np.empty((n_steps, 8), dtype=np.int8)
-    for i in range(n_steps):
-        cand = pm[_PRED] + l0[i] * _SIGN0 + l1[i] * _SIGN1
-        best = np.argmax(cand, axis=1)
-        pm = cand[np.arange(8), best]
-        backptr[i] = best
+    # Scalar add-compare-select over Python floats: on an 8-state trellis
+    # numpy's per-call overhead costs more than the arithmetic.  Each
+    # candidate is summed as (metric + g0 term) + g1 term, and a tie keeps
+    # predecessor 0, so the bits are those of an argmax over the pair.
+    # `back` holds each step's surviving predecessor state per state.
+    pm = [0.0] + [-np.inf] * 7
+    back = []
+    for x0, x1 in zip(soft[0::2].tolist(), soft[1::2].tolist()):
+        metrics = []
+        choice = []
+        for p0, a0, b0, p1, a1, b1 in _TRELLIS:
+            m0 = pm[p0] + x0 * a0 + x1 * b0
+            m1 = pm[p1] + x0 * a1 + x1 * b1
+            if m1 > m0:
+                metrics.append(m1)
+                choice.append(p1)
+            else:
+                metrics.append(m0)
+                choice.append(p0)
+        pm = metrics
+        back.append(choice)
 
-    bits = np.empty(n_steps, dtype=np.uint8)
+    bits = []
     state = 0
-    for i in range(n_steps - 1, -1, -1):
-        bits[i] = state >> 2
-        state = _PRED[state, backptr[i, state]]
-    return bits
+    for choice in reversed(back):
+        bits.append(state >> 2)
+        state = choice[state]
+    return np.array(bits[::-1], dtype=np.uint8)
 
 
 def assemble_coded(packet: LinkLayerPacket, mode: PhyMode) -> np.ndarray:

@@ -59,3 +59,13 @@ def check_real(name: str, value, lo: float, hi: float) -> float:
     if not (is_number(value) and lo <= value <= hi):
         raise ParamError(f"{name} must be a number in [{lo}, {hi}], got {value!r}")
     return float(value)
+
+
+def check_enum(name: str, cls, value):
+    """`value` as a member of the Enum `cls`; else ParamError naming the
+    valid values."""
+    try:
+        return cls(value)
+    except ValueError:
+        valid = ", ".join(repr(m.value) for m in cls)
+        raise ParamError(f"{name} must be one of {valid}, got {value!r}") from None

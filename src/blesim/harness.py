@@ -168,6 +168,7 @@ class ScenarioConfig:
             raise ConfigError("exactly one of channel / hopping must be set")
         if self.channel is not None:
             self._channel = ChannelIndex(self.channel)
+            self.channel = self._channel.index
         else:
             hop = self.hopping
             self._channel_map = ChannelMap.from_mask(hop.map_mask)

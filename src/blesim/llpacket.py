@@ -108,7 +108,7 @@ class ChannelIndex:
     index: int
 
     def __post_init__(self):
-        check_int("channel index", self.index, 0, 39)
+        object.__setattr__(self, "index", check_int("channel index", self.index, 0, 39))
 
 
 @dataclass

@@ -33,6 +33,7 @@ from .errors import (
     NoSignalError,
     ParamError,
     SyncFailure,
+    check_enum,
     check_int,
     is_number,
 )
@@ -81,12 +82,12 @@ class ReceiverConfig:
     cfo_max_offset_hz: float | None = None
 
     def __post_init__(self):
-        self.agc_mode = AgcMode(self.agc_mode)
-        self.phy_mode = PhyMode(self.phy_mode)
         # Every field is checked here, since receive() itself never raises.
+        self.agc_mode = check_enum("agc_mode", AgcMode, self.agc_mode)
+        self.phy_mode = check_enum("phy_mode", PhyMode, self.phy_mode)
         self.expected_access_address = check_int(
             "access address", self.expected_access_address, 0, 2**32 - 1)
-        ChannelIndex(self.channel)
+        self.channel = ChannelIndex(self.channel).index
         self.pdu_bits = check_int("pdu_bits", self.pdu_bits, PDU_MIN_BITS, PDU_MAX_BITS)
         self.crc_init = check_int("crc_init", self.crc_init, 0, 2**24 - 1)
         # 64 bounds the samples, and so the memory, of one frame.
@@ -154,13 +155,39 @@ def dc_notch(frame: IqFrame, radius: float = 0.999) -> IqFrame:
     return frame.replace(y)
 
 
+@lru_cache(maxsize=32)
+def _cfo_search(nfft: int, fs: float, rs: float, max_offset_hz: float):
+    """The bins coarse_cfo_estimate reads from an nfft-point spectrum.
+
+    The search window (offsets up to max_offset_hz) is a run of bins
+    around 0 Hz; `bins` is that run in circular order with one more bin on
+    each side, so a bin's neighbours sit next to it even where the run
+    wraps through bin 0.  Returns the pair bins bins -+ shift, which of
+    them fall under rs/8 (muted, see coarse_cfo_estimate), the frequency
+    of each bin, and the positions of the window's own bins in ascending
+    bin order, the order in which the search meets them.
+    """
+    freqs = fftfreq(nfft, 1.0 / fs)
+    shift = int(round((rs / 2.0) / (fs / nfft)))
+    window = np.flatnonzero(np.abs(freqs) <= 2.0 * max_offset_hz)
+    signed = (window + nfft // 2) % nfft - nfft // 2
+    bins = np.arange(signed.min() - 1, signed.max() + 2) % nfft
+    pair_bins = np.stack([(bins - shift) % nfft, (bins + shift) % nfft])
+    muted = np.abs(freqs[pair_bins]) < rs / 8.0
+    tables = pair_bins, muted, freqs[bins], signed - signed.min() + 1
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def coarse_cfo_estimate(frame: IqFrame, max_offset_hz: float | None = None) -> float:
     """Estimate carrier offset from the modulation-stripped (squared) signal.
 
     Squaring doubles the modulation index to 1, which concentrates energy
     in two lines at 2*cfo +- symbol_rate/2; the midpoint of that pair is
     twice the offset.  An FFT searches the pair's midpoint over offsets up
-    to max_offset_hz (default a quarter of the symbol rate).
+    to max_offset_hz (default a quarter of the symbol rate); the power
+    spectrum is formed only on the bins that search reads.
     """
     x = frame.samples
     if len(x) < 16 or float(np.mean(np.abs(x) ** 2)) < 1e-15:
@@ -174,24 +201,20 @@ def coarse_cfo_estimate(frame: IqFrame, max_offset_hz: float | None = None) -> f
     # (fs/nfft divides rs/2 for a power-of-two sps); next_fast_len sizes
     # do not, and the pair metric then misses its lines.
     nfft = 1 << int(np.ceil(np.log2(2 * len(sq))))
-    spec = np.abs(fft(sq, nfft)) ** 2
-    freqs = fftfreq(nfft, 1.0 / fs)
+    spectrum = fft(sq, nfft)
+    pair_bins, muted, freqs, order = _cfo_search(nfft, fs, rs, max_offset_hz)
+    power = np.abs(spectrum[pair_bins]) ** 2
     # Any residual DC offset squares to a line at 0 Hz which would alias
     # into the pair metric at +-rs/4; the genuine lines sit at
     # 2*cfo +- rs/2 and never come near 0 Hz for in-range offsets.
-    spec[np.abs(freqs) < rs / 8.0] = 0.0
-    shift = int(round((rs / 2.0) / (fs / nfft)))
-
-    def pair(k):
-        return spec[(k - shift) % nfft] + spec[(k + shift) % nfft]
-
-    idx = np.flatnonzero(np.abs(freqs) <= 2.0 * max_offset_hz)
-    k = idx[np.argmax(pair(idx))]
-    # Parabolic refinement on the log-magnitude around the winning bin.
-    below, peak, above = pair(np.array([k - 1, k, k + 1]))
+    power[muted] = 0.0
+    pair = power[0] + power[1]
+    i = order[np.argmax(pair[order])]
+    # Parabolic refinement on the pair metric around the winning bin.
+    below, peak, above = pair[i - 1:i + 2]
     denom = below - 2.0 * peak + above
     delta = 0.0 if denom == 0 else 0.5 * (below - above) / denom
-    f2 = (freqs[k] + delta * fs / nfft)
+    f2 = (freqs[i] + delta * fs / nfft)
     return float(f2 / 2.0)
 
 
@@ -232,7 +255,8 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig) -> SyncResult:
     kHz of post-coarse frequency error; the phase ramp across segment
     correlations then gives the fine CFO.  The correlations run by
     overlap-save: one FFT of the frame's blocks is shared by every
-    segment, and each segment costs one inverse FFT.
+    segment, and each segment inverse-FFTs only the blocks that hold its
+    lags.
     """
     ref, segments, nfft, spectra, norms = _template(
         cfg.phy_mode, cfg.expected_access_address, cfg.sps)
@@ -262,8 +286,11 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig) -> SyncResult:
     num = np.zeros(n_lags)
     den = np.full(n_lags, 1e-30)
     for (a, _), spec, norm in zip(segments, spectra, norms):
-        c = ifft(blocks * spec, axis=1, overwrite_x=True)
-        num += np.abs(c[:, :step]).ravel()[a - p0:a - p0 + n_lags]
+        # Segment (a, b) reads its lags from block rows first..last only.
+        first, offset = divmod(a - p0, step)
+        last = (a - p0 + n_lags - 1) // step
+        c = ifft(blocks[first:last + 1] * spec, axis=1, overwrite_x=True)
+        num += np.abs(c[:, :step]).ravel()[offset:offset + n_lags]
         den += norm * rms[a:a + n_lags]
     rho = num / den
     tau = int(np.argmax(rho))

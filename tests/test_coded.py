@@ -1,6 +1,8 @@
-"""Coded-mode tests: FEC against a polynomial-convolution oracle, Viterbi."""
+"""Coded-mode tests: FEC against a polynomial-convolution oracle, Viterbi
+against a per-step numpy decoder."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blesim.bits import bits_to_int, int_to_bits, random_bits
 from blesim.coded import (
@@ -90,6 +92,77 @@ def test_pattern_round_trip_hard():
         bits = random_bits(120, rng)
         soft = pattern_demap(pattern_map(bits, s), s)
         assert np.array_equal((soft > 0).astype(np.uint8), bits)
+
+
+# The oracle's trellis, indexed by destination state (3 bits, newest
+# first): state s encodes (b[n-1], b[n-2], b[n-3]); destination
+# t = (b<<2)|(s>>1) has predecessors 2*(t&3) and 2*(t&3)+1 with input bit
+# t>>2, and each branch's g0/g1 signs come from the generator taps.
+_PRED = np.empty((8, 2), dtype=np.int64)
+_SIGN0 = np.empty((8, 2), dtype=np.float64)
+_SIGN1 = np.empty((8, 2), dtype=np.float64)
+for _t in range(8):
+    _b = _t >> 2
+    for _k in range(2):
+        _s = ((_t & 3) << 1) | _k
+        _PRED[_t, _k] = _s
+        _s2, _s1, _s0 = (_s >> 2) & 1, (_s >> 1) & 1, _s & 1
+        _SIGN0[_t, _k] = 2.0 * (_b ^ _s2 ^ _s1 ^ _s0) - 1.0
+        _SIGN1[_t, _k] = 2.0 * (_b ^ _s1 ^ _s0) - 1.0
+
+
+def viterbi_oracle(symbols, s):
+    """Per-step numpy add-compare-select: each state keeps the argmax of
+    its two candidates, so a tie goes to predecessor 0."""
+    soft = pattern_demap(symbols, s)
+    n_steps = soft.size // 2
+    l0 = soft[0::2]
+    l1 = soft[1::2]
+    pm = np.full(8, -np.inf)
+    pm[0] = 0.0
+    backptr = np.empty((n_steps, 8), dtype=np.int8)
+    for i in range(n_steps):
+        cand = pm[_PRED] + l0[i] * _SIGN0 + l1[i] * _SIGN1
+        best = np.argmax(cand, axis=1)
+        pm = cand[np.arange(8), best]
+        backptr[i] = best
+    bits = np.empty(n_steps, dtype=np.uint8)
+    state = 0
+    for i in range(n_steps - 1, -1, -1):
+        bits[i] = state >> 2
+        state = _PRED[state, backptr[i, state]]
+    return bits
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(s=st.sampled_from([2, 8]),
+       steps=st.integers(1, 300),
+       kind=st.sampled_from(["gaussian", "hard", "integer"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_viterbi_matches_numpy_oracle(s, steps, kind, seed):
+    # Hard 0/1 symbols and small integer soft values make path metrics
+    # tie exactly, where the decoder must still pick predecessor 0.
+    rng = np.random.default_rng(seed)
+    n = steps * 2 * _spreading(s)
+    if kind == "gaussian":
+        symbols = rng.standard_normal(n)
+    elif kind == "hard":
+        symbols = rng.integers(0, 2, n).astype(np.uint8)
+    else:
+        symbols = rng.integers(-2, 3, n).astype(np.float64)
+    assert np.array_equal(viterbi_decode(symbols, s), viterbi_oracle(symbols, s))
+
+
+def test_viterbi_returns_bits_on_nan_input():
+    rng = np.random.default_rng(30)
+    for s in (2, 8):
+        n = 40 * 2 * _spreading(s)
+        partly = rng.standard_normal(n)
+        partly[::7] = np.nan
+        for soft in (np.full(n, np.nan), partly):
+            bits = viterbi_decode(soft, s)
+            assert bits.dtype == np.uint8 and bits.shape == (40,)
+            assert set(bits.tolist()) <= {0, 1}
 
 
 def test_viterbi_round_trip():

@@ -126,8 +126,9 @@ def test_coarse_cfo_50k_on_le2m_and_coded_frames(mode, pdu_bits, offset):
         assert abs(est - offset) < 10e3, (seed, est)
 
 
-def _coarse_cfo_rolled(frame, max_offset_hz=None):
-    """Oracle: the pair metric built by rolling the whole spectrum."""
+def _rolled_pair_search(frame, max_offset_hz):
+    """Oracle's search: the pair metric built by rolling the whole
+    spectrum, the window's bins and the winning bin."""
     x, fs, rs = frame.samples, frame.sample_rate, frame.symbol_rate
     if max_offset_hz is None:
         max_offset_hz = rs / 4.0
@@ -139,11 +140,17 @@ def _coarse_cfo_rolled(frame, max_offset_hz=None):
     shift = int(round((rs / 2.0) / (fs / nfft)))
     pair = np.roll(spec, shift) + np.roll(spec, -shift)
     idx = np.flatnonzero(np.abs(freqs) <= 2.0 * max_offset_hz)
-    k = idx[np.argmax(pair[idx])]
+    return pair, freqs, idx, idx[np.argmax(pair[idx])]
+
+
+def _coarse_cfo_rolled(frame, max_offset_hz=None):
+    """Oracle: the pair metric built by rolling the whole spectrum."""
+    pair, freqs, _, k = _rolled_pair_search(frame, max_offset_hz)
+    nfft = pair.size
     km, kp = (k - 1) % nfft, (k + 1) % nfft
     denom = pair[km] - 2.0 * pair[k] + pair[kp]
     delta = 0.0 if denom == 0 else 0.5 * (pair[km] - pair[kp]) / denom
-    return float((freqs[k] + delta * fs / nfft) / 2.0)
+    return float((freqs[k] + delta * frame.sample_rate / nfft) / 2.0)
 
 
 def test_coarse_cfo_matches_rolled_pair_metric():
@@ -160,6 +167,21 @@ def test_coarse_cfo_matches_rolled_pair_metric():
     for offset in (-150e3, 0.0, 240e3):
         hit = apply_cfo(frame, offset)
         assert coarse_cfo_estimate(hit) == _coarse_cfo_rolled(hit)
+    for max_offset in (None, 100e3, 400e3):
+        _, freqs, idx, _ = _rolled_pair_search(frame, max_offset)
+        # Offsets that put the pair's midpoint on each end of the search
+        # window, where one of the winning bin's neighbours lies outside it,
+        # and on either side of bin 0, where the window wraps: its first
+        # and last bin in index order.
+        ends = {"first": 0, "last": idx[-1],
+                "lowest": idx[np.argmin(freqs[idx])],
+                "highest": idx[np.argmax(freqs[idx])]}
+        for name, k in ends.items():
+            offset = freqs[k] / 2.0
+            hit = apply_cfo(frame, offset)
+            assert _rolled_pair_search(hit, max_offset)[3] == k, (max_offset, name)
+            assert (coarse_cfo_estimate(hit, max_offset_hz=max_offset)
+                    == _coarse_cfo_rolled(hit, max_offset))
 
 
 def test_coarse_cfo_minus_100k():
@@ -331,8 +353,11 @@ def test_receiver_config_validation():
     # A setting receive() would only trip over mid-campaign.
     with pytest.raises(ParamError):
         default_cfg(cfo_max_offset_hz=0.0)
-    with pytest.raises(ValueError):
+    # An unknown enum name is a ParamError that names the valid values.
+    with pytest.raises(ParamError, match="'slow'"):
         default_cfg(agc_mode="medium")
+    with pytest.raises(ParamError, match="'LE125K'"):
+        ReceiverConfig(phy_mode="LE3M")
     cfg = ReceiverConfig(phy_mode="LE500K", agc_mode="slow")
     assert cfg.phy_mode is PhyMode.LE500K
     assert cfg.agc_mode is AgcMode.SLOW

@@ -404,3 +404,16 @@ def test_save_load_keeps_derived_objects(tmp_path):
     assert back._channel_map == cfg._channel_map
     assert back._hop == cfg._hop
     assert back._rx == cfg._rx
+
+
+def test_numpy_channel_is_stored_as_an_int(tmp_path):
+    # The link ints are kept as the checking component holds them, so a
+    # numpy integer from the caller still writes out as JSON.
+    cfg = ScenarioConfig(id="x", seed=1, channel=np.int64(37))
+    assert type(cfg.channel) is int
+    json.dumps(scenario_to_dict(cfg))
+    path = tmp_path / "x.json"
+    save_scenario(cfg, path)
+    back = load_scenario(path)
+    assert back == cfg
+    assert back.channel == 37

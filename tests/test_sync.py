@@ -141,6 +141,30 @@ def test_synchronize_at_overlap_save_block_boundary(mode):
         assert fill_lags + spread == step
 
 
+@pytest.mark.parametrize("mode", [PhyMode.LE1M, PhyMode.LE125K])
+def test_synchronize_where_a_segment_reads_another_block(mode):
+    # Segment (a, b) reads its lags from block rows (a-p0)//step through
+    # (a-p0+n_lags-1)//step.  The first row is fixed by a; the last moves
+    # on by one where the frame grows past a multiple of step.  Check both
+    # sides of every such length, for every segment, from ref.size to
+    # ref.size + 2*step.
+    cfg = rx_cfg(mode)
+    ref, segments, nfft, _, _ = _template(mode, cfg.expected_access_address,
+                                          cfg.sps)
+    step = nfft - (segments[0][1] - segments[0][0]) + 1
+    p0 = segments[0][0]
+    lengths = {ref.size, ref.size + 2 * step}
+    for a, _ in segments:
+        for n_lags in range(2, 2 * step + 2):
+            if (a - p0 + n_lags - 1) % step == 0:
+                lengths |= {ref.size + n_lags - 2, ref.size + n_lags - 1}
+    frame = awgn(tx_frame(mode, 40, 6, tail=4000), 10.0, seed=6)
+    mf = matched_filter(frame, PULSE)
+    assert mf.samples.size >= ref.size + 2 * step
+    for length in sorted(lengths):
+        assert_matches_oracle(mf.replace(mf.samples[:length]), cfg)
+
+
 @pytest.mark.parametrize("mode", list(PhyMode))
 def test_synchronize_with_the_peak_on_a_block_edge(mode):
     # Block i yields the first segment's correlations starting at lags
