@@ -4,11 +4,14 @@ Stage order is fixed: AGC -> DC notch -> coarse CFO correction -> matched
 filter -> preamble synchronization (timing + fine CFO) -> differential
 demod -> FEC decode (coded modes) -> de-whitening -> AA/CRC validation.
 Frequency offset is corrected before the matched filter so the filter
-passband actually covers the signal.  The matched filter and the sync
-template use the transmitter's pulse and modulation index, gmsk.BT,
-gmsk.H and gmsk.SPAN; the detector's +-pi/2 steps are those of H = 0.5.
-All failures downstream of the public API surface as report flags, never
-exceptions.
+passband actually covers the signal.  Sync searches only the lags at which
+the shortest packet the config can receive still fits in the frame, and
+the fine CFO it estimates is applied by the differential detector as one
+rotation of its lag-sps products, not by derotating the frame.  The
+matched filter and the sync template use the transmitter's pulse and
+modulation index, gmsk.BT, gmsk.H and gmsk.SPAN; the detector's +-pi/2
+steps are those of H = 0.5.  All failures downstream of the public API
+surface as report flags, never exceptions.
 """
 from __future__ import annotations
 
@@ -112,10 +115,20 @@ class ReceiverConfig:
 
 @dataclass
 class SyncResult:
-    aligned: IqFrame
+    frame: IqFrame  # the matched-filtered frame that was searched
     timing_offset: int
     fine_cfo_hz: float
     peak_correlation: float
+
+    @property
+    def aligned(self) -> IqFrame:
+        """The frame from the packet start on, with the fine CFO removed."""
+        x = self.frame.samples
+        tau, fine = self.timing_offset, self.fine_cfo_hz
+        n = np.arange(len(x) - tau)
+        return self.frame.replace(
+            x[tau:] * np.exp(-2j * np.pi * fine * n / self.frame.sample_rate)
+        )
 
 
 @dataclass
@@ -247,7 +260,8 @@ def _template(mode: PhyMode, aa: int, sps: int):
     return ref, segments, nfft, spectra, norms
 
 
-def synchronize(frame: IqFrame, cfg: ReceiverConfig) -> SyncResult:
+def synchronize(frame: IqFrame, cfg: ReceiverConfig,
+                max_lag: int | None = None) -> SyncResult:
     """Locate the packet and estimate residual CFO from the preamble region.
 
     The reference is split into short segments that are correlated
@@ -257,6 +271,14 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig) -> SyncResult:
     overlap-save: one FFT of the frame's blocks is shared by every
     segment, and each segment inverse-FFTs only the blocks that hold its
     lags.
+
+    The search covers the lags 0..max_lag at which the reference fits;
+    receive() passes the last lag at which the shortest packet it can
+    decode still fits, and None searches every lag.  A negative max_lag
+    raises SyncFailure.  Over the lags both searches cover, the
+    correlations are the full search's to the bit.  The fine CFO is
+    returned, not applied: the differential detector takes it as a
+    rotation, and SyncResult.aligned derotates the frame on request.
     """
     ref, segments, nfft, spectra, norms = _template(
         cfg.phy_mode, cfg.expected_access_address, cfg.sps)
@@ -264,10 +286,18 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig) -> SyncResult:
     if len(x) < ref.size:
         raise SyncFailure(f"frame ({len(x)}) shorter than sync reference ({ref.size})")
     n_lags = len(x) - ref.size + 1
+    if max_lag is not None:
+        if max_lag < 0:
+            raise SyncFailure(
+                f"frame ({len(x)}) shorter than the shortest packet "
+                f"({len(x) - max_lag})")
+        n_lags = min(n_lags, max_lag + 1)
     seg_len = segments[0][1] - segments[0][0]
     # The segments are contiguous and equally long, so they share the
-    # energy of the seg_len samples starting at each lag.
-    energy = np.concatenate([[0.0], np.cumsum(np.abs(x) ** 2)])
+    # energy of the seg_len samples starting at each lag; the last
+    # segment's window at the last lag ends at sample b + n_lags - 1.
+    read = segments[-1][1] + n_lags - 1
+    energy = np.concatenate([[0.0], np.cumsum(np.abs(x[:read]) ** 2)])
     rms = np.sqrt(np.maximum(energy[seg_len:] - energy[:-seg_len], 1e-30))
 
     # Overlap-save: block i holds x[p0 + i*step:][:nfft] (zero-padded past
@@ -311,15 +341,11 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig) -> SyncResult:
         fine = float(slope / (2.0 * np.pi))
     else:
         fine = 0.0
-    n = np.arange(len(x) - tau)
-    aligned = frame.replace(
-        x[tau:] * np.exp(-2j * np.pi * fine * n / frame.sample_rate)
-    )
-    return SyncResult(aligned, tau, fine, peak)
+    return SyncResult(frame, tau, fine, peak)
 
 
 def _soft_differential(mf_samples: np.ndarray, sps: int, start: int,
-                       count: int) -> np.ndarray:
+                       count: int, phase_step: float = 0.0) -> np.ndarray:
     """Symbol-lag differential soft decisions from matched-filter output.
 
     Each symbol's +-pi/2 phase step accrues between its two boundaries, so
@@ -330,6 +356,10 @@ def _soft_differential(mf_samples: np.ndarray, sps: int, start: int,
     gracefully when an interferer is stronger than the signal, which is
     what lets the coded modes cash in their spreading and FEC gains at
     negative SIR.
+
+    A residual carrier offset of phase_step radians per sample turns
+    every product by the same phase_step*sps, so it is removed by one
+    rotation of the products instead of a derotation of the samples.
     """
     half = sps // 2
     hi = start + half + np.arange(count) * sps
@@ -340,7 +370,7 @@ def _soft_differential(mf_samples: np.ndarray, sps: int, start: int,
     y0 = np.zeros(count, dtype=np.complex128)
     ok0 = (lo >= 0) & (lo < mf_samples.size)
     y0[ok0] = mf_samples[lo[ok0]]
-    z = np.imag(y1 * np.conj(y0))
+    z = np.imag(y1 * np.conj(y0) * np.exp(-1j * phase_step * sps))
     scale = float(np.mean(np.abs(y1[ok1]) ** 2)) if ok1.any() else 0.0
     return z / scale if scale > 0 else z
 
@@ -373,12 +403,17 @@ def _decode_coded(soft: np.ndarray, cfg: ReceiverConfig):
     return aa_rx, whiten(bits2[: cfg.pdu_bits + 24], cfg.channel)
 
 
-def expected_symbol_count(cfg: ReceiverConfig) -> int:
+def expected_symbol_count(cfg: ReceiverConfig, s: int = 8) -> int:
+    """Symbols of a packet of cfg's PDU size, a coded one's block 2 at S=s.
+
+    The demodulator reads the count at S=8, room for the slower scheme
+    (extra entries are ignored).  The count at S=2 is the shortest packet
+    the config can receive, since the CI field may announce either scheme.
+    """
     mode = cfg.phy_mode
     if mode.coded:
-        # Reserve room for the slower scheme; extra entries are ignored.
         return mode.preamble_len + block1_symbol_count() + block2_symbol_count(
-            cfg.pdu_bits, 8
+            cfg.pdu_bits, s
         )
     return mode.preamble_len + 32 + cfg.pdu_bits + 24
 
@@ -426,12 +461,14 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
     _trace("cfo_corrected", x)
     x = matched_filter(x, pulse)
     _trace("matched_filter", x)
+    shortest = expected_symbol_count(cfg, 2) * cfg.sps
     try:
-        sync = synchronize(x, cfg)
+        sync = synchronize(x, cfg, max_lag=len(x) - shortest)
     except SyncFailure as exc:
         report.reason = str(exc)
         return report
-    _trace("synchronized", sync.aligned)
+    if trace is not None:  # the derotated frame is built only for a capture
+        _trace("synchronized", sync.aligned)
 
     report.detected = True
     report.timing_offset = sync.timing_offset
@@ -439,8 +476,9 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
     report.peak_correlation = sync.peak_correlation
 
     soft = _soft_differential(
-        sync.aligned.samples, cfg.sps,
+        x.samples[sync.timing_offset:], cfg.sps,
         start=2 * pulse.delay, count=expected_symbol_count(cfg),
+        phase_step=2.0 * np.pi * sync.fine_cfo_hz / x.sample_rate,
     )
     decode = _decode_coded if cfg.phy_mode.coded else _decode_uncoded
     try:

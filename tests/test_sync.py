@@ -14,7 +14,9 @@ from blesim.llpacket import ChannelIndex, LinkLayerPacket, assemble_uncoded
 from blesim.phymode import PhyMode
 from blesim.receiver import (
     ReceiverConfig,
+    _soft_differential,
     _template,
+    expected_symbol_count,
     receive,
     synchronize,
 )
@@ -56,9 +58,9 @@ def oracle_synchronize(frame, cfg):
     return tau, peak, fine
 
 
-def sync_outcome(fn, frame, cfg):
+def sync_outcome(fn, frame, cfg, **kwargs):
     try:
-        return fn(frame, cfg)
+        return fn(frame, cfg, **kwargs)
     except SyncFailure:
         return None
 
@@ -98,6 +100,67 @@ def rx_cfg(mode):
 def test_synchronize_matches_oracle(mode, lead, cfo, snr, seed):
     frame = awgn(apply_cfo(tx_frame(mode, lead, seed), cfo), snr, seed=seed)
     assert_matches_oracle(matched_filter(frame, PULSE), rx_cfg(mode))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(list(PhyMode)),
+       lead=st.integers(0, 2000),
+       cfo=st.floats(-50e3, 50e3),
+       snr=st.floats(-6.0, 30.0),
+       seed=st.integers(0, 2**32 - 1),
+       where=st.floats(0.0, 1.0))
+def test_bounded_search_matches_full_search(mode, lead, cfo, snr, seed, where):
+    # Lags 0..max_lag of the full search, to the bit: the full search's
+    # tau whenever it lies within the bound, a miss whenever it misses,
+    # and never a tau past the bound.  The bounds checked are the edges
+    # around the full search's tau and one drawn over the whole frame.
+    frame = awgn(apply_cfo(tx_frame(mode, lead, seed), cfo), snr, seed=seed)
+    mf = matched_filter(frame, PULSE)
+    cfg = rx_cfg(mode)
+    full = sync_outcome(synchronize, mf, cfg)
+    tau = lead if full is None else full.timing_offset
+    n_lags = len(mf) - _ref_size(mode) + 1
+    for max_lag in (-1, tau - 1, tau, tau + 1, int(where * n_lags)):
+        if max_lag < 0:
+            with pytest.raises(SyncFailure):
+                synchronize(mf, cfg, max_lag=max_lag)
+            continue
+        got = sync_outcome(synchronize, mf, cfg, max_lag=max_lag)
+        if got is not None:
+            assert got.timing_offset <= max_lag
+        if full is None or full.timing_offset <= max_lag:
+            assert (got is None) == (full is None)
+        if got is not None and full.timing_offset <= max_lag:
+            assert got.timing_offset == full.timing_offset
+            assert got.peak_correlation == full.peak_correlation
+            assert got.fine_cfo_hz == full.fine_cfo_hz
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(list(PhyMode)),
+       lead=st.integers(0, 500),
+       cfo=st.floats(-5e3, 5e3),
+       snr=st.floats(0.0, 30.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_fine_cfo_rotation_matches_derotated_frame(mode, lead, cfo, snr, seed):
+    # For a lag-sps differential detector, a residual offset of w radians
+    # per sample is the phase w*sps on every product, so rotating the
+    # products gives the soft values of the derotated frame.
+    frame = awgn(apply_cfo(tx_frame(mode, lead, seed), cfo), snr, seed=seed)
+    mf = matched_filter(frame, PULSE)
+    cfg = rx_cfg(mode)
+    sync = sync_outcome(synchronize, mf, cfg)
+    if sync is None:
+        return
+    tau, fine, fs = sync.timing_offset, sync.fine_cfo_hz, mf.sample_rate
+    derotated = mf.samples[tau:] * np.exp(
+        -2j * np.pi * fine * np.arange(len(mf) - tau) / fs)
+    assert np.array_equal(sync.aligned.samples, derotated)
+    start, count = 2 * PULSE.delay, expected_symbol_count(cfg)
+    want = _soft_differential(derotated, cfg.sps, start, count)
+    got = _soft_differential(mf.samples[tau:], cfg.sps, start, count,
+                             phase_step=2.0 * np.pi * fine / fs)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def _ref_size(mode):
@@ -184,13 +247,29 @@ def test_synchronize_with_the_peak_on_a_block_edge(mode):
 @pytest.mark.parametrize("mode", list(PhyMode))
 def test_receive_never_raises_on_zero_and_tiny_input(mode):
     cfg = rx_cfg(mode)
+    fs = 8 * mode.symbol_rate
     for n in (0, 1, 15, 16, 17, 1000, 20_000):
         for level in (0.0, 1e-300, 1e-20):
             x = np.full(n, level * (1 + 1j))
-            rep = receive(IqFrame(x, 8 * mode.symbol_rate, mode.symbol_rate),
-                          cfg)
+            rep = receive(IqFrame(x, fs, mode.symbol_rate), cfg)
             assert not rep.detected and not rep.crc_ok
             assert rep.reason
+    # Real packets cut to the sync reference's length and to lengths
+    # around the shortest packet the receiver searches for, counted after
+    # the matched filter.  A packet at lag 0 is found once it fits; one
+    # that starts past the reference's length is found at none of them.
+    shortest = expected_symbol_count(cfg, 2) * cfg.sps
+    grow = PULSE.taps.size - 1
+    late = _ref_size(mode) + 8
+    for lead in (0, late):
+        clean = tx_frame(mode, lead, 8).samples
+        for length in (_ref_size(mode), shortest - 1, shortest, shortest + 1):
+            rep = receive(IqFrame(clean[:length - grow], fs, mode.symbol_rate),
+                          cfg)
+            assert rep.detected == (lead == 0 and length >= shortest)
+            assert rep.crc_ok <= rep.aa_ok <= rep.detected
+            if not rep.detected:
+                assert rep.reason
 
 
 @pytest.mark.parametrize("mode", list(PhyMode))
