@@ -40,11 +40,21 @@ def awgn(frame: IqFrame, snr_db: float, seed: int) -> IqFrame:
     p_sig = measured_power(frame.samples)
     if p_sig == 0.0:
         return frame.replace(frame.samples.copy())
-    rng = np.random.default_rng(seed)
     sigma2 = p_sig * 10.0 ** (-snr_db / 10.0)
-    n = len(frame)
-    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    noise = _unit_noise(seed, len(frame))
     return frame.replace(frame.samples + noise * np.sqrt(sigma2 / 2.0))
+
+
+# A campaign adds one frame's noise at each of its sweep points in turn,
+# so the last draw is the one to keep.
+@lru_cache(maxsize=1)
+def _unit_noise(seed: int, n: int) -> np.ndarray:
+    """n samples of complex Gaussian noise, variance 1 per component;
+    read-only."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    noise.flags.writeable = False
+    return noise
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,13 @@
 
 A scenario fixes the link (PHY modes, PDU size, channel or hop schedule)
 and the impairments (fading profile, CFO/DC ranges, optional interferer),
-then sweeps SNR and optionally SIR.  Every frame draws its randomness
-from a seed derived from (campaign seed, scenario id, mode, sweep point,
-frame index), so results are bit-identical no matter how the frames are
+then sweeps SNR and optionally SIR.  Frame k of a mode draws its
+randomness from SeedSequence([seed, crc32(id), mode, k]), where mode is
+the mode's position in PhyMode, not in the scenario's phy_modes.  The key
+holds no sweep point: every SNR/SIR point of a campaign sees the same
+frames (common random numbers), only the noise and interferer levels
+change.  So a row does not depend on the rest of the sweep or the other
+modes, and results are bit-identical no matter how the frames are
 distributed over worker processes.
 """
 from __future__ import annotations
@@ -178,7 +182,7 @@ class ScenarioConfig:
         if not isinstance(self.receiver, dict) or set(self.receiver) - _RECEIVER_KEYS:
             raise ConfigError(f"receiver must be an object with keys among "
                               f"{sorted(_RECEIVER_KEYS)}, got {self.receiver!r}")
-        self._rx = {  # under hopping run_frame sets each frame's channel
+        self._rx = {  # under hopping _draw_frame sets each frame's channel
             mode: ReceiverConfig(
                 phy_mode=mode, expected_access_address=self.access_address,
                 channel=37 if self.channel is None else self.channel,
@@ -250,14 +254,34 @@ def _frame_channel(cfg: ScenarioConfig, frame_idx: int) -> ChannelIndex:
     return csa1_next(state, cfg._channel_map)[0]
 
 
-def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
-              sir_db: float | None, frame_idx: int, mode_idx: int = 0,
-              point_idx: int = 0, trace: list | None = None):
-    """Simulate one frame of one of cfg's modes; returns the receiver report."""
-    ss = np.random.SeedSequence(
-        [cfg.seed, cfg._id_key, mode_idx, point_idx, frame_idx]
-    )
-    rng = np.random.default_rng(ss)
+# The mode's part of a frame's seed key: its fixed position in PhyMode.
+_MODE_KEY = {mode: key for key, mode in enumerate(PhyMode)}
+
+
+@dataclass(frozen=True)
+class _FrameDraw:
+    """What one frame's sweep points share: the faded, offset frame, the
+    interferer realisation (None if none lands in band) with its in-band
+    level in dB, the noise seed and the receiver set to the frame's
+    channel."""
+
+    frame: IqFrame
+    interferer: IqFrame | None
+    inband_db: float
+    noise_seed: int
+    rx: ReceiverConfig
+
+
+def _draw_frame(cfg: ScenarioConfig, mode: PhyMode, frame_idx: int) -> _FrameDraw:
+    """Transmit frame `frame_idx` of `mode` through the channel.
+
+    Draws, in this order: payload, lead jitter, fade seed, CFO, DC phase,
+    interferer seed and noise seed; the fade seed, DC phase and
+    interferer seed only when the scenario has a profile, a DC level and
+    an interferer.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [cfg.seed, cfg._id_key, _MODE_KEY[mode], frame_idx]))
 
     channel = _frame_channel(cfg, frame_idx)
     pdu = random_bits(cfg.pdu_bits, rng)
@@ -283,7 +307,10 @@ def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
     frame = apply_cfo(frame, float(rng.uniform(lo, hi)))
     if cfg.dc_dbc is not None:
         frame = apply_dc(frame, cfg.dc_dbc, float(rng.uniform(0, 2 * np.pi)))
-    if cfg.interferer is not None and sir_db is not None:
+    frame.samples.flags.writeable = False  # every point reads it
+
+    inter, inband_db = None, 0.0
+    if cfg.interferer is not None:
         inter_seed = int(rng.integers(2**63))
         # Scenario SIR counts the interferer's full occupied-band power;
         # only the in-band fraction lands in the simulated bandwidth.
@@ -291,31 +318,65 @@ def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
         if frac > 0.0:
             inter = interferer_at_rate(len(frame), cfg.interferer,
                                        frame.sample_rate, inter_seed)
-            frame = mix(frame, inter, sir_db - 10.0 * np.log10(frac))
-    frame = awgn(frame, snr_db, int(rng.integers(2**63)))
+            inband_db = 10.0 * np.log10(frac)
 
     rx = cfg._rx[mode]
     if cfg._channel is None:
         rx = replace(rx, channel=channel.index)
-    return receive(frame, rx, trace=trace)
+    return _FrameDraw(frame, inter, inband_db, int(rng.integers(2**63)), rx)
 
 
-def _count_chunk(args) -> tuple[int, int]:
-    cfg, mode, snr, sir, lo, hi, mode_idx, point_idx = args
-    detected = valid = 0
+def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
+              sir_db: float | None, frame_idx: int, mode_idx: int = 0,
+              point_idx: int = 0, trace: list | None = None,
+              shared: dict | None = None):
+    """Simulate frame `frame_idx` of one of cfg's modes at one sweep point;
+    returns the receiver report.
+
+    The frame's draws depend on (cfg.seed, cfg.id, mode, frame_idx) only.
+    mode_idx and point_idx seed nothing; they name the mode's and the
+    point's place in a campaign for whoever traces the calls.  Calls for
+    the points of one frame may pass one `shared` dict: the first call
+    stores the frame's transmit and channel draw there, and the others
+    only scale the interferer and the noise.
+    """
+    key = (mode, frame_idx)
+    draw = None if shared is None else shared.get(key)
+    if draw is None:
+        draw = _draw_frame(cfg, mode, frame_idx)
+        if shared is not None:
+            shared[key] = draw
+
+    frame = draw.frame
+    if draw.interferer is not None and sir_db is not None:
+        frame = mix(frame, draw.interferer, sir_db - draw.inband_db)
+    frame = awgn(frame, snr_db, draw.noise_seed)
+    return receive(frame, draw.rx, trace=trace)
+
+
+def _count_chunk(args) -> list[tuple[int, int]]:
+    """(detected, valid) at each sweep point over frames [lo, hi) of one
+    mode, run frame by frame."""
+    cfg, mode, points, lo, hi = args
+    detected, valid = [0] * len(points), [0] * len(points)
     for i in range(lo, hi):
-        rep = run_frame(cfg, mode, snr, sir, i, mode_idx, point_idx)
-        detected += int(rep.detected)
-        valid += int(rep.crc_ok)
-    return detected, valid
+        shared: dict = {}
+        for point_idx, (snr, sir) in enumerate(points):
+            rep = run_frame(cfg, mode, snr, sir, i, point_idx=point_idx,
+                            shared=shared)
+            detected[point_idx] += int(rep.detected)
+            valid[point_idx] += int(rep.crc_ok)
+    return list(zip(detected, valid))
 
 
 def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> list[PerResult]:
     """Sweep every (mode, SNR, SIR) point of a scenario.
 
     A frame counts as an error unless its CRC validated; sync failures are
-    therefore errors, not exclusions.  Each point splits into `jobs` chunks
-    of consecutive frames, run by at most one worker per core.
+    therefore errors, not exclusions.  Each mode's frames split into
+    `jobs` chunks of consecutive frames, each run over every point; the
+    campaign's chunks go in one map to a pool of at most one worker per
+    core.
     """
     with _as_config_error():
         jobs = check_int("jobs", jobs, 1)
@@ -327,29 +388,29 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> list[PerResult]:
     n = cfg.frames
     parallel = jobs > 1
     bounds = np.linspace(0, n, (jobs if parallel else 1) + 1, dtype=int)
-    results = []
+    ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    tasks = [(cfg, mode, points, a, b) for mode in cfg.phy_modes for a, b in ranges]
     # One pool serves the whole campaign.  The fork start method starts
     # every worker up front, so a large `jobs` must not mean as many forks.
     pool = (ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
             if parallel else nullcontext())
     with pool:
-        for mode_idx, mode in enumerate(cfg.phy_modes):
-            for point_idx, (snr, sir) in enumerate(points):
-                tasks = [
-                    (cfg, mode, snr, sir, int(a), int(b), mode_idx, point_idx)
-                    for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-                ]
-                counts = list((pool.map if parallel else map)(_count_chunk, tasks))
-                detected = sum(c[0] for c in counts)
-                valid = sum(c[1] for c in counts)
-                errors = n - valid
-                lo, hi = wilson_interval(errors, n)
-                results.append(PerResult(
-                    scenario=cfg.id, phy=mode.value, snr_db=float(snr),
-                    sir_db=None if sir is None else float(sir),
-                    frames=n, detected=detected, valid=valid,
-                    per=errors / n, wilson_lo=lo, wilson_hi=hi,
-                ))
+        counts = list((pool.map if parallel else map)(_count_chunk, tasks))
+
+    results = []
+    for m, mode in enumerate(cfg.phy_modes):
+        chunks = counts[m * len(ranges):(m + 1) * len(ranges)]
+        for point_idx, (snr, sir) in enumerate(points):
+            detected = sum(c[point_idx][0] for c in chunks)
+            valid = sum(c[point_idx][1] for c in chunks)
+            errors = n - valid
+            lo, hi = wilson_interval(errors, n)
+            results.append(PerResult(
+                scenario=cfg.id, phy=mode.value, snr_db=float(snr),
+                sir_db=None if sir is None else float(sir),
+                frames=n, detected=detected, valid=valid,
+                per=errors / n, wilson_lo=lo, wilson_hi=hi,
+            ))
     return results
 
 

@@ -52,6 +52,11 @@ def test_awgn_deterministic():
     c = awgn(frame, 3.0, seed=43)
     assert np.array_equal(a.samples, b.samples)
     assert not np.array_equal(a.samples, c.samples)
+    # A seed is one unit-noise draw that the SNR only scales, so the
+    # points of a campaign share each frame's noise.
+    d = awgn(frame, 13.0, seed=42)
+    assert np.allclose((a.samples - frame.samples) / np.sqrt(10.0),
+                       d.samples - frame.samples)
 
 
 def test_awgn_snr_ignores_zero_padding():

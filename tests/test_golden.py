@@ -26,37 +26,43 @@ CAMPAIGNS = {
     "uncoded_nlos": (
         dict(phy_modes=("LE1M", "LE2M"), snr_sweep_db=NLOS_SWEEP,
              profile=nlos_profile(), channel=37),
-        "7313a48425098146e6b8e88be9787df3949ca470e026c1d1062dc6cc5983eb19",
+        "58c76f8f0f006989fa3c362beaf87a48b383d0ad60754a2d7e2d82b54e9cbfa3",
     ),
     "coded_nlos": (
         dict(phy_modes=("LE500K", "LE125K"), snr_sweep_db=NLOS_SWEEP,
              profile=nlos_profile(), channel=37),
-        "b20a6c2ad486ddacc41fe52b78d69553d1dd43f7d0aeafde8af2d4a2ae960848",
+        "d8ba67047c5dd7107955ebb4ef78f2aa6ee52c9c8282a7b3b6631f6aab875916",
     ),
     "wlan_los": (
         dict(phy_modes=("LE1M", "LE125K"), snr_sweep_db=(20.0,),
              sir_sweep_db=(-10.0, 0.0, 10.0), interferer=InterfererConfig(),
              profile=los_profile(), channel=37),
-        "f28397719a918afb301c784a5b7de005361c54600522bfd00dfa18228f764b2f",
+        "c5cdba46ba0a11be20a10bba9fea513f5507f5bcb2bc8101ce9ada3d093e01e4",
     ),
     "hop_sweep": (
         dict(phy_modes=("LE1M",), snr_sweep_db=HOP_SWEEP,
              profile=los_profile(), channel=None,
              hopping=HoppingConfig("csa2", "0x1FFFFFFFFF")),
-        "a6f6adbf52c6d064d0e68120413cf217bd881a02d533fe106ca3fe5ef0a9e9fb",
+        "5b69082c00c38c8cb4bfd36f41157d533c988398a4df1a5a4649862965f5ab2a",
     ),
 }
 
 
-def campaign_csv(name: str) -> str:
+def campaign_digest(name: str, jobs: int) -> str:
     scenario = CAMPAIGNS[name][0]
     cfg = ScenarioConfig(id=name, seed=1, frames=5, pdu_bits=128, **scenario)
     out = io.StringIO()
-    emit_results(run_campaign(cfg, jobs=1), out)
-    return out.getvalue()
+    emit_results(run_campaign(cfg, jobs=jobs), out)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", list(CAMPAIGNS))
 def test_campaign_csv_matches_golden_digest(name):
-    digest = hashlib.sha256(campaign_csv(name).encode()).hexdigest()
-    assert digest == CAMPAIGNS[name][1]
+    assert campaign_digest(name, jobs=1) == CAMPAIGNS[name][1]
+
+
+@pytest.mark.parametrize("name", list(CAMPAIGNS))
+def test_campaign_csv_is_the_same_at_jobs_3(name):
+    # Three chunks of frames per mode, more than a 2-core machine has
+    # workers, so chunks queue and finish out of order.
+    assert campaign_digest(name, jobs=3) == CAMPAIGNS[name][1]

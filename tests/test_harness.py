@@ -2,6 +2,7 @@
 import io
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,18 +142,66 @@ def test_run_campaign_caps_workers_at_core_count(monkeypatch):
             run_campaign(cfg, jobs=jobs)
 
 
+def _rows(cfg):
+    return {(r.phy, r.snr_db, r.sir_db): (r.detected, r.valid)
+            for r in run_campaign(cfg)}
+
+
+def test_a_point_counts_the_same_alone_and_in_a_sweep():
+    # A frame's draws are keyed by mode and frame index only, so a point
+    # does not depend on what else the campaign sweeps.
+    cfg = small_scenario(
+        phy_modes=(PhyMode.LE1M, PhyMode.LE500K), snr_sweep_db=(2.0, 8.0, 14.0),
+        sir_sweep_db=(-5.0, 5.0), interferer=InterfererConfig(),
+        profile=nlos_profile(), frames=12)
+    sweep = _rows(cfg)
+    for snr, sir in ((8.0, 5.0), (2.0, -5.0)):
+        alone = _rows(replace(cfg, snr_sweep_db=(snr,), sir_sweep_db=(sir,)))
+        assert alone == {k: v for k, v in sweep.items() if k[1:] == (snr, sir)}
+
+
+def test_reordering_modes_leaves_each_modes_rows():
+    cfg = small_scenario(
+        phy_modes=(PhyMode.LE1M, PhyMode.LE2M, PhyMode.LE125K),
+        snr_sweep_db=(0.0, 6.0), profile=nlos_profile(), frames=10)
+    rows = _rows(cfg)
+    assert _rows(replace(cfg, phy_modes=cfg.phy_modes[::-1])) == rows
+    assert _rows(replace(cfg, phy_modes=(PhyMode.LE2M,))) == {
+        k: v for k, v in rows.items() if k[0] == "LE2M"}
+
+
+def test_transmitter_runs_once_per_frame_and_receiver_once_per_point(monkeypatch):
+    calls = {"gmsk_modulate": 0, "receive": 0}
+
+    def counting(name):
+        fn = getattr(harness, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name))
+    cfg = small_scenario(
+        phy_modes=(PhyMode.LE1M, PhyMode.LE500K), snr_sweep_db=(4.0, 10.0, 30.0),
+        sir_sweep_db=(0.0, 10.0), interferer=InterfererConfig(), frames=5)
+    assert len(run_campaign(cfg)) == 2 * 3 * 2
+    assert calls == {"gmsk_modulate": 2 * 5, "receive": 2 * 3 * 2 * 5}
+
+
 def test_coded_frame_decodes_despite_fft_size_sensitive_cfo():
-    # Acceptance criterion 8's scenario.  Its LE125K frame 29 at 12 dB
-    # decodes with a power-of-two coarse-CFO FFT; sized by next_fast_len
-    # the pair metric's rs/2 shift is not a whole number of bins, the
-    # estimate lands near 161 kHz and the frame is lost.
+    # Acceptance criterion 8's scenario.  Its LE125K frame 0 at 12 dB
+    # (true CFO 46.5 kHz) decodes with a power-of-two coarse-CFO FFT;
+    # sized by next_fast_len the pair metric's rs/2 shift is not a whole
+    # number of bins, the estimate lands near 172 kHz and sync misses.
     cfg = ScenarioConfig(
         id="acc-repro", seed=808, phy_modes=(PhyMode.LE1M, PhyMode.LE125K),
         snr_sweep_db=(8.0, 12.0), channel=None,
         hopping=HoppingConfig("csa2", "0x1FFFFFFFFF", 7),
         profile=nlos_profile(), frames=40, pdu_bits=64,
     )
-    rep = run_frame(cfg, PhyMode.LE125K, 12.0, None, 29, mode_idx=1, point_idx=1)
+    rep = run_frame(cfg, PhyMode.LE125K, 12.0, None, 0)
     assert rep.crc_ok
 
 

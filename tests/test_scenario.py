@@ -212,8 +212,8 @@ def test_seed_above_32_bits_is_its_own_campaign():
         return [(r.detected, r.valid) for r in run_campaign(cfg)]
 
     # Seeds below 2^32 draw what the 32-bit masked key drew.
-    assert rows(1) == [(22, 5), (21, 6)]
-    assert rows(2**32 - 1) == [(21, 6), (20, 9)]
+    assert rows(1) == [(18, 4), (18, 7)]
+    assert rows(2**32 - 1) == [(20, 7), (21, 10)]
     assert rows(1 + 2**32) != rows(1)
 
 
@@ -231,7 +231,7 @@ def test_pinned_rows_hopping_interferer_reverberant():
                                     burst_symbols=8),
         frames=16, pdu_bits=32, sps=4)
     rows = [(r.detected, r.valid) for r in run_campaign(cfg)]
-    assert rows == [(6, 0), (5, 0), (16, 15), (13, 11)]
+    assert rows == [(7, 0), (7, 0), (16, 13), (16, 13)]
 
 
 def test_interferer_past_nyquist_loads_and_runs():
