@@ -79,14 +79,6 @@ class HoppingConfig:
         HopState(self.hop_increment)
 
 
-# ReceiverConfig fields a scenario's `receiver` object may set; the
-# scenario sets the others itself.
-_RECEIVER_KEYS = {f.name for f in fields(ReceiverConfig)} - {
-    "phy_mode", "expected_access_address", "channel", "pdu_bits", "crc_init",
-    "sps",
-}
-
-
 @contextmanager
 def _as_config_error():
     """Report any bad-value error raised inside as a ConfigError."""
@@ -138,7 +130,6 @@ class ScenarioConfig:
     access_address: int = ADVERTISING_ACCESS_ADDRESS
     crc_init: int = ADVERTISING_CRC_INIT
     sps: int = 8
-    receiver: dict = field(default_factory=dict)
     # Built by __post_init__: crc32 of the id, the ReceiverConfig of each
     # mode, the fixed channel, and the hop map plus CSA#1 hop state.
     _id_key: int = field(init=False, repr=False, compare=False)
@@ -179,15 +170,11 @@ class ScenarioConfig:
             if hop.algorithm == "csa1":
                 self._hop = HopState(hop.hop_increment)
 
-        if not isinstance(self.receiver, dict) or set(self.receiver) - _RECEIVER_KEYS:
-            raise ConfigError(f"receiver must be an object with keys among "
-                              f"{sorted(_RECEIVER_KEYS)}, got {self.receiver!r}")
         self._rx = {  # under hopping _draw_frame sets each frame's channel
             mode: ReceiverConfig(
                 phy_mode=mode, expected_access_address=self.access_address,
                 channel=37 if self.channel is None else self.channel,
                 pdu_bits=self.pdu_bits, crc_init=self.crc_init, sps=self.sps,
-                **self.receiver,
             )
             for mode in self.phy_modes
         }
@@ -547,8 +534,6 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
             key: getattr(cfg.hopping, name) for key, name in _HOP_KEYS.items()}}
     out["profile"] = None if cfg.profile is None else _profile_to_dict(cfg.profile)
     out["interferer"] = None if cfg.interferer is None else asdict(cfg.interferer)
-    if cfg.receiver:
-        out["receiver"] = dict(cfg.receiver)
     return out
 
 

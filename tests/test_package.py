@@ -24,3 +24,23 @@ def test_no_module_raises_a_bare_value_or_type_error():
             if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # perfbench traces a stage by rebinding the name a module imported, so
+    # an import left behind by a deleted call would report a silent 0.
+    found = []
+    for path in sorted(pathlib.Path(blesim.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # imports to re-export them
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, found

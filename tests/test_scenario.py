@@ -33,7 +33,6 @@ from blesim.harness import (
 )
 from blesim.llpacket import ChannelIndex, LinkLayerPacket
 from blesim.phymode import PhyMode
-from blesim.receiver import ReceiverConfig
 
 BASE = scenario_to_dict(ScenarioConfig(
     id="bad", seed=3, phy_modes=("LE1M",), snr_sweep_db=(30.0,), frames=2,
@@ -56,8 +55,6 @@ BAD_CONFIGS = {
     "channel index 40": {"channel": {"index": 40}},
     "pdu_bits 8": {"pdu_bits": 8},
     "access address 2^33": {"access_address": 2**33},
-    "unknown receiver key": {"receiver": {"bogus": 1}},
-    "agc_mode medium": {"receiver": {"agc_mode": "medium"}},
     "seed string": {"seed": "abc"},
     "id number": {"id": 5},
     "one-channel hop map": hopping(algorithm="csa2", map="0x0000000001"),
@@ -73,10 +70,14 @@ BAD_CONFIGS = {
     "cfo past fs/2": {"cfo_range_hz": [-5e6, 5e6]},
     "canned profile rate -5": {"profile": {"kind": "nlos",
                                            "reference_rate_hz": -5}},
-    # Nested objects: a bool is no number, bursts are whole symbols and a
-    # hop map is a hex string or an integer.
+    # The receiver is fixed, so a `receiver` object is an unknown key,
+    # whatever it holds.
+    "unknown receiver key": {"receiver": {"bogus": 1}},
+    "agc_mode medium": {"receiver": {"agc_mode": "medium"}},
     "cfo_max_offset_hz true": {"receiver": {"cfo_max_offset_hz": True}},
     "detect threshold true": {"receiver": {"preamble_detect_threshold": True}},
+    # Nested objects: a bool is no number, bursts are whole symbols and a
+    # hop map is a hex string or an integer.
     "duty cycle true": dict(WLAN, interferer={"duty_cycle": True}),
     "center offset true": dict(WLAN, interferer={"center_offset_hz": True}),
     "burst 2.5 symbols": dict(WLAN, interferer={"burst_symbols": 2.5,
@@ -129,10 +130,6 @@ def test_python_constructor_checks_like_json():
         ScenarioConfig(id="x", seed=1, snr_sweep_db=(float("-inf"),))
     with pytest.raises(ConfigError):
         ScenarioConfig(id="x", seed=1, snr_sweep_db=(float("nan"),))
-    with pytest.raises(ConfigError, match="receiver"):
-        ScenarioConfig(id="x", seed=1, receiver={"sps": 4})
-    with pytest.raises(ConfigError, match="receiver"):
-        ScenarioConfig(id="x", seed=1, receiver={"cfo_method": "fft"})
     with pytest.raises(ConfigError, match="delay spread"):
         ScenarioConfig(id="x", seed=1, profile=replace(
             los_profile(), taps=((0, 0.0), (10**6, -3.0))))
@@ -141,9 +138,7 @@ def test_python_constructor_checks_like_json():
         replace(cfg, seed=-1)
     # The nested objects' checks live in the component, so Python
     # construction rejects what a scenario file does.
-    for make in (lambda: ReceiverConfig(cfo_max_offset_hz=True),
-                 lambda: ReceiverConfig(preamble_detect_threshold=True),
-                 lambda: InterfererConfig(duty_cycle=True),
+    for make in (lambda: InterfererConfig(duty_cycle=True),
                  lambda: InterfererConfig(center_offset_hz=True),
                  lambda: InterfererConfig(burst_symbols=2.5, duty_cycle=0.5),
                  lambda: InterfererConfig(burst_symbols=True),
@@ -288,7 +283,7 @@ FUZZ_BASES = [
     scenario_to_dict(ScenarioConfig(
         id="fuzz", seed=11, snr_sweep_db=(12.0,), sir_sweep_db=(0.0,),
         interferer=InterfererConfig(), profile=nlos_profile(), frames=1,
-        pdu_bits=32, receiver={"agc_mode": "slow", "cfo_max_offset_hz": 250e3})),
+        pdu_bits=32)),
     scenario_to_dict(ScenarioConfig(
         id="fuzz", seed=11, snr_sweep_db=(12.0,), channel=None,
         hopping=HoppingConfig("csa1", "0x1FFFFFFFFF", 9),
@@ -355,12 +350,6 @@ def scenarios(draw):
         dc_dbc=draw(st.none() | st.floats(-300, 300)),
         access_address=draw(st.integers(0, 2**32 - 1)),
         crc_init=draw(st.integers(0, 2**24 - 1)),
-        receiver=draw(st.fixed_dictionaries({}, optional={
-            "agc_mode": st.sampled_from(["fast", "slow"]),
-            "notch_radius": st.floats(0.95, 0.9999),
-            "preamble_detect_threshold": st.floats(0.1, 1.0),
-            "cfo_max_offset_hz": st.floats(1e3, 1e6),
-        })),
     )
     if draw(st.booleans()):
         kw["channel"] = draw(st.integers(0, 39))
