@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import LengthError, ParamError, is_integer, is_number
+from .errors import LengthError, ParamError, is_number
 from .gmsk import IqFrame
 
 
@@ -173,107 +172,69 @@ def apply_dc(frame: IqFrame, dc_dbc: float, phase_rad: float = 0.0) -> IqFrame:
     return frame.replace(frame.samples + dc)
 
 
-@dataclass(frozen=True)
-class InterfererConfig:
-    """802.11a/g-style OFDM interferer knobs (64 subcarriers, 52 occupied,
-    CP 1/4)."""
-
-    bandwidth_hz: float = 20e6
-    center_offset_hz: float = 0.0
-    duty_cycle: float = 1.0
-    burst_symbols: int = 20
-
-    def __post_init__(self):
-        duty, burst = self.duty_cycle, self.burst_symbols
-        bandwidth, offset = self.bandwidth_hz, self.center_offset_hz
-        if not (is_number(duty) and 0.0 <= duty <= 1.0):
-            raise ParamError(f"duty cycle {duty!r} outside [0, 1]")
-        # 1 MHz bounds the samples of one cached symbol; up to 160 MHz, the
-        # widest 802.11 channel, a symbol spans a sample or more at 2 Msps.
-        if not (is_number(bandwidth) and 1e6 <= bandwidth <= 160e6
-                and is_number(offset) and abs(offset) < math.inf):
-            raise ParamError("bandwidth must be 1 to 160 MHz, the offset finite")
-        if not (is_integer(burst) and (not duty or 1 <= burst <= 2**31 * duty)):
-            raise ParamError("bursts must hold a whole number of symbols, 1 or "
-                             "more, period below 2^31")
-
-
-# 802.11a/g OFDM (IEEE 802.11-2020, clause 17): subcarriers +-1..+-26 of
-# 64 carry data, and a symbol lasts 80 / bandwidth, a 16-sample cyclic
-# prefix plus 64 samples at the nominal rate.
+# The interferer is one 802.11a/g OFDM signal (IEEE 802.11-2020, clause
+# 17), 20 MHz wide, centred on the BLE channel and never gated: 64
+# subcarriers, of which +-1..+-26 carry data, and a symbol of 80 /
+# bandwidth, a 16-sample cyclic prefix plus 64 samples at the nominal
+# rate.  At fs a symbol is fs / 250 kHz samples.
+WLAN_BANDWIDTH_HZ = 20e6
+_OFDM_SYMBOL_RATE = WLAN_BANDWIDTH_HZ / 80.0
 _SUBCARRIERS = np.concatenate([np.arange(1, 27), np.arange(-26, 0)])
+_FREQS = _SUBCARRIERS * (WLAN_BANDWIDTH_HZ / 64.0)
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 
-def _kept_subcarriers(config: InterfererConfig, fs: float) -> tuple:
-    """Mask over _SUBCARRIERS of those strictly inside +-fs/2, and the
-    frequencies (Hz) of the kept ones."""
-    freqs = config.center_offset_hz + _SUBCARRIERS * (config.bandwidth_hz / 64.0)
-    kept = np.abs(freqs) < fs / 2.0
-    return kept, freqs[kept]
+@dataclass(frozen=True)
+class InterfererConfig:
+    """The WLAN interferer, which has nothing to set: a scenario holds one
+    to say that its frames meet the interferer."""
 
 
-# A campaign runs at two rates at most (1 and 2 Msym/s times sps), and a
-# basis can reach 52 x 10240 samples (1 MHz wide at 128 Msps).
+def _kept_subcarriers(fs: float) -> np.ndarray:
+    """Mask over _SUBCARRIERS of those strictly inside +-fs/2."""
+    return np.abs(_FREQS) < fs / 2.0
+
+
+# A campaign runs at two rates at most (1 and 2 Msym/s times sps).
 @lru_cache(maxsize=8)
-def _ofdm_tones(config: InterfererConfig, fs: float) -> tuple:
-    """What every draw at fs shares.
-
-    Returns the kept-subcarrier mask, the samples per symbol
-    L = 80 fs / bandwidth as an exact fraction, each kept tone's phase
-    step per sample, and the basis: the kept tones over ceil(L) samples,
-    timed from the end of the cyclic prefix and scaled so that all 52
-    tones together have unit power.  The arrays are read-only.
+def _ofdm_tones(fs: float) -> tuple:
+    """What every draw at fs shares: the kept-subcarrier mask and the
+    basis, the kept tones over one symbol's samples, timed from the end
+    of the cyclic prefix and scaled so that all 52 tones together have
+    unit power.  The arrays are read-only.
     """
-    kept, freqs = _kept_subcarriers(config, fs)
-    per_symbol = Fraction(fs) * 80 / Fraction(config.bandwidth_hz)
-    step = 2.0 * np.pi * freqs / fs
-    # The prefix lasts 16 / bandwidth, L / 5 samples.
-    t = np.arange(math.ceil(per_symbol)) - float(per_symbol) / 5.0
+    kept = _kept_subcarriers(fs)
+    per_symbol = int(fs // _OFDM_SYMBOL_RATE)
+    # The prefix lasts 16 / bandwidth, a fifth of a symbol.
+    t = np.arange(per_symbol) - per_symbol / 5.0
+    step = 2.0 * np.pi * _FREQS[kept] / fs
     basis = np.exp(1j * np.outer(step, t)) / np.sqrt(_SUBCARRIERS.size)
-    for a in (kept, step, basis):
+    for a in (kept, basis):
         a.flags.writeable = False
-    return kept, per_symbol, step, basis
+    return kept, basis
 
 
-def interferer_at_rate(n_samples: int, config: InterfererConfig, fs: float,
-                       seed: int) -> IqFrame:
-    """An OFDM interference burst train, synthesised at sample rate fs.
+def interferer_at_rate(n_samples: int, fs: float, seed: int) -> IqFrame:
+    """The WLAN interferer, synthesised at sample rate fs.
 
     Each symbol draws random QPSK on all 52 subcarriers, so a symbol's
     data does not depend on fs; only the subcarriers whose frequency
-    (center offset plus k * bandwidth / 64) lies inside +-fs/2 are
-    synthesised.  Symbol m starts at time m T, T = 80 / bandwidth, and
-    sample n = ceil(m L) is its first; the offset of that sample from
-    m T is folded into the symbol's phases, so a symbol need not be a
-    whole number of samples.  duty_cycle gates whole symbols into bursts
-    of `burst_symbols`.  With all 52 subcarriers kept the mean power is
-    1; in general it is interferer_inband_fraction(config, fs).
+    (k * 312.5 kHz) lies inside +-fs/2 are synthesised.  fs must be a
+    whole multiple of 250 kHz, so that a symbol is a whole number of
+    samples.  The mean power is interferer_inband_fraction(fs): 1 with
+    all 52 subcarriers kept.
     """
     if n_samples <= 0:
         raise ParamError("n_samples must be positive")
-    spacing = config.bandwidth_hz / 64.0
-    if config.duty_cycle == 0.0:
-        return IqFrame(np.zeros(n_samples, dtype=np.complex128), fs, spacing)
+    if not (fs >= _OFDM_SYMBOL_RATE and fs % _OFDM_SYMBOL_RATE == 0.0):
+        raise ParamError(f"sample rate {fs!r} Hz is no whole multiple of "
+                         f"{_OFDM_SYMBOL_RATE:g} Hz")
     rng = np.random.default_rng(seed)
-    kept, per_symbol, step, basis = _ofdm_tones(config, fs)
-    p, q = per_symbol.numerator, per_symbol.denominator
-    n_syms = (n_samples - 1) * q // p + 1
-    # Exact integers: s_m = ceil(m p / q); past int64, Python ints.
-    m = np.arange(n_syms + 1, dtype=np.int64 if n_syms * p < 2**62 else object)
-    starts = (-(-m * p // q)).astype(np.int64)
-
+    kept, basis = _ofdm_tones(fs)
+    n_syms = (n_samples - 1) // basis.shape[1] + 1
     symbols = _QPSK[rng.integers(0, 4, size=(n_syms, _SUBCARRIERS.size))[:, kept]]
-    if config.duty_cycle < 1.0:
-        period = round(config.burst_symbols / config.duty_cycle)
-        start = int(rng.integers(0, period))
-        symbols[(np.arange(n_syms) + start) % period >= config.burst_symbols] = 0.0
-    if q > 1:
-        delay = ((-m[:-1] * p) % q).astype(np.float64) / q  # s_m - m L
-        symbols *= np.exp(1j * np.outer(delay, step))
     rows = symbols @ basis
-    keep = np.arange(basis.shape[1]) < np.diff(starts)[:, None]
-    return IqFrame(rows[keep][:n_samples], fs, spacing)
+    return IqFrame(rows.ravel()[:n_samples], fs, WLAN_BANDWIDTH_HZ / 64.0)
 
 
 def mix(signal: IqFrame, interferer: IqFrame, sir_db: float) -> IqFrame:
@@ -297,7 +258,7 @@ def mix(signal: IqFrame, interferer: IqFrame, sir_db: float) -> IqFrame:
     return signal.replace(signal.samples + alpha * interferer.samples)
 
 
-def interferer_inband_fraction(config: InterfererConfig, fs: float) -> float:
+def interferer_inband_fraction(fs: float) -> float:
     """Share of the interferer's 52 subcarriers that interferer_at_rate
     synthesises at fs: those inside +-fs/2.
 
@@ -305,4 +266,4 @@ def interferer_inband_fraction(config: InterfererConfig, fs: float) -> float:
     sets transmit gains; mix() measures only what lands in the simulated
     band, so its target must be offset by this fraction.
     """
-    return np.count_nonzero(_kept_subcarriers(config, fs)[0]) / _SUBCARRIERS.size
+    return np.count_nonzero(_kept_subcarriers(fs)) / _SUBCARRIERS.size

@@ -248,9 +248,8 @@ _MODE_KEY = {mode: key for key, mode in enumerate(PhyMode)}
 @dataclass(frozen=True)
 class _FrameDraw:
     """What one frame's sweep points share: the faded, offset frame, the
-    interferer realisation (None if none lands in band) with its in-band
-    level in dB, the noise seed and the receiver set to the frame's
-    channel."""
+    interferer realisation (None without one) with its in-band level in
+    dB, the noise seed and the receiver set to the frame's channel."""
 
     frame: IqFrame
     interferer: IqFrame | None
@@ -298,14 +297,11 @@ def _draw_frame(cfg: ScenarioConfig, mode: PhyMode, frame_idx: int) -> _FrameDra
 
     inter, inband_db = None, 0.0
     if cfg.interferer is not None:
-        inter_seed = int(rng.integers(2**63))
+        fs = frame.sample_rate
+        inter = interferer_at_rate(len(frame), fs, int(rng.integers(2**63)))
         # Scenario SIR counts the interferer's full occupied-band power;
         # only the in-band fraction lands in the simulated bandwidth.
-        frac = interferer_inband_fraction(cfg.interferer, frame.sample_rate)
-        if frac > 0.0:
-            inter = interferer_at_rate(len(frame), cfg.interferer,
-                                       frame.sample_rate, inter_seed)
-            inband_db = 10.0 * np.log10(frac)
+        inband_db = 10.0 * np.log10(interferer_inband_fraction(fs))
 
     rx = cfg._rx[mode]
     if cfg._channel is None:
@@ -361,9 +357,9 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> list[PerResult]:
 
     A frame counts as an error unless its CRC validated; sync failures are
     therefore errors, not exclusions.  Each mode's frames split into
-    `jobs` chunks of consecutive frames, each run over every point; the
-    campaign's chunks go in one map to a pool of at most one worker per
-    core.
+    min(jobs, frames) chunks of consecutive frames, each run over every
+    point; the campaign's chunks go in one map to a pool of at most one
+    worker per core.
     """
     with _as_config_error():
         jobs = check_int("jobs", jobs, 1)
@@ -374,7 +370,8 @@ def run_campaign(cfg: ScenarioConfig, jobs: int = 1) -> list[PerResult]:
     ]
     n = cfg.frames
     parallel = jobs > 1
-    bounds = np.linspace(0, n, (jobs if parallel else 1) + 1, dtype=int)
+    # More chunks than frames would only add empty ones.
+    bounds = np.linspace(0, n, min(jobs, n) + 1, dtype=int)
     ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     tasks = [(cfg, mode, points, a, b) for mode in cfg.phy_modes for a, b in ranges]
     # One pool serves the whole campaign.  The fork start method starts
@@ -459,7 +456,6 @@ def _check_keys(obj, allowed, where: str) -> None:
 # The JSON keys: the dataclass fields, HoppingConfig's under these names,
 # and ScenarioConfig's init fields with hopping nested under channel.
 _PROFILE_KEYS = {f.name for f in fields(ChannelProfile)}
-_INTERFERER_KEYS = {f.name for f in fields(InterfererConfig)}
 _HOP_KEYS = {"algorithm": "algorithm", "map": "map_mask",
              "hop_increment": "hop_increment"}
 _TOP_KEYS = {"version"} | {
@@ -515,9 +511,8 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
         if obj.get("profile") is not None:
             kwargs["profile"] = _profile_from_dict(obj["profile"])
         if obj.get("interferer") is not None:
-            inter = obj["interferer"]
-            _check_keys(inter, _INTERFERER_KEYS, "interferer")
-            kwargs["interferer"] = InterfererConfig(**inter)
+            _check_keys(obj["interferer"], (), "interferer")
+            kwargs["interferer"] = InterfererConfig()
         return ScenarioConfig(**kwargs)
 
 
@@ -533,7 +528,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
         out["channel"] = {"hopping": {
             key: getattr(cfg.hopping, name) for key, name in _HOP_KEYS.items()}}
     out["profile"] = None if cfg.profile is None else _profile_to_dict(cfg.profile)
-    out["interferer"] = None if cfg.interferer is None else asdict(cfg.interferer)
+    out["interferer"] = None if cfg.interferer is None else {}
     return out
 
 

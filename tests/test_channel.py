@@ -1,14 +1,13 @@
-"""Channel impairment tests: noise calibration, fading statistics, WLAN burst."""
-from fractions import Fraction
-
+"""Channel impairment tests: noise calibration, fading statistics, WLAN
+interference."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import signal, stats
 
 from blesim.channel import (
+    WLAN_BANDWIDTH_HZ,
     ChannelProfile,
-    InterfererConfig,
     apply_cfo,
     apply_dc,
     awgn,
@@ -171,29 +170,26 @@ def test_apply_dc_level_and_phase():
 
 
 def test_wlan_interferer_basics():
-    cfg = InterfererConfig()
-    a = interferer_at_rate(50_000, cfg, 40e6, 5)
-    b = interferer_at_rate(50_000, cfg, 40e6, 5)
+    a = interferer_at_rate(50_000, 40e6, 5)
+    b = interferer_at_rate(50_000, 40e6, 5)
     assert len(a) == 50_000 and a.sample_rate == 40e6
-    assert a.symbol_rate == cfg.bandwidth_hz / 64
+    assert a.symbol_rate == WLAN_BANDWIDTH_HZ / 64
     assert np.array_equal(a.samples, b.samples)
-    silent = interferer_at_rate(10_000, InterfererConfig(duty_cycle=0.0), 40e6, 5)
-    assert not silent.samples.any()
     with pytest.raises(ParamError):
-        interferer_at_rate(0, cfg, 8e6, 5)
-    # A sub-MHz band would need a huge cached symbol, one past 160 MHz a
-    # symbol shorter than a sample at 2 Msps; a burst of no symbols, or a
-    # burst period past 2^31 symbols, cannot be gated.
-    for bad in (dict(bandwidth_hz=1e5), dict(bandwidth_hz=161e6),
-                dict(center_offset_hz=np.inf),
-                dict(duty_cycle=0.5, burst_symbols=0),
-                dict(duty_cycle=1e-12, burst_symbols=20)):
+        interferer_at_rate(0, 8e6, 5)
+
+
+def test_interferer_needs_whole_sample_symbols():
+    # A symbol lasts 4 us: a rate off the 250 kHz grid would make it a
+    # fractional number of samples.
+    for fs in (8.1e6, 1e5, 0.0, -8e6, np.inf, np.nan):
         with pytest.raises(ParamError):
-            InterfererConfig(**bad)
+            interferer_at_rate(100, fs, 5)
+    assert len(interferer_at_rate(100, 250e3, 5)) == 100
 
 
 def test_wlan_interferer_occupied_bandwidth():
-    x = interferer_at_rate(400_000, InterfererConfig(), 40e6, 6)
+    x = interferer_at_rate(400_000, 40e6, 6)
     f, psd = signal.welch(x.samples, fs=40e6, nperseg=1024,
                           return_onesided=False)
     order = np.argsort(np.abs(f), kind="stable")
@@ -203,7 +199,7 @@ def test_wlan_interferer_occupied_bandwidth():
 
 
 def test_wlan_interferer_spectral_flatness():
-    x = interferer_at_rate(400_000, InterfererConfig(), 40e6, 7)
+    x = interferer_at_rate(400_000, 40e6, 7)
     f, psd = signal.welch(x.samples, fs=40e6, nperseg=512,
                           return_onesided=False)
     # Inner 90% of the occupied band, away from the edge roll-off.
@@ -212,78 +208,51 @@ def test_wlan_interferer_spectral_flatness():
     assert ripple < 3.0
 
 
-def test_wlan_duty_cycle_gates_bursts():
-    cfg = InterfererConfig(duty_cycle=0.3)
-    x = interferer_at_rate(200_000, cfg, 40e6, 8).samples
-    active = np.abs(x) > 0
-    assert 0.15 < active.mean() < 0.45
-    # Bursts, not speckle: long contiguous active runs exist.
-    runs = np.diff(np.flatnonzero(np.diff(active.astype(int)) != 0))
-    assert runs.max() > 1000
-
-
 _SUBCARRIERS = np.concatenate([np.arange(1, 27), np.arange(-26, 0)])
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 
-def _interferer_per_sample(n_samples, config, fs, seed):
+def _interferer_per_sample(n_samples, fs, seed):
     """Oracle: each sample evaluated from its definition, from the same seed.
 
     x[n] = sum_k X[m, k] exp(2 pi i f_k (t_n - m T - T_cp)) / sqrt(52),
     summed over the subcarriers k with |f_k| < fs/2, where m is the
     symbol holding t_n = n / fs, T = 80 / bandwidth, T_cp = 16 / bandwidth
-    and f_k = offset + k bandwidth / 64; gated-off symbols are 0.
+    and f_k = k bandwidth / 64, for a 20 MHz bandwidth.
     """
     rng = np.random.default_rng(seed)
-    if config.duty_cycle == 0.0:
-        return np.zeros(n_samples, dtype=np.complex128)
-    bw = config.bandwidth_hz
-    per_symbol = Fraction(fs) * 80 / Fraction(bw)
+    bw = 20e6
     n = np.arange(n_samples)
-    m = np.array([int(i / per_symbol) for i in range(n_samples)])  # floor(n / L)
+    m = n * int(bw) // int(80 * fs)  # floor(t_n / T), in exact integers
     x = _QPSK[rng.integers(0, 4, size=(m[-1] + 1, 52))]
-    if config.duty_cycle < 1.0:
-        period = round(config.burst_symbols / config.duty_cycle)
-        start = int(rng.integers(0, period))
-        x[(np.arange(len(x)) + start) % period >= config.burst_symbols] = 0
-    f = config.center_offset_hz + _SUBCARRIERS * bw / 64
+    f = _SUBCARRIERS * bw / 64
     x = x * (np.abs(f) < fs / 2)
     t = n / fs - m * 80 / bw - 16 / bw
     tones = np.exp(2j * np.pi * np.outer(t, f))
     return np.einsum("nk,nk->n", x[m], tones) / np.sqrt(52)
 
 
-@pytest.mark.parametrize("n", [1, 7, 79, 81, 25_000])
-@pytest.mark.parametrize("duty", [1.0, 0.5, 0.0])
-@pytest.mark.parametrize("offset", [0.0, -5e6])
-def test_wlan_interferer_matches_symbol_loop(n, duty, offset):
-    cfg = InterfererConfig(center_offset_hz=offset, duty_cycle=duty,
-                           burst_symbols=3)
-    for fs in (8e6, 16e6):
-        got = interferer_at_rate(n, cfg, fs, n).samples
-        assert np.allclose(got, _interferer_per_sample(n, cfg, fs, n),
+# Each id names the interferer's centre offset (Hz) and duty cycle, then n.
+@pytest.mark.parametrize("n", [1, 7, 79, 81, 25_000],
+                         ids=lambda n: f"0.0-1.0-{n}")
+def test_wlan_interferer_matches_symbol_loop(n):
+    for fs in (2e6, 4e6, 8e6, 16e6, 40e6):
+        got = interferer_at_rate(n, fs, n).samples
+        assert np.allclose(got, _interferer_per_sample(n, fs, n),
                            rtol=0, atol=1e-9)
 
 
-# bandwidth 22 MHz makes a symbol a fractional number of samples at every
-# rate here (29 1/11 at 8 Msps), and 20 MHz + 0.1 Hz one whose exact
-# fraction overflows int64 when multiplied by the symbol index; 1 and
-# 3 MHz keep every subcarrier.
+# Any whole multiple of 250 kHz up to 160 MHz: from a one-sample symbol
+# with no subcarrier in band to one of 640 samples with all 52.
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(n=st.integers(1, 3000),
-       fs=st.sampled_from([4e6, 8e6, 16e6]),
-       bandwidth=st.sampled_from([1e6, 3e6, 20e6, 22e6, 20e6 + 0.1]),
-       offset=st.sampled_from([0.0, -5e6, 15e6]) | st.floats(-12e6, 12e6),
-       duty=st.sampled_from([0.0, 0.5, 1.0]),
-       burst=st.integers(1, 8),
+       fs=st.sampled_from([2e6, 4e6, 8e6, 16e6, 40e6])
+       | st.integers(1, 640).map(lambda k: k * 250e3),
        seed=st.integers(0, 2**63 - 1))
-def test_interferer_matches_per_sample_oracle(n, fs, bandwidth, offset, duty,
-                                              burst, seed):
-    cfg = InterfererConfig(bandwidth_hz=bandwidth, center_offset_hz=offset,
-                           duty_cycle=duty, burst_symbols=burst)
-    got = interferer_at_rate(n, cfg, fs, seed)
+def test_interferer_matches_per_sample_oracle(n, fs, seed):
+    got = interferer_at_rate(n, fs, seed)
     assert len(got) == n and got.sample_rate == fs
-    assert np.allclose(got.samples, _interferer_per_sample(n, cfg, fs, seed),
+    assert np.allclose(got.samples, _interferer_per_sample(n, fs, seed),
                        rtol=0, atol=1e-9)
 
 
@@ -311,33 +280,25 @@ def test_mix_power_and_linearity():
 
 def test_interferer_at_rate_power_fraction():
     # Every sample's expected power is kept/52 of the full interferer's.
-    for fs, offset in ((8e6, 0.0), (16e6, 0.0), (8e6, -5e6), (4e6, 2e6)):
-        cfg = InterfererConfig(center_offset_hz=offset)
-        powers = [measured_power(interferer_at_rate(4000, cfg, fs, s).samples)
+    for fs in (4e6, 8e6, 16e6):
+        powers = [measured_power(interferer_at_rate(4000, fs, s).samples)
                   for s in range(300)]
-        want = interferer_inband_fraction(cfg, fs)
+        want = interferer_inband_fraction(fs)
         assert 0.0 < want < 1.0
-        assert np.mean(powers) == pytest.approx(want, rel=0.02), (fs, offset)
+        assert np.mean(powers) == pytest.approx(want, rel=0.02), fs
 
 
 def test_interferer_inband_fraction_cases():
-    # Subcarrier k sits at offset + k * 312.5 kHz; those strictly inside
-    # +-fs/2 count.
-    cfg = InterfererConfig()
-    assert interferer_inband_fraction(cfg, 40e6) == 1.0
-    assert interferer_inband_fraction(cfg, 16e6) == 50 / 52
-    assert interferer_inband_fraction(cfg, 8e6) == 24 / 52
-    assert interferer_inband_fraction(cfg, 4e6) == 12 / 52
-    shifted = InterfererConfig(center_offset_hz=10e6)  # k = -26..-20
-    assert interferer_inband_fraction(shifted, 8e6) == 7 / 52
-    # 16 MHz wide: subcarrier +-16 lands on +-fs/2 exactly and is dropped.
-    edge = InterfererConfig(bandwidth_hz=16e6)
-    assert interferer_inband_fraction(edge, 8e6) == 30 / 52
-    far = InterfererConfig(center_offset_hz=15e6)  # reaches 6.9 MHz at most
-    assert interferer_inband_fraction(far, 8e6) == 0.0
-    assert interferer_inband_fraction(far, 16e6) == 4 / 52
-    # Wholly outside, nothing is synthesised.
-    assert not interferer_at_rate(1000, far, 8e6, 0).samples.any()
+    # Subcarrier k sits at k * 312.5 kHz; those strictly inside +-fs/2
+    # count.
+    assert interferer_inband_fraction(40e6) == 1.0
+    assert interferer_inband_fraction(16e6) == 50 / 52
+    assert interferer_inband_fraction(8e6) == 24 / 52
+    assert interferer_inband_fraction(4e6) == 12 / 52
+    # The lowest rate a scenario runs at: 1 Msym/s at 2 samples a symbol.
+    assert interferer_inband_fraction(2e6) == 6 / 52
+    # At 10 Msps subcarrier +-16 lands on +-fs/2 exactly and is dropped.
+    assert interferer_inband_fraction(10e6) == 30 / 52
 
 
 def test_impairments_end_to_end_on_modulated_frame():

@@ -136,7 +136,9 @@ def test_run_campaign_caps_workers_at_core_count(monkeypatch):
     assert run_campaign(cfg, jobs=1000) == serial
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     assert run_campaign(cfg, jobs=5) == serial
-    assert sizes == [3, 1]
+    # Chunk bounds are sized by the frames, not by jobs.
+    assert run_campaign(cfg, jobs=10**12) == serial
+    assert sizes == [3, 1, 1]
     for jobs in (0, -2):
         with pytest.raises(ConfigError, match="jobs"):
             run_campaign(cfg, jobs=jobs)
@@ -282,8 +284,7 @@ def test_scenario_from_dict_rejects_unknown_keys():
         ({"channel": {"index": 3, "extra": 1}}, "extra"),
         ({"channel": {"hopping": {"algorithm": "csa2", "bogus": 0}}}, "bogus"),
         ({"profile": {"kind": "los", "what": 1}}, "what"),
-        ({"interferer": {"bandwidth_hz": 1e6, "nope": 2},
-          "sir_sweep_db": [0.0]}, "nope"),
+        ({"interferer": {"nope": 2}, "sir_sweep_db": [0.0]}, "nope"),
     ):
         obj = dict(base)
         obj.update(patch)
@@ -467,20 +468,30 @@ def test_cli_run_checks_out_before_any_frame(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("removed", [
-    {"cfo_method": "corr"}, {"agc_target_power_db": 0.0},
-    {"pulse_bt": 0.5}, {"h": 0.5},
-    {"agc_mode": "fast"}, {"notch_radius": 0.999},
-    {"preamble_detect_threshold": 0.75}, {"cfo_max_offset_hz": 250e3},
+    ("receiver", {"cfo_method": "corr"}),
+    ("receiver", {"agc_target_power_db": 0.0}),
+    ("receiver", {"pulse_bt": 0.5}), ("receiver", {"h": 0.5}),
+    ("receiver", {"agc_mode": "fast"}), ("receiver", {"notch_radius": 0.999}),
+    ("receiver", {"preamble_detect_threshold": 0.75}),
+    ("receiver", {"cfo_max_offset_hz": 250e3}),
+    ("interferer", {"bandwidth_hz": 20e6}),
+    ("interferer", {"center_offset_hz": 0.0}),
+    ("interferer", {"duty_cycle": 1.0}),
+    ("interferer", {"burst_symbols": 20}),
 ])
 def test_cli_run_rejects_removed_receiver_keys(removed, tmp_path, capsys,
                                                monkeypatch):
+    # The receiver and the interferer are fixed: a key that once set one
+    # is now unknown.
     monkeypatch.setattr(harness, "_count_chunk", lambda t: pytest.fail("ran"))
+    obj, keys = removed
     cfg_path = tmp_path / "s.json"
-    cfg_path.write_text(json.dumps(
-        dict(scenario_to_dict(small_scenario(frames=2)), receiver=removed)))
+    base = scenario_to_dict(small_scenario(
+        frames=2, sir_sweep_db=(0.0,), interferer=InterfererConfig()))
+    cfg_path.write_text(json.dumps(dict(base, **{obj: keys})))
     out = tmp_path / "res.csv"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
-    assert "receiver" in err[0], err
+    assert obj in err[0], err
     assert not out.exists()

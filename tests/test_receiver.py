@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from blesim.bits import random_bits
 from blesim.channel import apply_cfo, apply_dc, awgn, interferer_at_rate, mix
 from blesim.errors import NoSignalError, ParamError, SyncFailure
-from blesim.channel import InterfererConfig
 from blesim.gmsk import IqFrame, gaussian_taps, gmsk_modulate
 from blesim.harness import wilson_interval
 from blesim.llpacket import (
@@ -312,9 +311,7 @@ def test_coded_beats_uncoded_under_interference():
         n = 120
         for seed in range(n):
             frame, _ = make_frame(mode, seed=seed)
-            inter = interferer_at_rate(
-                len(frame), InterfererConfig(), frame.sample_rate, seed + 1
-            )
+            inter = interferer_at_rate(len(frame), frame.sample_rate, seed + 1)
             hit = awgn(mix(frame, inter, -5.0), 20.0, seed=seed + 2)
             ok += int(receive(hit, default_cfg(mode)).crc_ok)
         rates[mode] = ok / n

@@ -14,6 +14,7 @@ from blesim.channel import (
     ChannelProfile,
     InterfererConfig,
     channel_realization,
+    interferer_inband_fraction,
     los_profile,
     nlos_profile,
     reverberant_profile,
@@ -38,7 +39,7 @@ BASE = scenario_to_dict(ScenarioConfig(
     id="bad", seed=3, phy_modes=("LE1M",), snr_sweep_db=(30.0,), frames=2,
     pdu_bits=32,
 ))
-WLAN = {"interferer": {"bandwidth_hz": 20e6}, "sir_sweep_db": [0.0]}
+WLAN = {"interferer": {}, "sir_sweep_db": [0.0]}
 
 
 def hopping(**hop):
@@ -76,8 +77,9 @@ BAD_CONFIGS = {
     "agc_mode medium": {"receiver": {"agc_mode": "medium"}},
     "cfo_max_offset_hz true": {"receiver": {"cfo_max_offset_hz": True}},
     "detect threshold true": {"receiver": {"preamble_detect_threshold": True}},
-    # Nested objects: a bool is no number, bursts are whole symbols and a
-    # hop map is a hex string or an integer.
+    # Nested objects: a bool is no number and a hop map is a hex string or
+    # an integer.  The interferer is fixed, so any key in its object is
+    # unknown, whatever it holds.
     "duty cycle true": dict(WLAN, interferer={"duty_cycle": True}),
     "center offset true": dict(WLAN, interferer={"center_offset_hz": True}),
     "burst 2.5 symbols": dict(WLAN, interferer={"burst_symbols": 2.5,
@@ -138,11 +140,7 @@ def test_python_constructor_checks_like_json():
         replace(cfg, seed=-1)
     # The nested objects' checks live in the component, so Python
     # construction rejects what a scenario file does.
-    for make in (lambda: InterfererConfig(duty_cycle=True),
-                 lambda: InterfererConfig(center_offset_hz=True),
-                 lambda: InterfererConfig(burst_symbols=2.5, duty_cycle=0.5),
-                 lambda: InterfererConfig(burst_symbols=True),
-                 lambda: ChannelProfile("los", rician_k_db=True),
+    for make in (lambda: ChannelProfile("los", rician_k_db=True),
                  lambda: ChannelProfile("c", ((True, 0.0), (0, -3.0))),
                  lambda: ChannelMap.from_mask(3.7),
                  lambda: HoppingConfig("csa3"),
@@ -214,38 +212,37 @@ def test_seed_above_32_bits_is_its_own_campaign():
 
 def test_pinned_rows_hopping_interferer_reverberant():
     # Pins what run_frame draws and builds: the frame padding, the TX
-    # pulse, CSA#1 hops, a gated, offset interferer synthesised at 4 Msps
-    # (the 12 of its 52 subcarriers inside +-2 MHz), and the reverberant
-    # profile at sps 4.
+    # pulse, CSA#1 hops, the interferer synthesised at 4 Msps (the 12 of
+    # its 52 subcarriers inside +-2 MHz), and the reverberant profile at
+    # sps 4.
     cfg = ScenarioConfig(
         id="pinned", seed=2024, phy_modes=("LE1M", "LE125K"),
         snr_sweep_db=(8.0, 20.0), sir_sweep_db=(10.0,), channel=None,
         hopping=HoppingConfig("csa1", "0x1F0F0FF0F3", 11),
         profile=reverberant_profile(),
-        interferer=InterfererConfig(center_offset_hz=2e6, duty_cycle=0.5,
-                                    burst_symbols=8),
+        interferer=InterfererConfig(),
         frames=16, pdu_bits=32, sps=4)
     rows = [(r.detected, r.valid) for r in run_campaign(cfg)]
     assert rows == [(7, 0), (7, 0), (16, 13), (16, 13)]
 
 
 def test_interferer_past_nyquist_loads_and_runs():
-    # 20 MHz wide at a 15 MHz offset reaches past +-fs/2 at every rate
-    # here: at 8 Msps (LE1M) none of its subcarriers lands in band, so the
-    # LE1M frames are those without interference; at 16 Msps (LE2M) the 4
-    # inside +-8 MHz do.  A 60 MHz-wide band loads too.
-    def rows(sir, **inter):
+    # The 20 MHz band reaches past +-fs/2 at both rates here: at 8 Msps
+    # (LE1M) 24 of its 52 subcarriers land in band, at 16 Msps (LE2M) 50.
+    # Those that do are enough to break every frame at -10 dB SIR.
+    def rows(sir):
         cfg = scenario_from_dict(dict(
             BASE, phy_modes=["LE1M", "LE2M"], snr_sweep_db=[20.0],
-            sir_sweep_db=[sir], interferer=inter, frames=12,
+            sir_sweep_db=[sir], interferer={}, frames=12,
             profile={"kind": "los"}))
         return [(r.phy, r.detected, r.valid) for r in run_campaign(cfg)]
 
-    wide = rows(-10.0, center_offset_hz=15e6)
-    assert [r[0] for r in wide] == ["LE1M", "LE2M"]
-    assert wide[0] == rows(math.inf, center_offset_hz=15e6)[0]
-    assert wide[0][2] == 12
-    assert len(rows(0.0, bandwidth_hz=60e6)) == 2
+    assert [interferer_inband_fraction(fs) for fs in (8e6, 16e6)] == [
+        24 / 52, 50 / 52]
+    assert rows(math.inf) == [("LE1M", 12, 12), ("LE2M", 12, 12)]
+    hit = rows(-10.0)
+    assert [r[0] for r in hit] == ["LE1M", "LE2M"]
+    assert [r[2] for r in hit] == [0, 0]
 
 
 def test_csa2_ignores_a_valid_hop_increment():
@@ -369,10 +366,7 @@ def scenarios(draw):
         st.none() | st.floats(-30, 30)))
     if draw(st.booleans()):
         kw["sir_sweep_db"] = tuple(draw(st.lists(_DB, min_size=1, max_size=3)))
-        kw["interferer"] = InterfererConfig(
-            bandwidth_hz=draw(st.sampled_from([1e6, 2e6, 20e6])),
-            duty_cycle=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 1)),
-            burst_symbols=draw(st.integers(1, 50)))
+        kw["interferer"] = InterfererConfig()
     return ScenarioConfig(**kw)
 
 
