@@ -28,15 +28,19 @@ def measured_power(samples: np.ndarray) -> float:
     return float(np.mean(active))
 
 
-def awgn(frame: IqFrame, snr_db: float, seed: int) -> IqFrame:
+def awgn(frame: IqFrame, snr_db: float, seed: int,
+         p_sig: float | None = None) -> IqFrame:
     """Add complex white Gaussian noise at the requested measured SNR.
 
-    SNR is defined against the mean power of the active part of the frame;
-    noise covers every sample.  snr_db=inf returns the frame unchanged.
+    SNR is defined against the mean power of the active part of the frame,
+    measured_power(frame.samples), which a caller that already has it may
+    pass as p_sig; noise covers every sample.  snr_db=inf returns the
+    frame unchanged.
     """
     if np.isinf(snr_db) and snr_db > 0:
         return frame.replace(frame.samples.copy())
-    p_sig = measured_power(frame.samples)
+    if p_sig is None:
+        p_sig = measured_power(frame.samples)
     if p_sig == 0.0:
         return frame.replace(frame.samples.copy())
     sigma2 = p_sig * 10.0 ** (-snr_db / 10.0)
@@ -237,9 +241,11 @@ def interferer_at_rate(n_samples: int, fs: float, seed: int) -> IqFrame:
     return IqFrame(rows.ravel()[:n_samples], fs, WLAN_BANDWIDTH_HZ / 64.0)
 
 
-def mix(signal: IqFrame, interferer: IqFrame, sir_db: float) -> IqFrame:
+def mix(signal: IqFrame, interferer: IqFrame, sir_db: float,
+        p_sig: float | None = None) -> IqFrame:
     """Add the interferer, sample for sample, scaled so active-sample
-    powers obey the target SIR; sir_db=inf adds nothing."""
+    powers obey the target SIR; sir_db=inf adds nothing.  p_sig, if
+    given, is measured_power(signal.samples)."""
     if interferer.sample_rate != signal.sample_rate:
         raise ParamError(
             f"signal at {signal.sample_rate} Hz, interferer at "
@@ -250,7 +256,8 @@ def mix(signal: IqFrame, interferer: IqFrame, sir_db: float) -> IqFrame:
             f"signal has {len(signal)} samples, interferer {len(interferer)}")
     if np.isinf(sir_db) and sir_db > 0:
         return signal.replace(signal.samples.copy())
-    p_sig = measured_power(signal.samples)
+    if p_sig is None:
+        p_sig = measured_power(signal.samples)
     p_int = measured_power(interferer.samples)
     if p_int == 0.0:
         return signal.replace(signal.samples.copy())

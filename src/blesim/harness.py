@@ -36,6 +36,7 @@ from .channel import (
     interferer_at_rate,
     interferer_inband_fraction,
     los_profile,
+    measured_power,
     mix,
     nlos_profile,
 )
@@ -247,11 +248,13 @@ _MODE_KEY = {mode: key for key, mode in enumerate(PhyMode)}
 
 @dataclass(frozen=True)
 class _FrameDraw:
-    """What one frame's sweep points share: the faded, offset frame, the
-    interferer realisation (None without one) with its in-band level in
-    dB, the noise seed and the receiver set to the frame's channel."""
+    """What one frame's sweep points share: the faded, offset frame and
+    its measured power, the interferer realisation (None without one)
+    with its in-band level in dB, the noise seed and the receiver set to
+    the frame's channel."""
 
     frame: IqFrame
+    power: float
     interferer: IqFrame | None
     inband_db: float
     noise_seed: int
@@ -306,7 +309,8 @@ def _draw_frame(cfg: ScenarioConfig, mode: PhyMode, frame_idx: int) -> _FrameDra
     rx = cfg._rx[mode]
     if cfg._channel is None:
         rx = replace(rx, channel=channel.index)
-    return _FrameDraw(frame, inter, inband_db, int(rng.integers(2**63)), rx)
+    return _FrameDraw(frame, measured_power(frame.samples), inter, inband_db,
+                      int(rng.integers(2**63)), rx)
 
 
 def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
@@ -330,10 +334,11 @@ def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
         if shared is not None:
             shared[key] = draw
 
-    frame = draw.frame
+    frame, p_sig = draw.frame, draw.power
     if draw.interferer is not None and sir_db is not None:
-        frame = mix(frame, draw.interferer, sir_db - draw.inband_db)
-    frame = awgn(frame, snr_db, draw.noise_seed)
+        frame = mix(frame, draw.interferer, sir_db - draw.inband_db, p_sig=p_sig)
+        p_sig = None  # awgn measures the mixture
+    frame = awgn(frame, snr_db, draw.noise_seed, p_sig=p_sig)
     return receive(frame, draw.rx, trace=trace)
 
 

@@ -3,24 +3,26 @@
 Stage order is fixed: AGC -> DC notch -> coarse CFO correction -> matched
 filter -> preamble synchronization (timing + fine CFO) -> differential
 demod -> FEC decode (coded modes) -> de-whitening -> AA/CRC validation.
-Frequency offset is corrected before the matched filter so the filter
-passband actually covers the signal.  Sync searches only the lags at which
-the shortest packet the config can receive still fits in the frame, and
-the fine CFO it estimates is applied by the differential detector as one
-rotation of its lag-sps products, not by derotating the frame.  The
-matched filter and the sync template use the transmitter's pulse and
-modulation index, gmsk.BT, gmsk.H and gmsk.SPAN; the detector's +-pi/2
-steps are those of H = 0.5.  All failures downstream of the public API
-surface as report flags, never exceptions.
+The AGC's power tracker and the DC notch are one-pole recurrences, run
+in numpy block by block (_one_pole); they equal scipy.signal.lfilter up
+to rounding.  Frequency offset is corrected before the matched filter so
+the filter passband actually covers the signal.  Sync searches only the
+lags at which the shortest packet the config can receive still fits in
+the frame, and the fine CFO it estimates is applied by the differential
+detector as one rotation of its lag-sps products, not by derotating the
+frame.  The matched filter and the sync template use the transmitter's
+pulse and modulation index, gmsk.BT, gmsk.H and gmsk.SPAN; the
+detector's +-pi/2 steps are those of H = 0.5.  All failures downstream
+of the public API surface as report flags, never exceptions.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.fft import fft, fftfreq, ifft
-from scipy.signal import lfilter
 
 from .bits import bits_to_int
 from .coded import (
@@ -120,6 +122,57 @@ class RxPacketReport:
     reason: str = ""
 
 
+# The one-pole recurrences run in blocks of this many samples.
+_BLOCK = 256
+
+
+@lru_cache(maxsize=8)
+def _pole_weights(alpha: float, gain: float):
+    """gain*alpha**-i and alpha**i for i in [0, _BLOCK), read-only, and
+    alpha**(_BLOCK-1)."""
+    i = np.arange(_BLOCK, dtype=float)
+    rise, fall = gain * alpha ** -i, alpha ** i
+    rise.setflags(write=False)
+    fall.setflags(write=False)
+    return rise, fall, float(fall[-1])
+
+
+def _one_pole(v: np.ndarray, alpha: float, y0, gain: float = 1.0,
+              scale: int = 0) -> np.ndarray:
+    """y[n] = alpha*y[n-1] + gain*v[n] from y[-1] = y0, for 0 < alpha < 1.
+
+    lfilter([gain], [1, -alpha], v, zi=[alpha*y0]) up to rounding,
+    computed block by block: within a block y is alpha**i times a
+    cumulative sum of gain*v[i]*alpha**-i plus alpha times the last y of
+    the block before, which a loop over the blocks carries forward.  The
+    weights reach alpha**-255 (1.4e7 for the AGC's pole), so if a sum
+    overflows, it is formed again with the weights and y0 scaled by
+    2**-64, an exact power of two, and y scaled back: y then overflows
+    only where the recurrence itself does.
+    """
+    n = v.size
+    rise, fall, last = _pole_weights(alpha, gain * 2.0 ** -scale)
+    u = np.zeros((-(-n // _BLOCK), _BLOCK), np.result_type(v, float))
+    u.ravel()[:n] = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        u *= rise
+        np.cumsum(u, axis=1, out=u)
+        # y at each block's end; an overflow anywhere in a block's sum
+        # leaves that end, and so the last one, non-finite.
+        carry, y_end = [], y0 * 2.0 ** -scale
+        for end in u[:, -1].tolist():
+            carry.append(alpha * y_end)
+            y_end = last * (end + alpha * y_end)
+        if not (scale or cmath.isfinite(y_end)):
+            return _one_pole(v, alpha, y0, gain, 64)
+        u += np.array(carry)[:, None]
+        u *= fall
+        y = u.ravel()[:n]
+        if scale:
+            y *= 2.0 ** scale
+    return y
+
+
 def agc(frame: IqFrame) -> IqFrame:
     """Normalize power to 1 with a one-pole tracker (pole AGC_ALPHA)."""
     x = frame.samples
@@ -129,8 +182,7 @@ def agc(frame: IqFrame) -> IqFrame:
     power = np.abs(x) ** 2
     # Seed the tracker with the first sample's power to avoid a cold-start
     # spike, then clamp so silent stretches cannot produce infinite gain.
-    zi = np.array([(1.0 - a) * max(power[0], 1e-18)])
-    p, _ = lfilter([a], [1.0, -(1.0 - a)], power, zi=zi)
+    p = _one_pole(power, 1.0 - a, max(float(power[0]), 1e-18), gain=a)
     p = np.maximum(p, 1e-18)
     return frame.replace(x * np.sqrt(1.0 / p))
 
@@ -138,8 +190,10 @@ def agc(frame: IqFrame) -> IqFrame:
 def dc_notch(frame: IqFrame) -> IqFrame:
     """First-order complex notch at 0 Hz: (1 - z^-1) / (1 - r z^-1), r =
     NOTCH_RADIUS."""
-    y = lfilter([1.0, -1.0], [1.0, -NOTCH_RADIUS], frame.samples)
-    return frame.replace(y)
+    x = frame.samples
+    v = x.copy()
+    v[1:] -= x[:-1]
+    return frame.replace(_one_pole(v, NOTCH_RADIUS, 0.0))
 
 
 @lru_cache(maxsize=32)

@@ -58,6 +58,23 @@ def test_awgn_deterministic():
                        d.samples - frame.samples)
 
 
+def test_awgn_and_mix_take_the_measured_power_from_the_caller():
+    # A campaign measures each frame once and passes the power to every
+    # sweep point; the output is the bits of measuring it again.
+    frame = _tone(5000)
+    power = measured_power(frame.samples)
+    for snr_db in (3.0, -2.0):
+        assert np.array_equal(awgn(frame, snr_db, seed=7, p_sig=power).samples,
+                              awgn(frame, snr_db, seed=7).samples)
+    inter = interferer_at_rate(len(frame), frame.sample_rate, 5)
+    assert np.array_equal(mix(frame, inter, -4.0, p_sig=power).samples,
+                          mix(frame, inter, -4.0).samples)
+    # The passed power is the one the noise is scaled to.
+    quiet = awgn(frame, 10.0, seed=7, p_sig=power / 100.0).samples - frame.samples
+    loud = awgn(frame, 10.0, seed=7).samples - frame.samples
+    assert np.allclose(quiet * 10.0, loud)
+
+
 def test_awgn_snr_ignores_zero_padding():
     # SNR is defined over active samples, so lead-in zeros don't dilute it.
     core = _tone(20_000)

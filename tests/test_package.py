@@ -1,6 +1,9 @@
 """The package's export list and its one error type for a bad argument."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import blesim
 
@@ -44,3 +47,16 @@ def test_no_module_imports_a_name_it_never_uses():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, found
+
+
+def test_importing_blesim_does_not_load_scipy_signal():
+    # scipy.signal takes as long to import as the rest of blesim's start,
+    # and pytest's own process has it loaded, so a fresh interpreter looks.
+    src = str(pathlib.Path(blesim.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, blesim, blesim.cli, blesim.harness; "
+            "print('scipy.signal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

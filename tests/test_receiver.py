@@ -1,7 +1,8 @@
 """Receiver stage tests: AGC, notch, CFO, sync, and the full chain."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.signal import lfilter
 
 from blesim.bits import random_bits
 from blesim.channel import apply_cfo, apply_dc, awgn, interferer_at_rate, mix
@@ -17,6 +18,7 @@ from blesim.llpacket import (
 from blesim.coded import assemble_coded
 from blesim.phymode import PhyMode
 from blesim.receiver import (
+    AGC_ALPHA,
     NOTCH_RADIUS,
     ReceiverConfig,
     agc,
@@ -84,6 +86,44 @@ def test_dc_notch_passes_band():
     assert abs(drop) < 0.5
     zero = dc_notch(IqFrame(np.zeros(100, complex), fs, 1e6))
     assert not zero.samples.any()
+
+
+def _lfilter_agc(x):
+    """The AGC as scipy.signal.lfilter runs its power tracker."""
+    if x.size == 0:
+        return x.copy()
+    a = AGC_ALPHA
+    power = np.abs(x) ** 2
+    zi = [(1.0 - a) * max(power[0], 1e-18)]
+    p, _ = lfilter([a], [1.0, -(1.0 - a)], power, zi=zi)
+    return x * np.sqrt(1.0 / np.maximum(p, 1e-18))
+
+
+# The oracle for agc and dc_notch is lfilter.  The frames cross block
+# edges (a step at sample 255 or 256 changes the level the carry brings
+# into the next block), and their amplitudes span 1e-100 to 1e100; at
+# 1e152 the AGC's unscaled block sums overflow and are redone scaled.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from([0, 1, 255, 256, 257, 3 * 256 + 7, 60_000]),
+       log_amp=st.floats(-100.0, 100.0),
+       step_at=st.sampled_from([255, 256]),
+       step_db=st.floats(-60.0, 60.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=3 * 256 + 7, log_amp=150.0, step_at=256, step_db=0.0, seed=1)
+@example(n=3 * 256 + 7, log_amp=152.0, step_at=255, step_db=0.0, seed=2)
+def test_agc_and_dc_notch_match_lfilter(n, log_amp, step_at, step_db, seed):
+    rng = np.random.default_rng(seed)
+    dc = rng.standard_normal() + 1j * rng.standard_normal()
+    x = 10.0 ** log_amp * (rng.standard_normal(n) + 1j * rng.standard_normal(n) + dc)
+    x[step_at:] *= 10.0 ** (step_db / 20.0)
+    frame = IqFrame(x, 8e6, 1e6)
+    notch = lfilter([1.0, -1.0], [1.0, -NOTCH_RADIUS], x)
+    for got, want in ((agc(frame).samples, _lfilter_agc(x)),
+                      (dc_notch(frame).samples, notch)):
+        assert got.shape == want.shape
+        assert np.isfinite(want).all()
+        peak = np.abs(want).max(initial=0.0)
+        assert np.all(np.abs(got - want) <= 1e-12 * peak)
 
 
 def _cfo_probe(offset_hz, snr_db=15.0, seed=1):
