@@ -242,10 +242,11 @@ def interferer_at_rate(n_samples: int, fs: float, seed: int) -> IqFrame:
 
 
 def mix(signal: IqFrame, interferer: IqFrame, sir_db: float,
-        p_sig: float | None = None) -> IqFrame:
+        p_sig: float | None = None, p_int: float | None = None) -> IqFrame:
     """Add the interferer, sample for sample, scaled so active-sample
-    powers obey the target SIR; sir_db=inf adds nothing.  p_sig, if
-    given, is measured_power(signal.samples)."""
+    powers obey the target SIR; sir_db=inf adds nothing.  p_sig and
+    p_int, if given, are measured_power(signal.samples) and
+    measured_power(interferer.samples)."""
     if interferer.sample_rate != signal.sample_rate:
         raise ParamError(
             f"signal at {signal.sample_rate} Hz, interferer at "
@@ -258,7 +259,8 @@ def mix(signal: IqFrame, interferer: IqFrame, sir_db: float,
         return signal.replace(signal.samples.copy())
     if p_sig is None:
         p_sig = measured_power(signal.samples)
-    p_int = measured_power(interferer.samples)
+    if p_int is None:
+        p_int = measured_power(interferer.samples)
     if p_int == 0.0:
         return signal.replace(signal.samples.copy())
     alpha = np.sqrt(p_sig / (p_int * 10.0 ** (sir_db / 10.0)))

@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration problem, 3 file I/O problem.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -75,6 +76,20 @@ def _make_dir(path) -> None:
         raise IoError(str(exc)) from exc
 
 
+def _emit(results, fh, fmt: str) -> None:
+    """emit_results, then flush.  An OSError from either (a full disk, a
+    closed pipe) becomes IoError, and fh is closed first: the output is
+    lost, and what is left in fh's buffer would fail again when fh is
+    closed at exit."""
+    try:
+        emit_results(results, fh, fmt=fmt)
+        fh.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            fh.close()
+        raise IoError(f"cannot write the results: {exc}") from exc
+
+
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.config)
     if args.seed is not None:
@@ -89,7 +104,7 @@ def _cmd_run(args) -> int:
         raise IoError(str(exc)) from exc
     with out:
         results = run_campaign(cfg, jobs=args.jobs)
-        emit_results(results, out, fmt=args.format)
+        _emit(results, out, args.format)
     print(f"wrote {len(results)} rows to {args.out}")
     return 0
 
@@ -122,7 +137,7 @@ def _cmd_per(args) -> int:
         frames=args.frames, pdu_bits=args.pdu_bits,
     )
     results = run_campaign(cfg, jobs=args.jobs)
-    emit_results(results, sys.stdout, fmt="csv")
+    _emit(results, sys.stdout, "csv")
     return 0
 
 

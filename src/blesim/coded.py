@@ -105,22 +105,6 @@ def _as_soft(symbols: np.ndarray) -> np.ndarray:
     return symbols.astype(np.float64)
 
 
-# Trellis table, indexed by destination state (3 bits, newest first).
-# State s encodes (b[n-1], b[n-2], b[n-3]); destination t = (b<<2)|(s>>1)
-# has two predecessors 2*(t&3) and 2*(t&3)+1 with input bit t>>2.  Entry
-# t holds, per predecessor, its state and the antipodal signs (+1 for a
-# coded 1) of the g0 and g1 bits on that branch.
-def _branch(t: int, s: int) -> tuple:
-    b, s2, s1, s0 = t >> 2, (s >> 2) & 1, (s >> 1) & 1, s & 1
-    g0 = b ^ s2 ^ s1 ^ s0
-    g1 = b ^ s1 ^ s0
-    return s, 2.0 * g0 - 1.0, 2.0 * g1 - 1.0
-
-
-_TRELLIS = tuple(_branch(t, (t & 3) << 1) + _branch(t, ((t & 3) << 1) | 1)
-                 for t in range(8))
-
-
 def viterbi_decode(symbols: np.ndarray, s: int) -> np.ndarray:
     """Maximum-likelihood decode of one FEC block.
 
@@ -134,33 +118,51 @@ def viterbi_decode(symbols: np.ndarray, s: int) -> np.ndarray:
     if soft.size == 0:
         raise LengthError("empty coded block")
 
-    # Scalar add-compare-select over Python floats: on an 8-state trellis
-    # numpy's per-call overhead costs more than the arithmetic.  Each
-    # candidate is summed as (metric + g0 term) + g1 term, and a tie keeps
+    # Add-compare-select over Python floats, unrolled over the 8 states:
+    # on so small a trellis numpy's per-call overhead costs more than the
+    # arithmetic.  State s encodes (b[n-1], b[n-2], b[n-3]), newest first;
+    # destination t = (b<<2)|(s>>1) has predecessors 2*(t&3) and
+    # 2*(t&3)+1 with input bit b = t>>2.  A branch adds +x for a coded 1
+    # and -x for a coded 0 (g0 = b^s2^s1^s0, g1 = b^s1^s0), each
+    # candidate summed as (metric +- x0) +- x1, and a tie keeps
     # predecessor 0, so the bits are those of an argmax over the pair.
-    # `back` holds each step's surviving predecessor state per state.
-    pm = [0.0] + [-np.inf] * 7
+    # `back` holds each step's 8 choices, True for predecessor 1.
+    m0 = 0.0
+    m1 = m2 = m3 = m4 = m5 = m6 = m7 = -np.inf
     back = []
     for x0, x1 in zip(soft[0::2].tolist(), soft[1::2].tolist()):
-        metrics = []
-        choice = []
-        for p0, a0, b0, p1, a1, b1 in _TRELLIS:
-            m0 = pm[p0] + x0 * a0 + x1 * b0
-            m1 = pm[p1] + x0 * a1 + x1 * b1
-            if m1 > m0:
-                metrics.append(m1)
-                choice.append(p1)
-            else:
-                metrics.append(m0)
-                choice.append(p0)
-        pm = metrics
-        back.append(choice)
+        a, b = m0 - x0 - x1, m1 + x0 + x1
+        k0 = b > a
+        n0 = b if k0 else a
+        a, b = m2 + x0 + x1, m3 - x0 - x1
+        k1 = b > a
+        n1 = b if k1 else a
+        a, b = m4 + x0 - x1, m5 - x0 + x1
+        k2 = b > a
+        n2 = b if k2 else a
+        a, b = m6 - x0 + x1, m7 + x0 - x1
+        k3 = b > a
+        n3 = b if k3 else a
+        a, b = m0 + x0 + x1, m1 - x0 - x1
+        k4 = b > a
+        n4 = b if k4 else a
+        a, b = m2 - x0 - x1, m3 + x0 + x1
+        k5 = b > a
+        n5 = b if k5 else a
+        a, b = m4 - x0 + x1, m5 + x0 - x1
+        k6 = b > a
+        n6 = b if k6 else a
+        a, b = m6 + x0 - x1, m7 - x0 + x1
+        k7 = b > a
+        n7 = b if k7 else a
+        m0, m1, m2, m3, m4, m5, m6, m7 = n0, n1, n2, n3, n4, n5, n6, n7
+        back.append((k0, k1, k2, k3, k4, k5, k6, k7))
 
     bits = []
     state = 0
     for choice in reversed(back):
         bits.append(state >> 2)
-        state = choice[state]
+        state = ((state & 3) << 1) | choice[state]
     return np.array(bits[::-1], dtype=np.uint8)
 
 

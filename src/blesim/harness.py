@@ -250,12 +250,13 @@ _MODE_KEY = {mode: key for key, mode in enumerate(PhyMode)}
 class _FrameDraw:
     """What one frame's sweep points share: the faded, offset frame and
     its measured power, the interferer realisation (None without one)
-    with its in-band level in dB, the noise seed and the receiver set to
-    the frame's channel."""
+    with its measured power and its in-band level in dB, the noise seed
+    and the receiver set to the frame's channel."""
 
     frame: IqFrame
     power: float
     interferer: IqFrame | None
+    interferer_power: float
     inband_db: float
     noise_seed: int
     rx: ReceiverConfig
@@ -298,10 +299,11 @@ def _draw_frame(cfg: ScenarioConfig, mode: PhyMode, frame_idx: int) -> _FrameDra
         frame = apply_dc(frame, cfg.dc_dbc, float(rng.uniform(0, 2 * np.pi)))
     frame.samples.flags.writeable = False  # every point reads it
 
-    inter, inband_db = None, 0.0
+    inter, p_int, inband_db = None, 0.0, 0.0
     if cfg.interferer is not None:
         fs = frame.sample_rate
         inter = interferer_at_rate(len(frame), fs, int(rng.integers(2**63)))
+        p_int = measured_power(inter.samples)
         # Scenario SIR counts the interferer's full occupied-band power;
         # only the in-band fraction lands in the simulated bandwidth.
         inband_db = 10.0 * np.log10(interferer_inband_fraction(fs))
@@ -309,8 +311,8 @@ def _draw_frame(cfg: ScenarioConfig, mode: PhyMode, frame_idx: int) -> _FrameDra
     rx = cfg._rx[mode]
     if cfg._channel is None:
         rx = replace(rx, channel=channel.index)
-    return _FrameDraw(frame, measured_power(frame.samples), inter, inband_db,
-                      int(rng.integers(2**63)), rx)
+    return _FrameDraw(frame, measured_power(frame.samples), inter, p_int,
+                      inband_db, int(rng.integers(2**63)), rx)
 
 
 def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
@@ -336,7 +338,8 @@ def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
 
     frame, p_sig = draw.frame, draw.power
     if draw.interferer is not None and sir_db is not None:
-        frame = mix(frame, draw.interferer, sir_db - draw.inband_db, p_sig=p_sig)
+        frame = mix(frame, draw.interferer, sir_db - draw.inband_db,
+                    p_sig=p_sig, p_int=draw.interferer_power)
         p_sig = None  # awgn measures the mixture
     frame = awgn(frame, snr_db, draw.noise_seed, p_sig=p_sig)
     return receive(frame, draw.rx, trace=trace)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import fft, fftfreq, ifft
 
 from .bits import bits_to_int
 from .coded import (
@@ -208,7 +207,7 @@ def _cfo_search(nfft: int, fs: float, rs: float):
     the frequency of each bin, and the positions of the window's own bins
     in ascending bin order, the order in which the search meets them.
     """
-    freqs = fftfreq(nfft, 1.0 / fs)
+    freqs = np.fft.fftfreq(nfft, 1.0 / fs)
     shift = int(round((rs / 2.0) / (fs / nfft)))
     window = np.flatnonzero(np.abs(freqs) <= rs / 2.0)
     signed = (window + nfft // 2) % nfft - nfft // 2
@@ -240,7 +239,7 @@ def coarse_cfo_estimate(frame: IqFrame) -> float:
     # (fs/nfft divides rs/2 for a power-of-two sps); next_fast_len sizes
     # do not, and the pair metric then misses its lines.
     nfft = 1 << int(np.ceil(np.log2(2 * len(sq))))
-    spectrum = fft(sq, nfft)
+    spectrum = np.fft.fft(sq, nfft)
     pair_bins, muted, freqs, order = _cfo_search(nfft, fs, rs)
     power = np.abs(spectrum[pair_bins]) ** 2
     # Any residual DC offset squares to a line at 0 Hz which would alias
@@ -280,7 +279,7 @@ def _template(mode: PhyMode, aa: int, sps: int):
     seg_len = seg_sym * sps
     segments = tuple((d + i * seg_len, d + (i + 1) * seg_len) for i in range(n_seg))
     nfft = 8 << int(np.ceil(np.log2(seg_len)))
-    spectra = np.conj(fft([ref[a:b] for a, b in segments], nfft, axis=1))
+    spectra = np.conj(np.fft.fft([ref[a:b] for a, b in segments], nfft, axis=1))
     spectra.setflags(write=False)
     norms = tuple(float(np.linalg.norm(ref[a:b])) for a, b in segments)
     return ref, segments, nfft, spectra, norms
@@ -337,7 +336,7 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
     for i, row in enumerate(blocks):
         part = x[p0 + i * step:p0 + i * step + nfft]
         row[:part.size] = part
-    blocks = fft(blocks, axis=1, overwrite_x=True)
+    np.fft.fft(blocks, axis=1, out=blocks)
 
     num = np.zeros(n_lags)
     den = np.full(n_lags, 1e-30)
@@ -345,7 +344,8 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
         # Segment (a, b) reads its lags from block rows first..last only.
         first, offset = divmod(a - p0, step)
         last = (a - p0 + n_lags - 1) // step
-        c = ifft(blocks[first:last + 1] * spec, axis=1, overwrite_x=True)
+        c = blocks[first:last + 1] * spec
+        np.fft.ifft(c, axis=1, out=c)
         num += np.abs(c[:, :step]).ravel()[offset:offset + n_lags]
         den += norm * rms[a:a + n_lags]
     rho = num / den

@@ -67,12 +67,19 @@ def test_awgn_and_mix_take_the_measured_power_from_the_caller():
         assert np.array_equal(awgn(frame, snr_db, seed=7, p_sig=power).samples,
                               awgn(frame, snr_db, seed=7).samples)
     inter = interferer_at_rate(len(frame), frame.sample_rate, 5)
+    p_int = measured_power(inter.samples)
     assert np.array_equal(mix(frame, inter, -4.0, p_sig=power).samples,
                           mix(frame, inter, -4.0).samples)
-    # The passed power is the one the noise is scaled to.
+    assert np.array_equal(mix(frame, inter, -4.0, p_sig=power, p_int=p_int).samples,
+                          mix(frame, inter, -4.0).samples)
+    # The passed powers are the ones the noise and the interferer are
+    # scaled to.
     quiet = awgn(frame, 10.0, seed=7, p_sig=power / 100.0).samples - frame.samples
     loud = awgn(frame, 10.0, seed=7).samples - frame.samples
     assert np.allclose(quiet * 10.0, loud)
+    weak = mix(frame, inter, -4.0, p_int=p_int * 100.0).samples - frame.samples
+    strong = mix(frame, inter, -4.0).samples - frame.samples
+    assert np.allclose(weak * 10.0, strong)
 
 
 def test_awgn_snr_ignores_zero_padding():

@@ -153,6 +153,62 @@ def test_viterbi_matches_numpy_oracle(s, steps, kind, seed):
     assert np.array_equal(viterbi_decode(symbols, s), viterbi_oracle(symbols, s))
 
 
+_TRELLIS = tuple(
+    tuple(v for k in range(2)
+          for v in (int(_PRED[_t, k]), float(_SIGN0[_t, k]), float(_SIGN1[_t, k])))
+    for _t in range(8))
+
+
+def viterbi_loop_oracle(symbols, s):
+    """The table-driven scalar decoder that viterbi_decode unrolls: each
+    candidate summed as (metric + x0*sign0) + x1*sign1, a tie kept by
+    predecessor 0."""
+    soft = pattern_demap(symbols, s)
+    pm = [0.0] + [-np.inf] * 7
+    back = []
+    for x0, x1 in zip(soft[0::2].tolist(), soft[1::2].tolist()):
+        metrics = []
+        choice = []
+        for p0, a0, b0, p1, a1, b1 in _TRELLIS:
+            m0 = pm[p0] + x0 * a0 + x1 * b0
+            m1 = pm[p1] + x0 * a1 + x1 * b1
+            if m1 > m0:
+                metrics.append(m1)
+                choice.append(p1)
+            else:
+                metrics.append(m0)
+                choice.append(p0)
+        pm = metrics
+        back.append(choice)
+    bits = []
+    state = 0
+    for choice in reversed(back):
+        bits.append(state >> 2)
+        state = choice[state]
+    return np.array(bits[::-1], dtype=np.uint8)
+
+
+def test_unrolled_viterbi_matches_the_table_loop_bit_for_bit():
+    # x*(-1.0) is exact negation, so (m - x0) - x1 is (m + x0*-1) + x1*-1
+    # to the bit.  Halves make metrics tie exactly, where predecessor 0
+    # must win; tenths make candidates that tie in exact arithmetic differ
+    # by the rounding of their summation order; all-zero inputs tie at
+    # every step.
+    rng = np.random.default_rng(31)
+    for s in (2, 8):
+        for i in range(1500):
+            n = int(rng.integers(1, 160)) * 2 * _spreading(s)
+            symbols = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            if i % 50 == 0:
+                symbols = np.zeros(n)
+            elif i % 3 == 1:
+                symbols = np.round(rng.standard_normal(n) * 2.0) / 2.0
+            elif i % 3 == 2:
+                symbols = np.round(rng.standard_normal(n), 1)
+            assert np.array_equal(viterbi_decode(symbols, s),
+                                  viterbi_loop_oracle(symbols, s)), (s, i)
+
+
 def test_viterbi_returns_bits_on_nan_input():
     rng = np.random.default_rng(30)
     for s in (2, 8):

@@ -2,6 +2,9 @@
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -361,6 +364,30 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     bad.write_text('{"version": 1, "id": "x", "seed": 1, "wat": 2}')
     assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["run", "per"])
+def test_cli_output_write_failure_exits_3_with_one_error_line(command, tmp_path):
+    # A full disk fails the buffered writes only when the results are
+    # flushed, after the campaign: each command must still end with one
+    # error line and exit 3, and leave nothing in its buffer to fail (and
+    # print a traceback) at interpreter exit.  Both run as fresh processes.
+    cfg_path = tmp_path / "s.json"
+    save_scenario(small_scenario(frames=2), cfg_path)
+    args = (["run", "--config", str(cfg_path), "--out", "/dev/full"]
+            if command == "run" else
+            ["per", "--phy", "LE1M", "--snr", "30", "--frames", "2",
+             "--pdu-bits", "32"])
+    src = str(pathlib.Path(harness.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        out = subprocess.run([sys.executable, "-m", "blesim.cli", *args],
+                             stdout=full, stderr=subprocess.PIPE, text=True,
+                             timeout=120, env={**os.environ, "PYTHONPATH": path})
+    err = out.stderr.splitlines()
+    assert out.returncode == 3, out.stderr
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_cli_per_writes_csv(capsys):
