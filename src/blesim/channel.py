@@ -199,7 +199,7 @@ def _kept_subcarriers(fs: float) -> np.ndarray:
     return np.abs(_FREQS) < fs / 2.0
 
 
-# A campaign runs at two rates at most (1 and 2 Msym/s times sps).
+# A campaign runs at two rates at most, 8 and 16 Msps.
 @lru_cache(maxsize=8)
 def _ofdm_tones(fs: float) -> tuple:
     """What every draw at fs shares: the kept-subcarrier mask and the
@@ -237,7 +237,17 @@ def interferer_at_rate(n_samples: int, fs: float, seed: int) -> IqFrame:
     kept, basis = _ofdm_tones(fs)
     n_syms = (n_samples - 1) // basis.shape[1] + 1
     symbols = _QPSK[rng.integers(0, 4, size=(n_syms, _SUBCARRIERS.size))[:, kept]]
-    rows = symbols @ basis
+    # OpenBLAS threads a product once m*n*k passes about 65,536, and its
+    # threads then spin for milliseconds of CPU.  Blocks of at most 16 rows
+    # stay below that at 8 and 16 Msps (12,288 and 51,200).  Blocks of
+    # near-equal size hold 8 rows or more once there are 17, never the one
+    # row that numpy would multiply as a vector, which can round
+    # differently; so the samples are one product's, bit for bit.
+    n_blocks = -(-n_syms // 16)
+    edges = [n_syms * i // n_blocks for i in range(n_blocks + 1)]
+    rows = np.empty((n_syms, basis.shape[1]), complex)
+    for a, b in zip(edges, edges[1:]):
+        np.matmul(symbols[a:b], basis, out=rows[a:b])
     return IqFrame(rows.ravel()[:n_samples], fs, WLAN_BANDWIDTH_HZ / 64.0)
 
 

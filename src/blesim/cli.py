@@ -96,15 +96,31 @@ def _cmd_run(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     if args.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {args.jobs}")
-    # Opened before any frame runs: an unwritable --out fails at once,
-    # not after the whole campaign.
+    # A regular or new --out is written under a temporary name beside it
+    # and renamed onto it once complete, so a partial file never looks like
+    # a result; anything else (/dev/full, a FIFO) is written in place.
+    # Opened before any frame runs, an unwritable --out fails at once.
+    path = os.path.realpath(args.out)
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    tmp = None if in_place else f"{path}.{os.getpid()}.tmp"
     try:
-        out = open(args.out, "w", newline="")
+        out = open(tmp or path, "w" if in_place else "x", newline="")
     except OSError as exc:
-        raise IoError(str(exc)) from exc
-    with out:
-        results = run_campaign(cfg, jobs=args.jobs)
-        _emit(results, out, args.format)
+        raise IoError(f"{args.out}: {exc.strerror or exc}") from exc
+    try:
+        with out:
+            results = run_campaign(cfg, jobs=args.jobs)
+            _emit(results, out, args.format)
+        if tmp:
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise IoError(f"cannot write the results: {exc}") from exc
+    except BaseException:
+        if tmp:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
     print(f"wrote {len(results)} rows to {args.out}")
     return 0
 

@@ -5,9 +5,9 @@ pulse -> phase accumulator -> unit-envelope complex exponential.  The
 frequency pulse is the convolution of a Gaussian (3 dB bandwidth BT times
 the symbol rate, SPAN symbols long) with a one-symbol rectangle,
 normalised so each symbol advances the phase by exactly pi*H.  BT, H and
-SPAN are BLE's for every PHY mode, so they are constants, not options.
-The same pulse serves as the receiver's matched filter; demodulation
-itself lives in the receiver.
+SPAN are BLE's for every PHY mode, and every frame has SPS samples per
+symbol, so they are constants, not options.  The same pulse serves as
+the receiver's matched filter; demodulation lives in the receiver.
 """
 from __future__ import annotations
 
@@ -21,11 +21,12 @@ from .bits import as_bits
 from .errors import IoError, LengthError, ParamError
 
 # BLE's GMSK, shared by the transmitter and the receiver's matched filter
-# and sync template: bandwidth-time product, modulation index, and the
-# Gaussian's length in symbols.
+# and sync template: bandwidth-time product, modulation index, Gaussian
+# length in symbols, and every frame's samples per symbol.
 BT = 0.5
 H = 0.5
 SPAN = 3
+SPS = 8
 
 _IQ_MAGIC = b"BIQ1"
 _IQ_HEADER = struct.Struct("<4sIII")  # magic, sample_rate, symbol_rate, reserved
@@ -45,10 +46,6 @@ class IqFrame:
             raise LengthError("IqFrame samples must be one-dimensional")
         if self.sample_rate <= 0 or self.symbol_rate <= 0:
             raise ParamError("rates must be positive")
-
-    @property
-    def sps(self) -> int:
-        return int(round(self.sample_rate / self.symbol_rate))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -95,7 +92,6 @@ def read_iq(path) -> IqFrame:
 class PulseShape:
     """Shared TX/RX pulse: Gaussian-filtered one-symbol rectangle."""
 
-    sps: int
     taps: np.ndarray
 
     @property
@@ -104,24 +100,22 @@ class PulseShape:
         return (self.taps.size - 1) // 2
 
 
-@lru_cache(maxsize=32)
-def gaussian_taps(sps: int) -> PulseShape:
-    """Build the frequency pulse at sps samples per symbol.
+@lru_cache(maxsize=1)
+def gaussian_taps() -> PulseShape:
+    """Build the frequency pulse at SPS samples per symbol.
 
     The taps cover SPAN+1 symbols and sum to one so that a lone symbol
-    integrates to a full pi*H phase step.  Pulses are cached, so the taps
-    are read-only.
+    integrates to a full pi*H phase step.  The pulse is cached, so the
+    taps are read-only.
     """
-    if sps < 2:
-        raise ParamError(f"need at least 2 samples per symbol, got {sps}")
-    n = SPAN * sps
-    t = (np.arange(n) - (n - 1) / 2.0) / sps
+    n = SPAN * SPS
+    t = (np.arange(n) - (n - 1) / 2.0) / SPS
     # Gaussian with 3 dB cutoff at BT * symbol_rate.
     gauss = np.exp(-2.0 * np.pi**2 * BT**2 * t**2 / np.log(2.0))
-    taps = np.convolve(gauss, np.ones(sps))
+    taps = np.convolve(gauss, np.ones(SPS))
     taps /= taps.sum()
     taps.flags.writeable = False
-    return PulseShape(sps=sps, taps=taps)
+    return PulseShape(taps=taps)
 
 
 def gmsk_modulate(bits: np.ndarray, pulse: PulseShape,
@@ -130,24 +124,23 @@ def gmsk_modulate(bits: np.ndarray, pulse: PulseShape,
 
     The map is 1 -> +H/2 frequency, 0 -> -H/2.  Output contains the full
     filter transient on both ends; symbol k is centred at sample
-    k*sps + pulse.delay.
+    k*SPS + pulse.delay.
     """
     bits = as_bits(bits)
     if bits.size == 0:
         raise LengthError("cannot modulate zero bits")
-    sps = pulse.sps
     nrz = bits.astype(np.float64) * 2.0 - 1.0
-    impulses = np.zeros(bits.size * sps)
-    impulses[::sps] = nrz
+    impulses = np.zeros(bits.size * SPS)
+    impulses[::SPS] = nrz
     freq = np.convolve(impulses, pulse.taps)
     phase = np.pi * H * np.cumsum(freq)
     samples = np.exp(1j * phase)
-    return IqFrame(samples, sample_rate=symbol_rate * sps, symbol_rate=symbol_rate)
+    return IqFrame(samples, sample_rate=symbol_rate * SPS, symbol_rate=symbol_rate)
 
 
 def matched_filter(frame: IqFrame, pulse: PulseShape) -> IqFrame:
     """Receive half of the split pulse filter, applied to IQ samples."""
-    if pulse.sps != frame.sps:
-        raise ParamError(f"pulse designed for {pulse.sps} sps, frame has {frame.sps}")
+    if frame.sample_rate != SPS * frame.symbol_rate:
+        raise ParamError(f"the pulse is for frames at {SPS} samples per symbol")
     return frame.replace(np.convolve(frame.samples, pulse.taps))
 

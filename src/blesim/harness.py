@@ -1,15 +1,17 @@
 """Monte Carlo packet-error-rate campaigns.
 
-A scenario fixes the link (PHY modes, PDU size, channel or hop schedule)
-and the impairments (fading profile, CFO/DC ranges, optional interferer),
-then sweeps SNR and optionally SIR.  Frame k of a mode draws its
-randomness from SeedSequence([seed, crc32(id), mode, k]), where mode is
-the mode's position in PhyMode, not in the scenario's phy_modes.  The key
-holds no sweep point: every SNR/SIR point of a campaign sees the same
-frames (common random numbers), only the noise and interferer levels
-change.  So a row does not depend on the rest of the sweep or the other
-modes, and results are bit-identical no matter how the frames are
-distributed over worker processes.
+A scenario fixes the link (PHY modes, PDU size, channel or hop schedule;
+the access address and CRC init are the advertising ones, and frames
+run at gmsk.SPS samples per symbol) and the impairments (fading profile,
+CFO/DC ranges, optional interferer), then sweeps SNR and optionally SIR.
+Frame k of a mode draws its randomness from SeedSequence([seed,
+crc32(id), mode, k]), where mode is the mode's position in PhyMode, not
+in the scenario's phy_modes.  The key holds no sweep point: every
+SNR/SIR point of a campaign sees the same frames (common random
+numbers), only the noise and interferer levels change.  So a row does
+not depend on the rest of the sweep or the other modes, and results are
+bit-identical no matter how the frames are distributed over worker
+processes.
 """
 from __future__ import annotations
 
@@ -43,10 +45,9 @@ from .channel import (
 from .chansel import ChannelMap, HopState, csa1_next, csa2_select
 from .coded import assemble_coded
 from .errors import BlesimError, ConfigError, IoError, ParamError, check_int, check_real
-from .gmsk import IqFrame, gaussian_taps, gmsk_modulate
+from .gmsk import SPS, IqFrame, gaussian_taps, gmsk_modulate
 from .llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
-    ADVERTISING_CRC_INIT,
     ChannelIndex,
     LinkLayerPacket,
     assemble_uncoded,
@@ -128,9 +129,6 @@ class ScenarioConfig:
     pdu_bits: int = 128
     cfo_range_hz: tuple = (-50e3, 50e3)
     dc_dbc: float | None = -20.0
-    access_address: int = ADVERTISING_ACCESS_ADDRESS
-    crc_init: int = ADVERTISING_CRC_INIT
-    sps: int = 8
     # Built by __post_init__: crc32 of the id, the ReceiverConfig of each
     # mode, the fixed channel, and the hop map plus CSA#1 hop state.
     _id_key: int = field(init=False, repr=False, compare=False)
@@ -173,18 +171,14 @@ class ScenarioConfig:
 
         self._rx = {  # under hopping _draw_frame sets each frame's channel
             mode: ReceiverConfig(
-                phy_mode=mode, expected_access_address=self.access_address,
-                channel=37 if self.channel is None else self.channel,
-                pdu_bits=self.pdu_bits, crc_init=self.crc_init, sps=self.sps,
-            )
+                phy_mode=mode, channel=37 if self.channel is None else self.channel,
+                pdu_bits=self.pdu_bits)
             for mode in self.phy_modes
         }
-        # The receivers checked the link's fields; keep the ints they hold.
-        rx = self._rx[self.phy_modes[0]]
-        self.access_address, self.pdu_bits, self.crc_init, self.sps = (
-            rx.expected_access_address, rx.pdu_bits, rx.crc_init, rx.sps)
+        # The receivers checked pdu_bits; keep the int they hold.
+        self.pdu_bits = self._rx[self.phy_modes[0]].pdu_bits
 
-        rates = [mode.symbol_rate * self.sps for mode in self.phy_modes]
+        rates = [mode.symbol_rate * SPS for mode in self.phy_modes]
         # apply_cfo needs every draw strictly inside +-fs/2.
         nyquist = math.nextafter(min(rates) / 2.0, 0.0)
         cfo = _nonempty("cfo_range_hz", self.cfo_range_hz)
@@ -199,7 +193,7 @@ class ScenarioConfig:
                 # fade() needs the impulse response shorter than the frame:
                 # the least padding plus at least an uncoded packet.
                 taps = round(max(d for d, _ in prof.taps) * fs / prof.reference_rate_hz)
-                packet = (mode.preamble_len + 56 + self.pdu_bits) * self.sps
+                packet = (mode.preamble_len + 56 + self.pdu_bits) * SPS
                 if taps + 1 >= LEAD + TAIL + packet:
                     raise ConfigError(f"profile delay spread too long for {mode.value}")
 
@@ -234,7 +228,8 @@ def _frame_channel(cfg: ScenarioConfig, frame_idx: int) -> ChannelIndex:
     if cfg._channel is not None:
         return cfg._channel
     if cfg._hop is None:
-        return csa2_select(frame_idx & 0xFFFF, cfg._channel_map, cfg.access_address)
+        return csa2_select(frame_idx & 0xFFFF, cfg._channel_map,
+                           ADVERTISING_ACCESS_ADDRESS)
     # CSA#1's state recursion has the closed form used here: after k+1
     # hops the unmapped channel is (k+1)*hop mod 37.
     hop = cfg._hop
@@ -275,15 +270,12 @@ def _draw_frame(cfg: ScenarioConfig, mode: PhyMode, frame_idx: int) -> _FrameDra
 
     channel = _frame_channel(cfg, frame_idx)
     pdu = random_bits(cfg.pdu_bits, rng)
-    packet = LinkLayerPacket(
-        access_address=cfg.access_address, pdu=pdu,
-        channel=channel, crc_init=cfg.crc_init,
-    )
+    packet = LinkLayerPacket(pdu=pdu, channel=channel)
     bits = (
         assemble_coded(packet, mode) if mode.coded
         else assemble_uncoded(packet, mode)
     )
-    tx = gmsk_modulate(bits, gaussian_taps(cfg.sps), symbol_rate=mode.symbol_rate)
+    tx = gmsk_modulate(bits, gaussian_taps(), symbol_rate=mode.symbol_rate)
 
     lead = LEAD + int(rng.integers(0, LEAD_JITTER))
     samples = np.concatenate(
@@ -528,7 +520,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     out = {"version": SCHEMA_VERSION, "id": cfg.id, "seed": cfg.seed,
            "phy_modes": [m.value for m in cfg.phy_modes]}
     for key in ("frames", "pdu_bits", "snr_sweep_db", "sir_sweep_db",
-                "cfo_range_hz", "dc_dbc", "access_address", "crc_init", "sps"):
+                "cfo_range_hz", "dc_dbc"):
         out[key] = getattr(cfg, key)
     if cfg.channel is not None:
         out["channel"] = {"index": cfg.channel}

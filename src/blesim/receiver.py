@@ -9,11 +9,13 @@ to rounding.  Frequency offset is corrected before the matched filter so
 the filter passband actually covers the signal.  Sync searches only the
 lags at which the shortest packet the config can receive still fits in
 the frame, and the fine CFO it estimates is applied by the differential
-detector as one rotation of its lag-sps products, not by derotating the
+detector as one rotation of its lag-SPS products, not by derotating the
 frame.  The matched filter and the sync template use the transmitter's
-pulse and modulation index, gmsk.BT, gmsk.H and gmsk.SPAN; the
-detector's +-pi/2 steps are those of H = 0.5.  All failures downstream
-of the public API surface as report flags, never exceptions.
+pulse and modulation index, gmsk.BT, gmsk.H and gmsk.SPAN, at gmsk.SPS
+samples per symbol; the detector's +-pi/2 steps are those of H = 0.5.
+The link is BLE's advertising one: the receiver expects the
+advertising access address and CRC init.  All failures downstream of
+the public API surface as report flags, never exceptions.
 """
 from __future__ import annotations
 
@@ -32,12 +34,7 @@ from .coded import (
     viterbi_decode,
 )
 from .errors import LengthError, NoSignalError, SyncFailure, check_enum, check_int
-from .gmsk import (
-    IqFrame,
-    gaussian_taps,
-    gmsk_modulate,
-    matched_filter,
-)
+from .gmsk import SPS, IqFrame, gaussian_taps, gmsk_modulate, matched_filter
 from .llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
     ADVERTISING_CRC_INIT,
@@ -61,22 +58,14 @@ NOTCH_RADIUS = 0.999
 @dataclass
 class ReceiverConfig:
     phy_mode: PhyMode = PhyMode.LE1M
-    expected_access_address: int = ADVERTISING_ACCESS_ADDRESS
     channel: int = 37
     pdu_bits: int = 16
-    crc_init: int = ADVERTISING_CRC_INIT
-    sps: int = 8
 
     def __post_init__(self):
         # Every field is checked here, since receive() itself never raises.
         self.phy_mode = check_enum("phy_mode", PhyMode, self.phy_mode)
-        self.expected_access_address = check_int(
-            "access address", self.expected_access_address, 0, 2**32 - 1)
         self.channel = ChannelIndex(self.channel).index
         self.pdu_bits = check_int("pdu_bits", self.pdu_bits, PDU_MIN_BITS, PDU_MAX_BITS)
-        self.crc_init = check_int("crc_init", self.crc_init, 0, 2**24 - 1)
-        # 64 bounds the samples, and so the memory, of one frame.
-        self.sps = check_int("sps", self.sps, 2, 64)
 
     @property
     def preamble_detect_threshold(self) -> float:
@@ -235,9 +224,10 @@ def coarse_cfo_estimate(frame: IqFrame) -> float:
     fs = frame.sample_rate
     rs = frame.symbol_rate
     sq = x * x
-    # A power of two keeps the pair shift rs/2 a whole number of bins
-    # (fs/nfft divides rs/2 for a power-of-two sps); next_fast_len sizes
-    # do not, and the pair metric then misses its lines.
+    # A power of two keeps the pair shift rs/2 a whole number of bins:
+    # fs/nfft = SPS*rs/nfft divides rs/2, since SPS is 8 and nfft is at
+    # least 32.  next_fast_len sizes do not, and the pair metric then
+    # misses its lines.
     nfft = 1 << int(np.ceil(np.log2(2 * len(sq))))
     spectrum = np.fft.fft(sq, nfft)
     pair_bins, muted, freqs, order = _cfo_search(nfft, fs, rs)
@@ -256,27 +246,26 @@ def coarse_cfo_estimate(frame: IqFrame) -> float:
     return float(f2 / 2.0)
 
 
-@lru_cache(maxsize=16)
-def _template(mode: PhyMode, aa: int, sps: int):
+@lru_cache(maxsize=4)
+def _template(mode: PhyMode):
     """Known-waveform template for sync: preamble plus access-address part.
 
-    The transmitter's symbols up to the end of the access address; in coded
-    modes that is the 80-symbol preamble and the first 256 symbols of the
-    S=8 first FEC block, which the causal encoder derives from the address
-    alone.  Returns the matched-filtered samples, the segments' sample
-    ranges for piecewise-coherent correlation, and their overlap-save block
-    size (fixed per mode, so one cache entry serves every frame length),
-    conjugate spectra and norms.
+    The transmitter's symbols up to the end of the advertising access
+    address; in coded modes that is the 80-symbol preamble and the first
+    256 symbols of the S=8 first FEC block, which the causal encoder
+    derives from the address alone.  Returns the matched-filtered samples,
+    the segments' sample ranges for piecewise-coherent correlation, and
+    their overlap-save block size (fixed per mode, so one cache entry
+    serves every frame length), conjugate spectra and norms.
     """
-    pulse = gaussian_taps(sps)
+    pulse = gaussian_taps()
     assemble, aa_symbols, seg_sym = (
         (assemble_coded, 256, 32) if mode.coded else (assemble_uncoded, 32, 8))
-    bits = assemble(LinkLayerPacket(access_address=aa), mode)[
-        :mode.preamble_len + aa_symbols]
+    bits = assemble(LinkLayerPacket(), mode)[:mode.preamble_len + aa_symbols]
     ref = matched_filter(gmsk_modulate(bits, pulse), pulse).samples
     d = 2 * pulse.delay
     n_seg = bits.size // seg_sym
-    seg_len = seg_sym * sps
+    seg_len = seg_sym * SPS
     segments = tuple((d + i * seg_len, d + (i + 1) * seg_len) for i in range(n_seg))
     nfft = 8 << int(np.ceil(np.log2(seg_len)))
     spectra = np.conj(np.fft.fft([ref[a:b] for a, b in segments], nfft, axis=1))
@@ -305,8 +294,7 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
     returned, not applied: the differential detector takes it as a
     rotation, and SyncResult.aligned derotates the frame on request.
     """
-    ref, segments, nfft, spectra, norms = _template(
-        cfg.phy_mode, cfg.expected_access_address, cfg.sps)
+    ref, segments, nfft, spectra, norms = _template(cfg.phy_mode)
     x = frame.samples
     if len(x) < ref.size:
         raise SyncFailure(f"frame ({len(x)}) shorter than sync reference ({ref.size})")
@@ -370,13 +358,13 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
     return SyncResult(frame, tau, fine, peak)
 
 
-def _soft_differential(mf_samples: np.ndarray, sps: int, start: int,
-                       count: int, phase_step: float = 0.0) -> np.ndarray:
+def _soft_differential(mf_samples: np.ndarray, start: int, count: int,
+                       phase_step: float = 0.0) -> np.ndarray:
     """Symbol-lag differential soft decisions from matched-filter output.
 
     Each symbol's +-pi/2 phase step accrues between its two boundaries, so
-    the lag-sps product is taken across boundary samples (decision instant
-    -+ half a symbol): Im{y[c+sps/2] conj(y[c-sps/2])} lands on the
+    the lag-SPS product is taken across boundary samples (decision instant
+    -+ half a symbol): Im{y[c+SPS/2] conj(y[c-SPS/2])} lands on the
     imaginary axis with the bit as its sign and |y|^2 as a per-symbol
     reliability weight.  Unlike a frequency discriminator this degrades
     gracefully when an interferer is stronger than the signal, which is
@@ -384,19 +372,18 @@ def _soft_differential(mf_samples: np.ndarray, sps: int, start: int,
     negative SIR.
 
     A residual carrier offset of phase_step radians per sample turns
-    every product by the same phase_step*sps, so it is removed by one
+    every product by the same phase_step*SPS, so it is removed by one
     rotation of the products instead of a derotation of the samples.
     """
-    half = sps // 2
-    hi = start + half + np.arange(count) * sps
-    lo = hi - sps
+    hi = start + SPS // 2 + np.arange(count) * SPS
+    lo = hi - SPS
     y1 = np.zeros(count, dtype=np.complex128)
     ok1 = hi < mf_samples.size
     y1[ok1] = mf_samples[hi[ok1]]
     y0 = np.zeros(count, dtype=np.complex128)
     ok0 = (lo >= 0) & (lo < mf_samples.size)
     y0[ok0] = mf_samples[lo[ok0]]
-    z = np.imag(y1 * np.conj(y0) * np.exp(-1j * phase_step * sps))
+    z = np.imag(y1 * np.conj(y0) * np.exp(-1j * phase_step * SPS))
     scale = float(np.mean(np.abs(y1[ok1]) ** 2)) if ok1.any() else 0.0
     return z / scale if scale > 0 else z
 
@@ -453,8 +440,9 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
         report.reason = (f"frame at {frame.symbol_rate / 1e6:g} Msym/s, "
                          f"{cfg.phy_mode.value} is {rs / 1e6:g} Msym/s")
         return report
-    if frame.sample_rate != rs * cfg.sps:
-        report.reason = f"frame at {frame.sample_rate / rs:g} sps, config says {cfg.sps}"
+    if frame.sample_rate != rs * SPS:
+        report.reason = (f"frame at {frame.sample_rate / rs:g} samples per "
+                         f"symbol, the receiver takes {SPS}")
         return report
     if len(frame) == 0:
         report.reason = "empty frame"
@@ -472,7 +460,7 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
     _trace("agc", x)
     x = dc_notch(x)
     _trace("dc_notch", x)
-    pulse = gaussian_taps(cfg.sps)
+    pulse = gaussian_taps()
     try:
         # Estimate from a band-limited scratch copy: out-of-band interference
         # would otherwise bury the squared-signal lines.  The stream that
@@ -486,7 +474,7 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
     _trace("cfo_corrected", x)
     x = matched_filter(x, pulse)
     _trace("matched_filter", x)
-    shortest = expected_symbol_count(cfg, 2) * cfg.sps
+    shortest = expected_symbol_count(cfg, 2) * SPS
     try:
         sync = synchronize(x, cfg, max_lag=len(x) - shortest)
     except SyncFailure as exc:
@@ -501,7 +489,7 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
     report.peak_correlation = sync.peak_correlation
 
     soft = _soft_differential(
-        x.samples[sync.timing_offset:], cfg.sps,
+        x.samples[sync.timing_offset:],
         start=2 * pulse.delay, count=expected_symbol_count(cfg),
         phase_step=2.0 * np.pi * sync.fine_cfo_hz / x.sample_rate,
     )
@@ -509,8 +497,7 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
     try:
         aa_rx, clear = decode(soft, cfg)
         report.aa_ok, report.crc_ok = validate_packet(
-            aa_rx, cfg.expected_access_address, clear, cfg.crc_init
-        )
+            aa_rx, ADVERTISING_ACCESS_ADDRESS, clear, ADVERTISING_CRC_INIT)
     except LengthError as exc:
         report.reason = str(exc)
         return report

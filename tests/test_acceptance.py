@@ -158,7 +158,7 @@ def test_criterion_4_interference_collapse(capsys):
 
 
 def test_criterion_5_cfo_and_timing_accuracy(capsys):
-    pulse = gaussian_taps(8)
+    pulse = gaussian_taps()
     rng = np.random.default_rng(505)
     cfo_err, timing_err = [], []
     for mode in ALL_MODES:

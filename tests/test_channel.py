@@ -1,5 +1,7 @@
 """Channel impairment tests: noise calibration, fading statistics, WLAN
 interference."""
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from scipy import signal, stats
 from blesim.channel import (
     WLAN_BANDWIDTH_HZ,
     ChannelProfile,
+    _ofdm_tones,
     apply_cfo,
     apply_dc,
     awgn,
@@ -280,6 +283,46 @@ def test_interferer_matches_per_sample_oracle(n, fs, seed):
                        rtol=0, atol=1e-9)
 
 
+def _one_product(n_samples, fs, seed):
+    """interferer_at_rate's samples as one symbols @ basis product."""
+    rng = np.random.default_rng(seed)
+    kept, basis = _ofdm_tones(fs)
+    n_syms = (n_samples - 1) // basis.shape[1] + 1
+    symbols = _QPSK[rng.integers(0, 4, size=(n_syms, 52))[:, kept]]
+    return (symbols @ basis).ravel()[:n_samples]
+
+
+@pytest.mark.parametrize("fs", [8e6, 16e6])
+def test_blocked_interferer_equals_one_product_bit_for_bit(fs):
+    # A campaign's two rates, over symbol counts from one row to past an
+    # LE125K frame (419 symbols, 13,400 samples at 8 Msps), among them
+    # those that leave one row over after blocks of 16; each draw ends in
+    # a partial symbol.
+    per_symbol = int(fs // 250e3)
+    for n_syms in (1, 2, 15, 16, 17, 33, 75, 419, 421, 937):
+        for seed in range(4):
+            n = n_syms * per_symbol - seed
+            got = interferer_at_rate(n, fs, seed).samples
+            assert np.array_equal(got, _one_product(n, fs, seed)), (n, seed)
+
+
+def test_interferer_leaves_no_helper_thread_cpu():
+    # One symbols @ basis product of an LE125K frame's 419 rows would run
+    # on OpenBLAS's thread pool, whose threads then spin for milliseconds
+    # of CPU after each call.  process_time counts every thread of the
+    # process and thread_time only this one, so their difference is the
+    # helper threads' CPU.  The pause outlasts the spin after any earlier
+    # threaded product (OpenBLAS's default is 2**28 cycles, about 0.1 s).
+    interferer_at_rate(13_400, 8e6, 0)
+    time.sleep(0.5)
+    helper = time.process_time() - time.thread_time()
+    for seed in range(20):
+        interferer_at_rate(13_400, 8e6, seed)
+    time.sleep(0.05)
+    helper = time.process_time() - time.thread_time() - helper
+    assert helper < 0.02, f"{helper * 1e3:.1f} ms of helper-thread CPU"
+
+
 def test_mix_power_and_linearity():
     rng = np.random.default_rng(47)
     sig = IqFrame(np.exp(2j * np.pi * 0.01 * np.arange(40_000)), 8e6, 1e6)
@@ -319,7 +362,8 @@ def test_interferer_inband_fraction_cases():
     assert interferer_inband_fraction(16e6) == 50 / 52
     assert interferer_inband_fraction(8e6) == 24 / 52
     assert interferer_inband_fraction(4e6) == 12 / 52
-    # The lowest rate a scenario runs at: 1 Msym/s at 2 samples a symbol.
+    # The lowest rate the interferer takes and a symbol still holds a
+    # subcarrier.
     assert interferer_inband_fraction(2e6) == 6 / 52
     # At 10 Msps subcarrier +-16 lands on +-fs/2 exactly and is dropped.
     assert interferer_inband_fraction(10e6) == 30 / 52
@@ -328,7 +372,7 @@ def test_interferer_inband_fraction_cases():
 def test_impairments_end_to_end_on_modulated_frame():
     # The full impairment stack keeps the frame decodable metadata intact.
     rng = np.random.default_rng(48)
-    pulse = gaussian_taps(8)
+    pulse = gaussian_taps()
     frame = gmsk_modulate((rng.integers(0, 2, 200)).astype(np.uint8), pulse)
     out = fade(frame, los_profile(), 1)
     out = apply_cfo(out, 10e3)

@@ -314,7 +314,7 @@ def test_scheme_from_ci():
     # The receiver decodes block 2 with the scheme the CI announces, and a
     # reserved CI value falls back to the mode's own scheme.
     rng = np.random.default_rng(29)
-    pulse = gaussian_taps(8)
+    pulse = gaussian_taps()
     pkt = LinkLayerPacket(ADVERTISING_ACCESS_ADDRESS, random_bits(48, rng),
                           ChannelIndex(12))
     for mode, scheme in CODING_SCHEMES.items():

@@ -9,6 +9,7 @@ from blesim.bits import random_bits
 from blesim.channel import awgn
 from blesim.errors import IoError, ParamError
 from blesim.gmsk import (
+    SPS,
     IqFrame,
     gaussian_taps,
     gmsk_modulate,
@@ -24,14 +25,14 @@ def demodulate(frame, pulse, count):
     matched filter, then the symbol-lag differential detector starting at
     the TX transient plus the RX filter delay."""
     mf = matched_filter(frame, pulse)
-    return _soft_differential(mf.samples, pulse.sps, 2 * pulse.delay, count)
+    return _soft_differential(mf.samples, 2 * pulse.delay, count)
 
 
-def reference_taps(sps):
+def reference_taps():
     # Independent construction: sampled Gaussian with 3 dB point at
-    # BT 0.5 times Rs over 3 symbols, integrated over one symbol by a box
-    # filter, unit area.
-    bt, span = 0.5, 3
+    # BT 0.5 times Rs over 3 symbols at 8 samples per symbol, integrated
+    # over one symbol by a box filter, unit area.
+    bt, span, sps = 0.5, 3, 8
     n = span * sps
     t = (np.arange(n) - (n - 1) / 2.0) / sps
     g = np.exp(-2.0 * np.pi**2 * bt**2 * t**2 / np.log(2.0))
@@ -40,37 +41,32 @@ def reference_taps(sps):
 
 
 def test_gaussian_taps_match_reference():
-    for sps in (4, 8, 16):
-        p = gaussian_taps(sps)
-        want = reference_taps(sps)
-        assert p.taps.shape == want.shape == (4 * sps - 1,)
-        assert np.allclose(p.taps, want, atol=1e-12)
-        assert np.allclose(p.taps, p.taps[::-1])  # symmetric
-        assert p.taps.sum() == pytest.approx(1.0)
-        assert p.delay == (p.taps.size - 1) // 2
-
-
-def test_gaussian_taps_parameter_validation():
-    with pytest.raises(ParamError):
-        gaussian_taps(1)
+    p = gaussian_taps()
+    want = reference_taps()
+    assert SPS == 8
+    assert p.taps.shape == want.shape == (4 * SPS - 1,)
+    assert np.allclose(p.taps, want, atol=1e-12)
+    assert np.allclose(p.taps, p.taps[::-1])  # symmetric
+    assert p.taps.sum() == pytest.approx(1.0)
+    assert p.delay == (p.taps.size - 1) // 2
 
 
 def test_gaussian_taps_cached_and_read_only():
-    pulse = gaussian_taps(8)
-    assert gaussian_taps(8) is pulse
+    pulse = gaussian_taps()
+    assert gaussian_taps() is pulse
     with pytest.raises(ValueError):
         pulse.taps[0] = 1.0
 
 
 def test_modulate_unit_envelope():
     rng = np.random.default_rng(31)
-    frame = gmsk_modulate(random_bits(500, rng), gaussian_taps(8))
+    frame = gmsk_modulate(random_bits(500, rng), gaussian_taps())
     assert np.allclose(np.abs(frame.samples), 1.0, atol=1e-12)
 
 
 def test_modulate_phase_continuity():
     rng = np.random.default_rng(32)
-    pulse = gaussian_taps(8)
+    pulse = gaussian_taps()
     frame = gmsk_modulate(random_bits(300, rng), pulse)
     dphi = np.angle(frame.samples[1:] * np.conj(frame.samples[:-1]))
     assert np.max(np.abs(dphi)) <= np.pi * 0.5 / 8 + 1e-9
@@ -79,17 +75,16 @@ def test_modulate_phase_continuity():
 def test_modulate_terminal_phase_all_ones():
     # Total phase gain is N * pi * H once the filter has fully flushed.
     n = 57
-    pulse = gaussian_taps(8)
+    pulse = gaussian_taps()
     frame = gmsk_modulate(np.ones(n, dtype=np.uint8), pulse)
     total = np.angle(frame.samples[-1]) % (2 * np.pi)
     want = (n * np.pi * 0.5) % (2 * np.pi)
     assert abs(total - want) < 1e-6 or abs(abs(total - want) - 2 * np.pi) < 1e-6
 
 
-@pytest.mark.parametrize("sps", [4, 8])
-def test_noiseless_round_trip(sps):
+def test_noiseless_round_trip():
     rng = np.random.default_rng(33)
-    pulse = gaussian_taps(sps)
+    pulse = gaussian_taps()
     bits = random_bits(400, rng)
     soft = demodulate(gmsk_modulate(bits, pulse), pulse, bits.size)
     assert np.array_equal((soft > 0).astype(np.uint8), bits)
@@ -97,7 +92,7 @@ def test_noiseless_round_trip(sps):
 
 def test_round_trip_at_2msym():
     rng = np.random.default_rng(34)
-    pulse = gaussian_taps(8)
+    pulse = gaussian_taps()
     bits = random_bits(300, rng)
     frame = gmsk_modulate(bits, pulse, symbol_rate=2e6)
     assert frame.sample_rate == 16e6
@@ -107,7 +102,7 @@ def test_round_trip_at_2msym():
 
 def test_ber_zero_at_high_snr():
     rng = np.random.default_rng(35)
-    pulse = gaussian_taps(8)
+    pulse = gaussian_taps()
     bits = random_bits(10000, rng)
     noisy = awgn(gmsk_modulate(bits, pulse), 30.0, seed=77)
     soft = demodulate(noisy, pulse, bits.size)
@@ -117,7 +112,7 @@ def test_ber_zero_at_high_snr():
 
 def test_occupied_bandwidth_near_1mhz():
     rng = np.random.default_rng(36)
-    pulse = gaussian_taps(8)
+    pulse = gaussian_taps()
     frame = gmsk_modulate(random_bits(4000, rng), pulse, symbol_rate=1e6)
     spec = np.abs(np.fft.fft(frame.samples)) ** 2
     freqs = np.fft.fftfreq(len(spec), 1.0 / frame.sample_rate)
@@ -129,9 +124,14 @@ def test_occupied_bandwidth_near_1mhz():
 
 
 def test_matched_filter_rate_check():
-    pulse = gaussian_taps(8)
-    with pytest.raises(ParamError):
-        matched_filter(IqFrame(np.ones(64, complex), 4e6, 1e6), pulse)
+    # The pulse is for SPS samples per symbol; a frame at any other rate,
+    # a whole number of samples per symbol or not, is outside input.
+    pulse = gaussian_taps()
+    for fs, rs in ((4e6, 1e6), (8.4e6, 1e6), (8e6, 2e6), (16e6, 1e6)):
+        with pytest.raises(ParamError):
+            matched_filter(IqFrame(np.ones(64, complex), fs, rs), pulse)
+    assert len(matched_filter(IqFrame(np.ones(64, complex), 16e6, 2e6),
+                              pulse)) == 64 + pulse.taps.size - 1
 
 
 def test_iq_file_round_trip(tmp_path):

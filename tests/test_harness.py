@@ -390,6 +390,53 @@ def test_cli_output_write_failure_exits_3_with_one_error_line(command, tmp_path)
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+def test_cli_run_replaces_out_only_with_complete_results(tmp_path, capsys,
+                                                        monkeypatch):
+    # The results go to a temporary file, opened before any frame runs,
+    # and are renamed onto --out once written in full.  A campaign that
+    # raises or is interrupted midway, or a write that fails, leaves an
+    # existing --out byte for byte and no temporary file behind.
+    cfg_path = tmp_path / "s.json"
+    save_scenario(small_scenario(frames=2), cfg_path)
+    out = tmp_path / "res.csv"
+    out.write_bytes(b"earlier results\n")
+    argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+    run = cli.run_campaign
+
+    def files():
+        return sorted(p.name for p in tmp_path.iterdir())
+
+    for exc in (RuntimeError("a frame failed"), KeyboardInterrupt()):
+        def fail(cfg, jobs):
+            assert len(files()) == 3  # the temporary file is open
+            raise exc
+
+        monkeypatch.setattr(cli, "run_campaign", fail)
+        with pytest.raises(type(exc)):
+            main(argv)
+        assert out.read_bytes() == b"earlier results\n"
+        assert files() == ["res.csv", "s.json"]
+
+    def half_written(results, fh, fmt):
+        fh.write("scenario,phy\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "run_campaign", run)
+    monkeypatch.setattr(cli, "emit_results", half_written)
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_bytes() == b"earlier results\n"
+    assert files() == ["res.csv", "s.json"]
+
+    monkeypatch.undo()
+    fresh = tmp_path / "new.csv"
+    for path in (out, fresh):
+        assert main(["run", "--config", str(cfg_path), "--out", str(path)]) == 0
+        assert path.read_text().startswith(",".join(CSV_COLUMNS))
+    assert out.read_bytes() == fresh.read_bytes()
+    assert files() == ["new.csv", "res.csv", "s.json"]
+
+
 def test_cli_per_writes_csv(capsys):
     rc = main(["per", "--phy", "LE1M", "--snr", "30", "--frames", "8",
                "--pdu-bits", "32", "--seed", "3"])

@@ -7,7 +7,7 @@ from scipy.signal import lfilter
 from blesim.bits import random_bits
 from blesim.channel import apply_cfo, apply_dc, awgn, interferer_at_rate, mix
 from blesim.errors import NoSignalError, ParamError, SyncFailure
-from blesim.gmsk import IqFrame, gaussian_taps, gmsk_modulate
+from blesim.gmsk import SPS, IqFrame, gaussian_taps, gmsk_modulate
 from blesim.harness import wilson_interval
 from blesim.llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
@@ -28,13 +28,14 @@ from blesim.receiver import (
     synchronize,
 )
 
-PULSE = gaussian_taps(8)
+PULSE = gaussian_taps()
 
 
-def make_frame(mode=PhyMode.LE1M, pdu_bits=64, lead=200, seed=0, channel=37):
+def make_frame(mode=PhyMode.LE1M, pdu_bits=64, lead=200, seed=0, channel=37,
+               access_address=ADVERTISING_ACCESS_ADDRESS):
     rng = np.random.default_rng(seed)
     pdu = random_bits(pdu_bits, rng)
-    pkt = LinkLayerPacket(ADVERTISING_ACCESS_ADDRESS, pdu, ChannelIndex(channel))
+    pkt = LinkLayerPacket(access_address, pdu, ChannelIndex(channel))
     bits = assemble_coded(pkt, mode) if mode.coded else assemble_uncoded(pkt, mode)
     tx = gmsk_modulate(bits, PULSE, symbol_rate=mode.symbol_rate)
     x = np.concatenate([np.zeros(lead, complex), tx.samples,
@@ -43,9 +44,7 @@ def make_frame(mode=PhyMode.LE1M, pdu_bits=64, lead=200, seed=0, channel=37):
 
 
 def default_cfg(mode=PhyMode.LE1M, pdu_bits=64):
-    return ReceiverConfig(phy_mode=mode,
-                          expected_access_address=ADVERTISING_ACCESS_ADDRESS,
-                          channel=37, pdu_bits=pdu_bits)
+    return ReceiverConfig(phy_mode=mode, channel=37, pdu_bits=pdu_bits)
 
 
 def test_agc_fixed_point():
@@ -257,7 +256,7 @@ def test_noise_only_frames_are_rarely_detected():
         detected = 0
         for _ in range(frames):
             noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            frame = IqFrame(noise, mode.symbol_rate * cfg.sps, mode.symbol_rate)
+            frame = IqFrame(noise, mode.symbol_rate * SPS, mode.symbol_rate)
             detected += receive(frame, cfg).detected
         assert detected / frames <= wilson_interval(0, frames)[1], (mode, detected)
 
@@ -300,15 +299,15 @@ def test_receive_report_hierarchy_on_garbage():
 
 
 def test_receive_wrong_access_address_sets_flags():
-    frame, _ = make_frame(seed=9)
-    cfg = default_cfg()
-    cfg.expected_access_address = 0xDEADBEEF
-    report = receive(frame, cfg)
-    # Sync template uses the expected address, so either the packet is
-    # missed entirely or the address check fails; never crc_ok.
-    assert not report.crc_ok
-    if report.detected:
-        assert not report.aa_ok
+    # The address's last bit on air flipped: the packet still syncs on
+    # the advertising address's template, and the address check fails.
+    for mode in PhyMode:
+        frame, _ = make_frame(mode, seed=9,
+                              access_address=ADVERTISING_ACCESS_ADDRESS ^ (1 << 31))
+        report = receive(frame, default_cfg(mode))
+        assert report.detected and not report.aa_ok, (mode, report.reason)
+        assert not report.crc_ok
+        assert report.reason == "access address mismatch"
 
 
 def test_receive_stage_trace_order():
@@ -375,12 +374,8 @@ def test_receiver_config_validation():
 # Each link field's valid and boundary values, then its bool, float and
 # out-of-range ones.
 LINK_VALUES = {
-    "expected_access_address": ([0x71764129, 0, 2**32 - 1],
-                                [True, 1.0, 2.5, -1, 2**32, 2**40]),
     "channel": ([9, 0, 39], [True, 37.0, 1.5, -1, 40, 99]),
     "pdu_bits": ([64, 16, 2056], [True, 128.0, 15, 2057]),
-    "crc_init": ([0x123456, 0, 2**24 - 1], [True, 0.5, -1, 2**24]),
-    "sps": ([8, 2, 3, 64], [True, 8.0, 8.5, 1, 65]),
 }
 
 
@@ -395,10 +390,9 @@ def test_receiver_config_that_constructs_decodes_a_clean_frame(mode, link):
     except ParamError:
         return
     pdu = random_bits(cfg.pdu_bits, np.random.default_rng(5))
-    pkt = LinkLayerPacket(cfg.expected_access_address, pdu,
-                          ChannelIndex(cfg.channel), cfg.crc_init)
+    pkt = LinkLayerPacket(pdu=pdu, channel=ChannelIndex(cfg.channel))
     bits = assemble_coded(pkt, mode) if mode.coded else assemble_uncoded(pkt, mode)
-    tx = gmsk_modulate(bits, gaussian_taps(cfg.sps), symbol_rate=mode.symbol_rate)
-    pad = np.zeros(32 * cfg.sps, complex)
+    tx = gmsk_modulate(bits, gaussian_taps(), symbol_rate=mode.symbol_rate)
+    pad = np.zeros(32 * SPS, complex)
     report = receive(tx.replace(np.concatenate([pad, tx.samples, pad])), cfg)
     assert report.crc_ok, report.reason

@@ -21,6 +21,7 @@ from blesim.channel import (
 )
 from blesim.chansel import ChannelMap, HopState
 from blesim.errors import ConfigError, ParamError
+from blesim.gmsk import SPS
 from blesim.harness import (
     HoppingConfig,
     ScenarioConfig,
@@ -77,6 +78,11 @@ BAD_CONFIGS = {
     "agc_mode medium": {"receiver": {"agc_mode": "medium"}},
     "cfo_max_offset_hz true": {"receiver": {"cfo_max_offset_hz": True}},
     "detect threshold true": {"receiver": {"preamble_detect_threshold": True}},
+    # The link is fixed, so its three old keys are unknown, even at the
+    # values every frame uses.
+    "sps 8": {"sps": 8},
+    "access_address advertising": {"access_address": 0x8E89BED6},
+    "crc_init advertising": {"crc_init": 0x555555},
     # Nested objects: a bool is no number and a hop map is a hex string or
     # an integer.  The interferer is fixed, so any key in its object is
     # unknown, whatever it holds.
@@ -152,9 +158,9 @@ def test_python_constructor_checks_like_json():
                  lambda: LinkLayerPacket(access_address=1.5)):
         with pytest.raises(ParamError):
             make()
-    # The receivers' checks hand the link's fields back as ints.
-    cfg = ScenarioConfig(id="x", seed=1, pdu_bits=np.int64(32), sps=np.uint8(4))
-    assert type(cfg.pdu_bits) is int and type(cfg.sps) is int
+    # The receivers' check hands pdu_bits back as an int.
+    cfg = ScenarioConfig(id="x", seed=1, pdu_bits=np.int64(32))
+    assert type(cfg.pdu_bits) is int
     # Whole-number float delays and integer masks stay valid.
     taps = ((0, 0.0), (2.0, -3.0))
     assert ChannelProfile("c", taps).taps == taps
@@ -212,18 +218,17 @@ def test_seed_above_32_bits_is_its_own_campaign():
 
 def test_pinned_rows_hopping_interferer_reverberant():
     # Pins what run_frame draws and builds: the frame padding, the TX
-    # pulse, CSA#1 hops, the interferer synthesised at 4 Msps (the 12 of
-    # its 52 subcarriers inside +-2 MHz), and the reverberant profile at
-    # sps 4.
+    # pulse, CSA#1 hops, the interferer synthesised at 8 Msps (the 24 of
+    # its 52 subcarriers inside +-4 MHz), and the reverberant profile.
     cfg = ScenarioConfig(
         id="pinned", seed=2024, phy_modes=("LE1M", "LE125K"),
         snr_sweep_db=(8.0, 20.0), sir_sweep_db=(10.0,), channel=None,
         hopping=HoppingConfig("csa1", "0x1F0F0FF0F3", 11),
         profile=reverberant_profile(),
         interferer=InterfererConfig(),
-        frames=16, pdu_bits=32, sps=4)
+        frames=16, pdu_bits=32)
     rows = [(r.detected, r.valid) for r in run_campaign(cfg)]
-    assert rows == [(7, 0), (7, 0), (16, 13), (16, 13)]
+    assert rows == [(9, 0), (8, 0), (16, 12), (16, 14)]
 
 
 def test_interferer_past_nyquist_loads_and_runs():
@@ -332,21 +337,18 @@ _DB = st.floats(-300, 300) | st.just(math.inf)
 def scenarios(draw):
     modes = draw(st.lists(st.sampled_from(list(PhyMode)), min_size=1,
                           max_size=4, unique=True))
-    sps = draw(st.integers(2, 64))
-    nyquist = min(m.symbol_rate for m in modes) * sps / 2.0
+    nyquist = min(m.symbol_rate for m in modes) * SPS / 2.0
     lo, hi = sorted(draw(st.lists(
         st.floats(-nyquist, nyquist, exclude_min=True, exclude_max=True),
         min_size=2, max_size=2)))
     kw = dict(
         id=draw(st.text(st.characters(codec="utf-8"), max_size=8)),
         seed=draw(st.integers(0, 2**80)),
-        phy_modes=tuple(modes), sps=sps, cfo_range_hz=(lo, hi),
+        phy_modes=tuple(modes), cfo_range_hz=(lo, hi),
         snr_sweep_db=tuple(draw(st.lists(_DB, min_size=1, max_size=4))),
         frames=draw(st.integers(1, 10**6)),
         pdu_bits=draw(st.integers(16, 2056)),
         dc_dbc=draw(st.none() | st.floats(-300, 300)),
-        access_address=draw(st.integers(0, 2**32 - 1)),
-        crc_init=draw(st.integers(0, 2**24 - 1)),
     )
     if draw(st.booleans()):
         kw["channel"] = draw(st.integers(0, 39))

@@ -9,7 +9,7 @@ from blesim.bits import random_bits
 from blesim.channel import apply_cfo, awgn
 from blesim.coded import assemble_coded
 from blesim.errors import SyncFailure
-from blesim.gmsk import IqFrame, gaussian_taps, gmsk_modulate, matched_filter
+from blesim.gmsk import SPS, IqFrame, gaussian_taps, gmsk_modulate, matched_filter
 from blesim.llpacket import ChannelIndex, LinkLayerPacket, assemble_uncoded
 from blesim.phymode import PhyMode
 from blesim.receiver import (
@@ -21,14 +21,13 @@ from blesim.receiver import (
     synchronize,
 )
 
-PULSE = gaussian_taps(8)
+PULSE = gaussian_taps()
 
 
 def oracle_synchronize(frame, cfg):
     """(timing offset, peak, fine CFO) by one full-length fftconvolve per
     reference segment; raises SyncFailure below the detect threshold."""
-    ref, segments = _template(cfg.phy_mode, cfg.expected_access_address,
-                              cfg.sps)[:2]
+    ref, segments = _template(cfg.phy_mode)[:2]
     x = frame.samples
     if len(x) < ref.size:
         raise SyncFailure("frame shorter than sync reference")
@@ -143,8 +142,8 @@ def test_bounded_search_matches_full_search(mode, lead, cfo, snr, seed, where):
        snr=st.floats(0.0, 30.0),
        seed=st.integers(0, 2**32 - 1))
 def test_fine_cfo_rotation_matches_derotated_frame(mode, lead, cfo, snr, seed):
-    # For a lag-sps differential detector, a residual offset of w radians
-    # per sample is the phase w*sps on every product, so rotating the
+    # For a lag-SPS differential detector, a residual offset of w radians
+    # per sample is the phase w*SPS on every product, so rotating the
     # products gives the soft values of the derotated frame.
     frame = awgn(apply_cfo(tx_frame(mode, lead, seed), cfo), snr, seed=seed)
     mf = matched_filter(frame, PULSE)
@@ -157,15 +156,15 @@ def test_fine_cfo_rotation_matches_derotated_frame(mode, lead, cfo, snr, seed):
         -2j * np.pi * fine * np.arange(len(mf) - tau) / fs)
     assert np.array_equal(sync.aligned.samples, derotated)
     start, count = 2 * PULSE.delay, expected_symbol_count(cfg)
-    want = _soft_differential(derotated, cfg.sps, start, count)
-    got = _soft_differential(mf.samples[tau:], cfg.sps, start, count,
+    want = _soft_differential(derotated, start, count)
+    got = _soft_differential(mf.samples[tau:], start, count,
                              phase_step=2.0 * np.pi * fine / fs)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def _ref_size(mode):
     cfg = rx_cfg(mode)
-    return _template(mode, cfg.expected_access_address, cfg.sps)[0].size
+    return _template(mode)[0].size
 
 
 @pytest.mark.parametrize("mode", list(PhyMode))
@@ -187,8 +186,7 @@ def test_synchronize_one_sample_short_fails(mode):
 @pytest.mark.parametrize("mode", list(PhyMode))
 def test_synchronize_at_overlap_save_block_boundary(mode):
     cfg = rx_cfg(mode)
-    _, segments, nfft, _, _ = _template(mode, cfg.expected_access_address,
-                                        cfg.sps)
+    _, segments, nfft, _, _ = _template(mode)
     step = nfft - (segments[0][1] - segments[0][0]) + 1
     # The lags of the last segment end exactly at the end of the fewest
     # blocks that hold them (one block for the uncoded modes), then spill
@@ -212,8 +210,7 @@ def test_synchronize_where_a_segment_reads_another_block(mode):
     # sides of every such length, for every segment, from ref.size to
     # ref.size + 2*step.
     cfg = rx_cfg(mode)
-    ref, segments, nfft, _, _ = _template(mode, cfg.expected_access_address,
-                                          cfg.sps)
+    ref, segments, nfft, _, _ = _template(mode)
     step = nfft - (segments[0][1] - segments[0][0]) + 1
     p0 = segments[0][0]
     lengths = {ref.size, ref.size + 2 * step}
@@ -234,8 +231,7 @@ def test_synchronize_with_the_peak_on_a_block_edge(mode):
     # i*step + [0, step): put the packet at the last of those, on either
     # side, and as the first of the next block.
     cfg = rx_cfg(mode)
-    _, segments, nfft, _, _ = _template(mode, cfg.expected_access_address,
-                                        cfg.sps)
+    _, segments, nfft, _, _ = _template(mode)
     step = nfft - (segments[0][1] - segments[0][0]) + 1
     for lead in (step - 2, step - 1, step, step + 1):
         frame = awgn(tx_frame(mode, lead, lead), 20.0, seed=lead)
@@ -247,7 +243,7 @@ def test_synchronize_with_the_peak_on_a_block_edge(mode):
 @pytest.mark.parametrize("mode", list(PhyMode))
 def test_receive_never_raises_on_zero_and_tiny_input(mode):
     cfg = rx_cfg(mode)
-    fs = 8 * mode.symbol_rate
+    fs = SPS * mode.symbol_rate
     for n in (0, 1, 15, 16, 17, 1000, 20_000):
         for level in (0.0, 1e-300, 1e-20):
             x = np.full(n, level * (1 + 1j))
@@ -258,7 +254,7 @@ def test_receive_never_raises_on_zero_and_tiny_input(mode):
     # around the shortest packet the receiver searches for, counted after
     # the matched filter.  A packet at lag 0 is found once it fits; one
     # that starts past the reference's length is found at none of them.
-    shortest = expected_symbol_count(cfg, 2) * cfg.sps
+    shortest = expected_symbol_count(cfg, 2) * SPS
     grow = PULSE.taps.size - 1
     late = _ref_size(mode) + 8
     for lead in (0, late):
@@ -275,7 +271,7 @@ def test_receive_never_raises_on_zero_and_tiny_input(mode):
 @pytest.mark.parametrize("mode", list(PhyMode))
 def test_receive_never_detects_non_finite_input(mode):
     cfg = rx_cfg(mode)
-    fs = 8 * mode.symbol_rate
+    fs = SPS * mode.symbol_rate
     clean = tx_frame(mode, 300, 300).samples
     for bad in (np.nan, np.inf, -np.inf, complex(np.nan, 1.0),
                 complex(0.0, -np.inf)):
@@ -302,7 +298,7 @@ NON_FINITE = [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)]
        label=st.sampled_from(["mode", "mode", "other mode", "off grid"]))
 def test_receive_never_raises_on_random_iq(mode, n, scale, seed, poison, where,
                                            sps, label):
-    # The receiver is set for the mode's symbol rate at 8 sps; a frame at
+    # The receiver takes the mode's symbol rate at SPS = 8; a frame at
     # another rate is reported, not raised.  "other mode" labels the frame
     # with the other symbol rate (16 Msps at 2 Msym/s against LE1M),
     # "off grid" puts it between whole samples per symbol (8.4 Msps at
@@ -323,6 +319,8 @@ def test_receive_never_raises_on_random_iq(mode, n, scale, seed, poison, where,
         assert rep.reason == (f"frame at {rs / 1e6:g} Msym/s, {mode.value} is "
                               f"{mode.symbol_rate / 1e6:g} Msym/s")
     elif label == "off grid":
-        assert rep.reason == f"frame at {sps + 0.4:g} sps, config says 8"
+        assert rep.reason == (f"frame at {sps + 0.4:g} samples per symbol, "
+                              f"the receiver takes 8")
     elif sps != 8:
-        assert rep.reason == f"frame at {sps} sps, config says 8"
+        assert rep.reason == (f"frame at {sps} samples per symbol, "
+                              f"the receiver takes 8")
