@@ -2,9 +2,8 @@
 
 Fading is a block model: one tapped-delay-line realization is drawn per
 call, from the call's seed, and applied to the whole frame.  Tap delays
-are expressed in samples at a profile reference rate (8 Msps by default)
-and rescaled to the frame's actual rate so the physical delay spread is
-the same for every PHY mode.
+are expressed in samples at PROFILE_RATE_HZ and rescaled to the frame's
+actual rate so the physical delay spread is the same for every PHY mode.
 """
 from __future__ import annotations
 
@@ -60,11 +59,15 @@ def _unit_noise(seed: int, n: int) -> np.ndarray:
     return noise
 
 
+# Tap delays count samples at 8 Msps, the 1 Msym/s modes' rate.
+PROFILE_RATE_HZ = 8e6
+
+
 @dataclass(frozen=True)
 class ChannelProfile:
     """Tapped-delay-line description of a propagation environment.
 
-    `taps` holds (delay in samples at reference_rate_hz, relative power in
+    `taps` holds (delay in samples at PROFILE_RATE_HZ, relative power in
     dB) pairs; powers are normalized to unit average gain when the profile
     is applied.  A Rician K factor (dB) puts a fixed-phase deterministic
     component on the first tap; None means pure Rayleigh on every tap.
@@ -73,7 +76,6 @@ class ChannelProfile:
     kind: str
     taps: tuple = ((0, 0.0),)
     rician_k_db: float | None = None
-    reference_rate_hz: float = 8e6
 
     def __post_init__(self):
         if not self.taps:
@@ -85,13 +87,11 @@ class ChannelProfile:
             raise ParamError("duplicate tap delays")
         # Levels within 300 dB keep 10**(dB/10) a finite float.
         k = self.rician_k_db
-        rate = self.reference_rate_hz
         if not (all(is_number(d) and math.isfinite(d) and int(d) == d
                     and is_number(p) and abs(p) <= 300.0 for d, p in self.taps)
-                and (k is None or is_number(k) and (abs(k) <= 300.0 or k == math.inf))
-                and is_number(rate) and 0.0 < rate < math.inf):
+                and (k is None or is_number(k) and (abs(k) <= 300.0 or k == math.inf))):
             raise ParamError("need numbers: whole-sample delays, powers and K "
-                             "within 300 dB (or K inf), a positive reference rate")
+                             "within 300 dB (or K inf)")
 
 
 def los_profile() -> ChannelProfile:
@@ -124,7 +124,7 @@ def channel_realization(profile: ChannelProfile, sample_rate: float,
                         seed: int) -> np.ndarray:
     """Draw one complex impulse response at the given sample rate."""
     rng = np.random.default_rng(seed)
-    scale = sample_rate / profile.reference_rate_hz
+    scale = sample_rate / PROFILE_RATE_HZ
     delays = np.array([int(round(d * scale)) for d, _ in profile.taps])
     powers = np.array([10.0 ** (p / 10.0) for _, p in profile.taps])
     powers /= powers.sum()  # unit average gain

@@ -3,7 +3,8 @@
 A scenario fixes the link (PHY modes, PDU size, channel or hop schedule;
 the access address and CRC init are the advertising ones, and frames
 run at gmsk.SPS samples per symbol) and the impairments (fading profile,
-CFO/DC ranges, optional interferer), then sweeps SNR and optionally SIR.
+optional interferer; the CFO and DC offset are fixed, see CFO_MAX_HZ),
+then sweeps SNR and optionally SIR.
 Frame k of a mode draws its randomness from SeedSequence([seed,
 crc32(id), mode, k]), where mode is the mode's position in PhyMode, not
 in the scenario's phy_modes.  The key holds no sweep point: every
@@ -29,6 +30,7 @@ import numpy as np
 from .bits import random_bits
 from .channel import (
     PROFILE_FACTORIES,
+    PROFILE_RATE_HZ,
     ChannelProfile,
     InterfererConfig,
     apply_cfo,
@@ -65,6 +67,11 @@ CSV_COLUMNS = (
 # run_frame pads LEAD + U[0, LEAD_JITTER) zero samples before the packet
 # and TAIL after it.
 LEAD, LEAD_JITTER, TAIL = 256, 64, 128
+
+# Each frame's carrier offset is uniform over +-CFO_MAX_HZ, and its DC
+# offset is DC_DBC relative to the signal RMS, at a uniform phase.
+CFO_MAX_HZ = 50e3
+DC_DBC = -20.0
 
 
 @dataclass(frozen=True)
@@ -127,8 +134,6 @@ class ScenarioConfig:
     interferer: InterfererConfig | None = None
     frames: int = 10000
     pdu_bits: int = 128
-    cfo_range_hz: tuple = (-50e3, 50e3)
-    dc_dbc: float | None = -20.0
     # Built by __post_init__: crc32 of the id, the ReceiverConfig of each
     # mode, the fixed channel, and the hop map plus CSA#1 hop state.
     _id_key: int = field(init=False, repr=False, compare=False)
@@ -154,8 +159,6 @@ class ScenarioConfig:
         if self.sir_sweep_db is not None:
             self.sir_sweep_db = _sweep_db("sir_sweep_db", self.sir_sweep_db)
         self.frames = check_int("frames", self.frames, 1)
-        if self.dc_dbc is not None:
-            self.dc_dbc = check_real("dc_dbc", self.dc_dbc, -300.0, 300.0)
 
         self._channel = self._channel_map = self._hop = None
         if (self.channel is None) == (self.hopping is None):
@@ -178,21 +181,13 @@ class ScenarioConfig:
         # The receivers checked pdu_bits; keep the int they hold.
         self.pdu_bits = self._rx[self.phy_modes[0]].pdu_bits
 
-        rates = [mode.symbol_rate * SPS for mode in self.phy_modes]
-        # apply_cfo needs every draw strictly inside +-fs/2.
-        nyquist = math.nextafter(min(rates) / 2.0, 0.0)
-        cfo = _nonempty("cfo_range_hz", self.cfo_range_hz)
-        self.cfo_range_hz = tuple(
-            check_real("cfo_range_hz", v, -nyquist, nyquist) for v in cfo)
-        if len(cfo) != 2 or cfo[0] > cfo[1]:
-            raise ConfigError(f"cfo_range_hz must be [lo, hi], lo <= hi, got {cfo!r}")
-
-        for mode, fs in zip(self.phy_modes, rates):
-            prof = self.profile
-            if prof is not None:
+        prof = self.profile
+        if prof is not None:
+            for mode in self.phy_modes:
                 # fade() needs the impulse response shorter than the frame:
                 # the least padding plus at least an uncoded packet.
-                taps = round(max(d for d, _ in prof.taps) * fs / prof.reference_rate_hz)
+                fs = mode.symbol_rate * SPS
+                taps = round(max(d for d, _ in prof.taps) * fs / PROFILE_RATE_HZ)
                 packet = (mode.preamble_len + 56 + self.pdu_bits) * SPS
                 if taps + 1 >= LEAD + TAIL + packet:
                     raise ConfigError(f"profile delay spread too long for {mode.value}")
@@ -261,9 +256,9 @@ def _draw_frame(cfg: ScenarioConfig, mode: PhyMode, frame_idx: int) -> _FrameDra
     """Transmit frame `frame_idx` of `mode` through the channel.
 
     Draws, in this order: payload, lead jitter, fade seed, CFO, DC phase,
-    interferer seed and noise seed; the fade seed, DC phase and
-    interferer seed only when the scenario has a profile, a DC level and
-    an interferer.
+    interferer seed and noise seed; the fade seed only when the scenario
+    has a profile, and the interferer seed only when it has an
+    interferer.
     """
     rng = np.random.default_rng(np.random.SeedSequence(
         [cfg.seed, cfg._id_key, _MODE_KEY[mode], frame_idx]))
@@ -285,10 +280,8 @@ def _draw_frame(cfg: ScenarioConfig, mode: PhyMode, frame_idx: int) -> _FrameDra
 
     if cfg.profile is not None:
         frame = fade(frame, cfg.profile, int(rng.integers(2**63)))
-    lo, hi = cfg.cfo_range_hz
-    frame = apply_cfo(frame, float(rng.uniform(lo, hi)))
-    if cfg.dc_dbc is not None:
-        frame = apply_dc(frame, cfg.dc_dbc, float(rng.uniform(0, 2 * np.pi)))
+    frame = apply_cfo(frame, float(rng.uniform(-CFO_MAX_HZ, CFO_MAX_HZ)))
+    frame = apply_dc(frame, DC_DBC, float(rng.uniform(0, 2 * np.pi)))
     frame.samples.flags.writeable = False  # every point reads it
 
     inter, p_int, inband_db = None, 0.0, 0.0
@@ -485,7 +478,8 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
     """Map a JSON scenario onto ScenarioConfig, which checks the values."""
     _check_keys(obj, _TOP_KEYS, "scenario")
     version = obj.get("version")
-    if version != SCHEMA_VERSION:
+    # true and 1.0 equal 1 in Python, but only the JSON integer 1 is a version.
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {version!r}")
     for key in ("id", "seed"):
         if key not in obj:
@@ -519,8 +513,7 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     out = {"version": SCHEMA_VERSION, "id": cfg.id, "seed": cfg.seed,
            "phy_modes": [m.value for m in cfg.phy_modes]}
-    for key in ("frames", "pdu_bits", "snr_sweep_db", "sir_sweep_db",
-                "cfo_range_hz", "dc_dbc"):
+    for key in ("frames", "pdu_bits", "snr_sweep_db", "sir_sweep_db"):
         out[key] = getattr(cfg, key)
     if cfg.channel is not None:
         out["channel"] = {"index": cfg.channel}

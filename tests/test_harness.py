@@ -552,20 +552,23 @@ def test_cli_run_checks_out_before_any_frame(tmp_path, capsys, monkeypatch):
     ("interferer", {"center_offset_hz": 0.0}),
     ("interferer", {"duty_cycle": 1.0}),
     ("interferer", {"burst_symbols": 20}),
+    ("cfo_range_hz", [-50e3, 50e3]), ("dc_dbc", -20.0),
+    ("profile", {"kind": "nlos", "reference_rate_hz": 8e6}),
 ])
 def test_cli_run_rejects_removed_receiver_keys(removed, tmp_path, capsys,
                                                monkeypatch):
-    # The receiver and the interferer are fixed: a key that once set one
-    # is now unknown.
+    # The receiver, the interferer and the front end's CFO range, DC level
+    # and profile rate are fixed: a key that once set one is now unknown,
+    # at the top level or inside its object, even at the fixed value.
     monkeypatch.setattr(harness, "_count_chunk", lambda t: pytest.fail("ran"))
-    obj, keys = removed
+    key, value = removed
     cfg_path = tmp_path / "s.json"
     base = scenario_to_dict(small_scenario(
         frames=2, sir_sweep_db=(0.0,), interferer=InterfererConfig()))
-    cfg_path.write_text(json.dumps(dict(base, **{obj: keys})))
+    cfg_path.write_text(json.dumps(dict(base, **{key: value})))
     out = tmp_path / "res.csv"
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
-    assert obj in err[0], err
+    assert key in err[0], err
     assert not out.exists()
