@@ -6,9 +6,13 @@ demod -> FEC decode (coded modes) -> de-whitening -> AA/CRC validation.
 The AGC's power tracker and the DC notch are one-pole recurrences, run
 in numpy block by block (_one_pole); they equal scipy.signal.lfilter up
 to rounding.  Frequency offset is corrected before the matched filter so
-the filter passband actually covers the signal.  Sync searches only the
-lags at which the shortest packet the config can receive still fits in
-the frame, and the fine CFO it estimates is applied by the differential
+the filter passband actually covers the signal.  The uncoded modes
+estimate the coarse CFO from the squared signal's spectrum, and sync
+searches every lag at which the shortest packet the config can receive
+still fits in the frame.  The coded modes acquire from the preamble's
+repetition instead: its delay-and-correlate metric gives the coarse CFO
+and a few candidate starts, and sync searches short lag windows around
+them.  The fine CFO that sync estimates is applied by the differential
 detector as one rotation of its lag-SPS products, not by derotating the
 frame.  The matched filter and the sync template use the transmitter's
 pulse and modulation index, gmsk.BT, gmsk.H and gmsk.SPAN, at gmsk.SPS
@@ -53,6 +57,36 @@ from .phymode import PhyMode
 # settle it in 64 samples) and the DC notch's pole radius.
 AGC_ALPHA = 1.0 / 16.0
 NOTCH_RADIUS = 0.999
+
+# Coded-mode acquisition.  The LE Coded preamble is ten repetitions of
+# an 8-symbol pattern, so the matched-filter output correlated with
+# itself one period later, over a window of eight periods, has a
+# plateau on the preamble whose phase is the carrier offset (Schmidl
+# and Cox, IEEE Trans. Commun. 45(12), 1997).  The phase wraps at
+# +-fs/(2*PREAMBLE_PERIOD) = +-62.5 kHz, beyond the +-50 kHz that any
+# frame carries (harness.CFO_MAX_HZ).
+PREAMBLE_PERIOD = 8 * SPS
+PREAMBLE_WINDOW = 8 * PREAMBLE_PERIOD
+# Every coded symbol pattern (01/10 at S=2, 0011/1100 at S=8) turns the
+# phase by a net 0, so a coded payload may hold stretches with the same
+# period that outscore the preamble.  The metric therefore yields up to
+# ACQUIRE_PEAKS candidate starts, each at least ACQUIRE_SHARE of the
+# highest value and none within ACQUIRE_SPACING samples of a stronger
+# one (the preamble is 640 samples long).  Over 4,400 frames (WLAN at
+# SIR -10 to 0 dB, NLOS at 0 and 20 dB) an LE500K frame had a single
+# candidate, and an LE125K frame's preamble ranked at most fourth.
+ACQUIRE_PEAKS = 8
+ACQUIRE_SHARE = 0.6
+ACQUIRE_SPACING = 640
+# Sync searches the lags t - SYNC_LEAD .. t + SYNC_TRAIL around a
+# candidate t, earliest candidate first; the first window whose peak
+# clears the detect threshold wins.  Over 8,000 LE500K and LE125K frames
+# (AWGN at 0-15 dB, NLOS at 0-20 dB, WLAN at SIR -10 and 0 dB) the
+# candidate nearest the packet lay 21 samples before to 147 after its
+# start, 16 to 128 for 98% of them; the window keeps over 40 samples
+# of margin on either side.
+SYNC_LEAD = 192
+SYNC_TRAIL = 64
 
 
 @dataclass
@@ -246,6 +280,52 @@ def coarse_cfo_estimate(frame: IqFrame) -> float:
     return float(f2 / 2.0)
 
 
+def preamble_acquire(frame: IqFrame, max_lag: int) -> tuple[float, list[int]]:
+    """Coarse CFO and candidate packet starts of a coded frame.
+
+    With D = PREAMBLE_PERIOD and L = PREAMBLE_WINDOW, P(t) is the sum of
+    y[t+m]*conj(y[t+m+D]) over m < L and the metric is |P| over the root
+    of the energies of the two windows, both formed by cumulative sums.
+    Only starts t <= max_lag + SYNC_LEAD are read, since a later one
+    leaves sync no lag to search.  Returns the CFO -angle(P)*fs/(2*pi*D)
+    at the highest metric value and the candidate starts (see
+    ACQUIRE_PEAKS) in ascending order; no starts if the frame is shorter
+    than D + L.  Raises NoSignalError on the terms coarse_cfo_estimate
+    does.
+    """
+    y = frame.samples
+    power = np.abs(y) ** 2
+    if len(y) < 16 or float(np.mean(power)) < 1e-15:
+        raise NoSignalError("not enough signal power for CFO estimation")
+    d, w = PREAMBLE_PERIOD, PREAMBLE_WINDOW
+    n = min(len(y) - d - w, max_lag + SYNC_LEAD) + 1
+    if n < 1:
+        return 0.0, []
+    lagged = np.zeros(n + w, complex)
+    np.cumsum(y[:n + w - 1] * np.conj(y[d:d + n + w - 1]), out=lagged[1:])
+    p = lagged[w:] - lagged[:n]
+    energy = np.zeros(n + d + w)
+    np.cumsum(power[:n + d + w - 1], out=energy[1:])
+    r = energy[w:] - energy[:-w]
+    # Over exact silence both sums stay 0; past a signal their
+    # differences are round-off of the running sums, so windows with
+    # less than 1e-9 of the energy read count as silent.
+    r = np.maximum(r, max(1e-9 * energy[-1], 1e-30))
+    metric = np.abs(p) / np.sqrt(r[:n] * r[d:])
+    top = float(metric.max())
+    starts = []
+    while len(starts) < ACQUIRE_PEAKS:
+        t = int(np.argmax(metric))
+        if not metric[t] > 0 or metric[t] < ACQUIRE_SHARE * top:
+            break
+        starts.append(t)
+        metric[max(t - ACQUIRE_SPACING, 0):t + ACQUIRE_SPACING + 1] = 0.0
+    if not starts:
+        return 0.0, []
+    cfo = -cmath.phase(p[starts[0]]) * frame.sample_rate / (2.0 * np.pi * d)
+    return cfo, sorted(starts)
+
+
 @lru_cache(maxsize=4)
 def _template(mode: PhyMode):
     """Known-waveform template for sync: preamble plus access-address part.
@@ -275,7 +355,7 @@ def _template(mode: PhyMode):
 
 
 def synchronize(frame: IqFrame, cfg: ReceiverConfig,
-                max_lag: int | None = None) -> SyncResult:
+                max_lag: int | None = None, min_lag: int = 0) -> SyncResult:
     """Locate the packet and estimate residual CFO from the preamble region.
 
     The reference is split into short segments that are correlated
@@ -283,15 +363,17 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
     kHz of post-coarse frequency error; the phase ramp across segment
     correlations then gives the fine CFO.  The correlations run by
     overlap-save: one FFT of the frame's blocks is shared by every
-    segment, and each segment inverse-FFTs only the blocks that hold its
-    lags.
+    segment, each segment multiplies only the blocks that hold its lags,
+    and one inverse FFT transforms every segment's products.
 
-    The search covers the lags 0..max_lag at which the reference fits;
-    receive() passes the last lag at which the shortest packet it can
-    decode still fits, and None searches every lag.  A negative max_lag
-    raises SyncFailure.  Over the lags both searches cover, the
-    correlations are the full search's to the bit.  The fine CFO is
-    returned, not applied: the differential detector takes it as a
+    The search covers the lags min_lag..max_lag at which the reference
+    fits; receive() passes the last lag at which the shortest packet it
+    can decode still fits, and None searches every lag.  A negative
+    max_lag raises SyncFailure, as does a window that holds no lag.  With
+    min_lag 0, over the lags both searches cover, the correlations are
+    the full search's to the bit; a window starting later splits the
+    frame into other blocks and matches them to rounding.  The fine CFO
+    is returned, not applied: the differential detector takes it as a
     rotation, and SyncResult.aligned derotates the frame on request.
     """
     ref, segments, nfft, spectra, norms = _template(cfg.phy_mode)
@@ -305,14 +387,12 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
                 f"frame ({len(x)}) shorter than the shortest packet "
                 f"({len(x) - max_lag})")
         n_lags = min(n_lags, max_lag + 1)
+    if not 0 <= min_lag < n_lags:
+        raise SyncFailure(f"no lag in {min_lag}..{n_lags - 1}")
+    # From here on, lag 0 is min_lag.
+    x = x[min_lag:]
+    n_lags -= min_lag
     seg_len = segments[0][1] - segments[0][0]
-    # The segments are contiguous and equally long, so they share the
-    # energy of the seg_len samples starting at each lag; the last
-    # segment's window at the last lag ends at sample b + n_lags - 1.
-    read = segments[-1][1] + n_lags - 1
-    energy = np.concatenate([[0.0], np.cumsum(np.abs(x[:read]) ** 2)])
-    rms = np.sqrt(np.maximum(energy[seg_len:] - energy[:-seg_len], 1e-30))
-
     # Overlap-save: block i holds x[p0 + i*step:][:nfft] (zero-padded past
     # the end), and its first `step` outputs are a segment's correlations
     # starting at samples p0 + i*step + [0, step).  Segment (a, b) needs
@@ -320,22 +400,43 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
     step = nfft - seg_len + 1
     p0 = segments[0][0]
     n_blocks = -(-(segments[-1][0] - p0 + n_lags) // step)
+
+    # The segments are contiguous and equally long, so they share the
+    # energy of the seg_len samples starting at each lag; the sums run
+    # over every sample the blocks read, which covers every window.
+    # Over silence the correlations are FFT round-off, up to about 1e-16
+    # of the blocks' amplitude, so a window with less than 1e-20 of
+    # their energy counts as that much and silence reads near 0.
+    read = p0 + (n_blocks - 1) * step + nfft
+    energy = np.concatenate([[0.0], np.cumsum(np.abs(x[:read]) ** 2)])
+    floor = max(1e-20 * energy[-1], 1e-30)
+    rms = np.sqrt(np.maximum(energy[seg_len:] - energy[:-seg_len], floor))
     blocks = np.zeros((n_blocks, nfft), dtype=np.complex128)
     for i, row in enumerate(blocks):
         part = x[p0 + i * step:p0 + i * step + nfft]
         row[:part.size] = part
     np.fft.fft(blocks, axis=1, out=blocks)
 
+    # Segment (a, b) reads its lags from block rows (a-p0)//step through
+    # (a-p0+n_lags-1)//step only; its products fill the next rows of one
+    # buffer, which is inverse-transformed at once.
+    rows = [range((a - p0) // step, (a - p0 + n_lags - 1) // step + 1)
+            for a, _ in segments]
+    c = np.empty((sum(map(len, rows)), nfft), dtype=np.complex128)
+    at = 0
+    for r, spec in zip(rows, spectra):
+        np.multiply(blocks[r.start:r.stop], spec, out=c[at:at + len(r)])
+        at += len(r)
+    np.fft.ifft(c, axis=1, out=c)
+    mag = np.abs(c[:, :step])
     num = np.zeros(n_lags)
     den = np.full(n_lags, 1e-30)
-    for (a, _), spec, norm in zip(segments, spectra, norms):
-        # Segment (a, b) reads its lags from block rows first..last only.
-        first, offset = divmod(a - p0, step)
-        last = (a - p0 + n_lags - 1) // step
-        c = blocks[first:last + 1] * spec
-        np.fft.ifft(c, axis=1, out=c)
-        num += np.abs(c[:, :step]).ravel()[offset:offset + n_lags]
+    at = 0
+    for (a, _), r, norm in zip(segments, rows, norms):
+        offset = (a - p0) % step
+        num += mag[at:at + len(r)].ravel()[offset:offset + n_lags]
         den += norm * rms[a:a + n_lags]
+        at += len(r)
     rho = num / den
     tau = int(np.argmax(rho))
     peak = float(rho[tau])
@@ -355,7 +456,7 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
         fine = float(slope / (2.0 * np.pi))
     else:
         fine = 0.0
-    return SyncResult(frame, tau, fine, peak)
+    return SyncResult(frame, min_lag + tau, fine, peak)
 
 
 def _soft_differential(mf_samples: np.ndarray, start: int, count: int,
@@ -461,11 +562,18 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
     x = dc_notch(x)
     _trace("dc_notch", x)
     pulse = gaussian_taps()
+    # The last lag at which the shortest packet fits in the matched
+    # filter's output, which is taps - 1 samples longer than x.
+    max_lag = len(x) + pulse.taps.size - 1 - expected_symbol_count(cfg, 2) * SPS
     try:
         # Estimate from a band-limited scratch copy: out-of-band interference
-        # would otherwise bury the squared-signal lines.  The stream that
-        # flows on is corrected first and matched-filtered after.
-        coarse = coarse_cfo_estimate(matched_filter(x, pulse))
+        # would otherwise bury the squared-signal lines and the preamble's
+        # repetition.  The stream that flows on is corrected first and
+        # matched-filtered after.
+        if cfg.phy_mode.coded:
+            coarse, starts = preamble_acquire(matched_filter(x, pulse), max_lag)
+        else:
+            coarse, starts = coarse_cfo_estimate(matched_filter(x, pulse)), []
     except NoSignalError:
         report.reason = "no signal"
         return report
@@ -474,11 +582,23 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
     _trace("cfo_corrected", x)
     x = matched_filter(x, pulse)
     _trace("matched_filter", x)
-    shortest = expected_symbol_count(cfg, 2) * SPS
-    try:
-        sync = synchronize(x, cfg, max_lag=len(x) - shortest)
-    except SyncFailure as exc:
-        report.reason = str(exc)
+    # Sync searches the lag window around each candidate start, earliest
+    # first, or every lag where the shortest packet fits.
+    windows = [(max(t - SYNC_LEAD, 0), min(t + SYNC_TRAIL, max_lag))
+               for t in starts]
+    windows = [w for w in windows if w[0] <= w[1]] or [(0, max_lag)]
+    reason = ""
+    for lo, hi in windows:
+        try:
+            sync = synchronize(x, cfg, max_lag=hi, min_lag=lo)
+            break
+        except SyncFailure as exc:
+            # The first window's text only: the exception's traceback
+            # holds this frame, and keeping it would keep sync's arrays
+            # alive until a GC pass.
+            reason = reason or str(exc)
+    else:
+        report.reason = reason
         return report
     if trace is not None:  # the derotated frame is built only for a capture
         _trace("synchronized", sync.aligned)

@@ -7,7 +7,7 @@ from scipy.signal import lfilter
 from blesim.bits import random_bits
 from blesim.channel import apply_cfo, apply_dc, awgn, interferer_at_rate, mix
 from blesim.errors import NoSignalError, ParamError, SyncFailure
-from blesim.gmsk import SPS, IqFrame, gaussian_taps, gmsk_modulate
+from blesim.gmsk import SPS, IqFrame, gaussian_taps, gmsk_modulate, matched_filter
 from blesim.harness import wilson_interval
 from blesim.llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
@@ -20,10 +20,14 @@ from blesim.phymode import PhyMode
 from blesim.receiver import (
     AGC_ALPHA,
     NOTCH_RADIUS,
+    SYNC_LEAD,
+    SYNC_TRAIL,
     ReceiverConfig,
+    _template,
     agc,
     coarse_cfo_estimate,
     dc_notch,
+    preamble_acquire,
     receive,
     synchronize,
 )
@@ -220,10 +224,38 @@ def test_coarse_cfo_no_signal():
         coarse_cfo_estimate(IqFrame(np.ones(8, complex), 8e6, 1e6))
 
 
+@pytest.mark.parametrize("mode", [PhyMode.LE500K, PhyMode.LE125K])
+def test_preamble_cfo_accuracy(mode):
+    # AWGN at 15 dB, 20 packets at each offset from -50 to +50 kHz in
+    # 10 kHz steps.  The first measured run read 65 Hz RMS and 182 Hz at
+    # most in both modes; the gates are about 1.5 times those.  A
+    # candidate start puts the packet's start inside its sync window.
+    lead = 200
+    errors = []
+    for seed in range(20):
+        frame, _ = make_frame(mode, pdu_bits=128, lead=lead, seed=seed)
+        for offset in np.linspace(-50e3, 50e3, 11):
+            noisy = awgn(apply_cfo(frame, offset), 15.0, seed=seed + 9)
+            mf = matched_filter(noisy, PULSE)
+            est, starts = preamble_acquire(mf, len(mf))
+            errors.append(est - offset)
+            assert any(-SYNC_TRAIL <= t - lead <= SYNC_LEAD for t in starts)
+    errors = np.abs(errors)
+    assert np.sqrt(np.mean(errors ** 2)) < 100.0
+    assert errors.max() < 300.0
+
+
+def test_preamble_acquire_no_signal():
+    with pytest.raises(NoSignalError):
+        preamble_acquire(IqFrame(np.zeros(5000, complex), 8e6, 1e6), 5000)
+    # One sample short of a period plus a window: no start to read.
+    frame = IqFrame(np.ones(575, complex), 8e6, 1e6)
+    assert preamble_acquire(frame, 575) == (0.0, [])
+    assert preamble_acquire(frame.replace(np.ones(576, complex)), 576)[1] == [0]
+
+
 @pytest.mark.parametrize("mode", list(PhyMode))
 def test_synchronize_finds_injected_delay(mode):
-    from blesim.gmsk import matched_filter
-
     cfg = default_cfg(mode)
     for seed, lead in ((1, 64), (2, 333), (3, 1021)):
         frame, _ = make_frame(mode, lead=lead, seed=seed)
@@ -234,8 +266,6 @@ def test_synchronize_finds_injected_delay(mode):
 
 
 def test_synchronize_noise_only_fails():
-    from blesim.gmsk import matched_filter
-
     rng = np.random.default_rng(55)
     noise = IqFrame(rng.standard_normal(20_000) + 1j * rng.standard_normal(20_000),
                     8e6, 1e6)
@@ -259,6 +289,23 @@ def test_noise_only_frames_are_rarely_detected():
             frame = IqFrame(noise, mode.symbol_rate * SPS, mode.symbol_rate)
             detected += receive(frame, cfg).detected
         assert detected / frames <= wilson_interval(0, frames)[1], (mode, detected)
+
+
+@pytest.mark.parametrize("mode", list(PhyMode))
+def test_silence_before_a_packet_is_not_detected(mode):
+    # A noise-free frame with a long zero lead.  Over pure silence the
+    # sync correlations are FFT round-off, which must read as 0, not as a
+    # peak near the threshold; the packet after it is found where it
+    # starts.
+    lead = 50_000
+    frame, pdu = make_frame(mode, lead=lead, seed=3)
+    rep = receive(frame, default_cfg(mode))
+    assert rep.crc_ok and rep.timing_offset == lead
+    assert np.array_equal(rep.pdu, pdu)
+    mf = matched_filter(dc_notch(agc(frame)), PULSE)
+    silent = lead - _template(mode)[0].size  # the last lag that reads silence
+    with pytest.raises(SyncFailure, match=r"^peak correlation 0\.000 "):
+        synchronize(mf, default_cfg(mode), max_lag=silent)
 
 
 def test_receive_clean_round_trip_all_modes():

@@ -162,6 +162,43 @@ def test_fine_cfo_rotation_matches_derotated_frame(mode, lead, cfo, snr, seed):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(list(PhyMode)),
+       lead=st.integers(0, 2000),
+       cfo=st.floats(-50e3, 50e3),
+       snr=st.floats(-6.0, 30.0),
+       seed=st.integers(0, 2**32 - 1),
+       where=st.floats(0.0, 1.0),
+       width=st.integers(0, 400))
+def test_windowed_search_matches_full_search(mode, lead, cfo, snr, seed,
+                                             where, width):
+    # Lags min_lag..max_lag split the frame into other overlap-save blocks
+    # than the full search, so the correlations match it to rounding: the
+    # full search's tau whenever it lies in the window, and never a tau
+    # outside it.  The windows checked end on either side of the full
+    # search's tau, and one is drawn over the whole frame.
+    frame = awgn(apply_cfo(tx_frame(mode, lead, seed), cfo), snr, seed=seed)
+    mf = matched_filter(frame, PULSE)
+    cfg = rx_cfg(mode)
+    full = sync_outcome(synchronize, mf, cfg)
+    tau = lead if full is None else full.timing_offset
+    n_lags = len(mf) - _ref_size(mode) + 1
+    lo = int(where * (n_lags - 1))
+    for window in ((tau - width, tau), (tau, tau + width),
+                   (tau + 1, tau + 1 + width), (lo, min(lo + width, n_lags - 1))):
+        min_lag, max_lag = max(window[0], 0), min(window[1], n_lags - 1)
+        if min_lag > max_lag:
+            continue
+        got = sync_outcome(synchronize, mf, cfg, max_lag=max_lag, min_lag=min_lag)
+        if got is not None:
+            assert min_lag <= got.timing_offset <= max_lag
+        if full is not None and min_lag <= tau <= max_lag:
+            assert got.timing_offset == tau
+            assert got.peak_correlation == pytest.approx(
+                full.peak_correlation, abs=1e-9)
+            assert got.fine_cfo_hz == full.fine_cfo_hz
+
+
 def _ref_size(mode):
     cfg = rx_cfg(mode)
     return _template(mode)[0].size
@@ -250,6 +287,10 @@ def test_receive_never_raises_on_zero_and_tiny_input(mode):
             rep = receive(IqFrame(x, fs, mode.symbol_rate), cfg)
             assert not rep.detected and not rep.crc_ok
             assert rep.reason
+    # A noise-free packet after a long silence, found where it starts.
+    x = tx_frame(mode, 20_000, 9).samples
+    rep = receive(IqFrame(x, fs, mode.symbol_rate), cfg)
+    assert rep.crc_ok and rep.timing_offset == 20_000
     # Real packets cut to the sync reference's length and to lengths
     # around the shortest packet the receiver searches for, counted after
     # the matched filter.  A packet at lag 0 is found once it fits; one
