@@ -14,7 +14,19 @@ repetition instead: its delay-and-correlate metric gives the coarse CFO
 and a few candidate starts, and sync searches short lag windows around
 them.  The fine CFO that sync estimates is applied by the differential
 detector as one rotation of its lag-SPS products, not by derotating the
-frame.  The matched filter and the sync template use the transmitter's
+frame.
+
+The uncoded modes correct and matched-filter the whole frame.  The coded
+modes compute only the samples they read: acquisition filters the head
+of the frame that it reads, and each sync window derotates and filters
+the span that its overlap-save blocks read, both equal to the whole
+stream's samples to the bit.  The demodulator computes its
+symbol-boundary samples straight from the notch output with CFO-rotated
+taps, equal to the whole stream's up to rounding and each turned by a
+phase that the detector's one rotation takes out with the fine CFO.
+The whole corrected streams are built for a capture only.
+
+The matched filter and the sync template use the transmitter's
 pulse and modulation index, gmsk.BT, gmsk.H and gmsk.SPAN, at gmsk.SPS
 samples per symbol; the detector's +-pi/2 steps are those of H = 0.5.
 The link is BLE's advertising one: the receiver expects the
@@ -38,7 +50,14 @@ from .coded import (
     viterbi_decode,
 )
 from .errors import LengthError, NoSignalError, SyncFailure, check_enum, check_int
-from .gmsk import SPS, IqFrame, gaussian_taps, gmsk_modulate, matched_filter
+from .gmsk import (
+    SPS,
+    IqFrame,
+    PulseShape,
+    gaussian_taps,
+    gmsk_modulate,
+    matched_filter,
+)
 from .llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
     ADVERTISING_CRC_INIT,
@@ -87,6 +106,10 @@ ACQUIRE_SPACING = 640
 # of margin on either side.
 SYNC_LEAD = 192
 SYNC_TRAIL = 64
+# Sync correlates by overlap-save in blocks of SYNC_NFFT samples, in every
+# mode: an uncoded search over a whole frame, or a coded one over one
+# SYNC_LEAD + SYNC_TRAIL + 1 = 257-lag window.
+SYNC_NFFT = 512
 
 
 @dataclass
@@ -114,7 +137,9 @@ class ReceiverConfig:
 
 @dataclass
 class SyncResult:
-    frame: IqFrame  # the matched-filtered frame that was searched
+    # The matched-filtered stream that was searched: receive() passes the
+    # span of it that one lag window reads, so its offsets count from there.
+    frame: IqFrame
     timing_offset: int
     fine_cfo_hz: float
     peak_correlation: float
@@ -287,11 +312,12 @@ def preamble_acquire(frame: IqFrame, max_lag: int) -> tuple[float, list[int]]:
     y[t+m]*conj(y[t+m+D]) over m < L and the metric is |P| over the root
     of the energies of the two windows, both formed by cumulative sums.
     Only starts t <= max_lag + SYNC_LEAD are read, since a later one
-    leaves sync no lag to search.  Returns the CFO -angle(P)*fs/(2*pi*D)
-    at the highest metric value and the candidate starts (see
-    ACQUIRE_PEAKS) in ascending order; no starts if the frame is shorter
-    than D + L.  Raises NoSignalError on the terms coarse_cfo_estimate
-    does.
+    leaves sync no lag to search, so only the first max_lag + SYNC_LEAD +
+    D + L samples of y; receive() passes just those.  Returns the CFO
+    -angle(P)*fs/(2*pi*D) at the highest metric value and the candidate
+    starts (see ACQUIRE_PEAKS) in ascending order; no starts if the frame
+    is shorter than D + L.  Raises NoSignalError on the terms
+    coarse_cfo_estimate does, over the frame it is given.
     """
     y = frame.samples
     power = np.abs(y) ** 2
@@ -335,8 +361,7 @@ def _template(mode: PhyMode):
     256 symbols of the S=8 first FEC block, which the causal encoder
     derives from the address alone.  Returns the matched-filtered samples,
     the segments' sample ranges for piecewise-coherent correlation, and
-    their overlap-save block size (fixed per mode, so one cache entry
-    serves every frame length), conjugate spectra and norms.
+    their conjugate SYNC_NFFT-point spectra and norms.
     """
     pulse = gaussian_taps()
     assemble, aa_symbols, seg_sym = (
@@ -347,11 +372,49 @@ def _template(mode: PhyMode):
     n_seg = bits.size // seg_sym
     seg_len = seg_sym * SPS
     segments = tuple((d + i * seg_len, d + (i + 1) * seg_len) for i in range(n_seg))
-    nfft = 8 << int(np.ceil(np.log2(seg_len)))
-    spectra = np.conj(np.fft.fft([ref[a:b] for a, b in segments], nfft, axis=1))
+    spectra = np.conj(np.fft.fft([ref[a:b] for a, b in segments], SYNC_NFFT,
+                                 axis=1))
     spectra.setflags(write=False)
     norms = tuple(float(np.linalg.norm(ref[a:b])) for a, b in segments)
-    return ref, segments, nfft, spectra, norms
+    return ref, segments, spectra, norms
+
+
+def _sync_lags(length: int, mode: PhyMode, max_lag: int | None,
+               min_lag: int) -> int:
+    """How many lags, from min_lag on, synchronize searches in a stream of
+    `length` samples; raises its SyncFailure if there are none."""
+    size = _template(mode)[0].size
+    if length < size:
+        raise SyncFailure(f"frame ({length}) shorter than sync reference ({size})")
+    n_lags = length - size + 1
+    if max_lag is not None:
+        if max_lag < 0:
+            raise SyncFailure(
+                f"frame ({length}) shorter than the shortest packet "
+                f"({length - max_lag})")
+        n_lags = min(n_lags, max_lag + 1)
+    if not 0 <= min_lag < n_lags:
+        raise SyncFailure(f"no lag in {min_lag}..{n_lags - 1}")
+    return n_lags - min_lag
+
+
+def _overlap_save(mode: PhyMode, n_lags: int) -> tuple[int, int, int]:
+    """(step, blocks, read) of a search over n_lags lags: block i holds the
+    SYNC_NFFT samples from p0 + i*step on, p0 the first segment's start,
+    and the blocks reach `read` samples past the first lag."""
+    segments = _template(mode)[1]
+    step = SYNC_NFFT - (segments[0][1] - segments[0][0]) + 1
+    p0 = segments[0][0]
+    blocks = -(-(segments[-1][0] - p0 + n_lags) // step)
+    return step, blocks, p0 + (blocks - 1) * step + SYNC_NFFT
+
+
+def _sync_span(mode: PhyMode, n_lags: int) -> int:
+    """Samples from its first lag on that a search over n_lags lags needs:
+    those its blocks read, and enough that the reference fits at every
+    lag."""
+    return max(_overlap_save(mode, n_lags)[2],
+               _template(mode)[0].size + n_lags - 1)
 
 
 def synchronize(frame: IqFrame, cfg: ReceiverConfig,
@@ -372,34 +435,25 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
     max_lag raises SyncFailure, as does a window that holds no lag.  With
     min_lag 0, over the lags both searches cover, the correlations are
     the full search's to the bit; a window starting later splits the
-    frame into other blocks and matches them to rounding.  The fine CFO
-    is returned, not applied: the differential detector takes it as a
+    frame into other blocks and matches them to rounding.  The search
+    reads _sync_span samples from min_lag on, so that span of the frame,
+    searched from its lag 0 to max_lag - min_lag, gives the window's tau
+    (less min_lag), fine CFO and peak to the bit.  The fine CFO is
+    returned, not applied: the differential detector takes it as a
     rotation, and SyncResult.aligned derotates the frame on request.
     """
-    ref, segments, nfft, spectra, norms = _template(cfg.phy_mode)
-    x = frame.samples
-    if len(x) < ref.size:
-        raise SyncFailure(f"frame ({len(x)}) shorter than sync reference ({ref.size})")
-    n_lags = len(x) - ref.size + 1
-    if max_lag is not None:
-        if max_lag < 0:
-            raise SyncFailure(
-                f"frame ({len(x)}) shorter than the shortest packet "
-                f"({len(x) - max_lag})")
-        n_lags = min(n_lags, max_lag + 1)
-    if not 0 <= min_lag < n_lags:
-        raise SyncFailure(f"no lag in {min_lag}..{n_lags - 1}")
+    ref, segments, spectra, norms = _template(cfg.phy_mode)
+    n_lags = _sync_lags(len(frame), cfg.phy_mode, max_lag, min_lag)
     # From here on, lag 0 is min_lag.
-    x = x[min_lag:]
-    n_lags -= min_lag
+    x = frame.samples[min_lag:]
     seg_len = segments[0][1] - segments[0][0]
-    # Overlap-save: block i holds x[p0 + i*step:][:nfft] (zero-padded past
-    # the end), and its first `step` outputs are a segment's correlations
-    # starting at samples p0 + i*step + [0, step).  Segment (a, b) needs
-    # those starting at a + [0, n_lags); each of them ends inside x.
-    step = nfft - seg_len + 1
+    # Overlap-save: block i holds x[p0 + i*step:][:SYNC_NFFT] (zero-padded
+    # past the end), and its first `step` outputs are a segment's
+    # correlations starting at samples p0 + i*step + [0, step).  Segment
+    # (a, b) needs those starting at a + [0, n_lags); each of them ends
+    # inside x.
+    step, n_blocks, read = _overlap_save(cfg.phy_mode, n_lags)
     p0 = segments[0][0]
-    n_blocks = -(-(segments[-1][0] - p0 + n_lags) // step)
 
     # The segments are contiguous and equally long, so they share the
     # energy of the seg_len samples starting at each lag; the sums run
@@ -407,13 +461,12 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
     # Over silence the correlations are FFT round-off, up to about 1e-16
     # of the blocks' amplitude, so a window with less than 1e-20 of
     # their energy counts as that much and silence reads near 0.
-    read = p0 + (n_blocks - 1) * step + nfft
     energy = np.concatenate([[0.0], np.cumsum(np.abs(x[:read]) ** 2)])
     floor = max(1e-20 * energy[-1], 1e-30)
     rms = np.sqrt(np.maximum(energy[seg_len:] - energy[:-seg_len], floor))
-    blocks = np.zeros((n_blocks, nfft), dtype=np.complex128)
+    blocks = np.zeros((n_blocks, SYNC_NFFT), dtype=np.complex128)
     for i, row in enumerate(blocks):
-        part = x[p0 + i * step:p0 + i * step + nfft]
+        part = x[p0 + i * step:p0 + i * step + SYNC_NFFT]
         row[:part.size] = part
     np.fft.fft(blocks, axis=1, out=blocks)
 
@@ -422,7 +475,7 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
     # buffer, which is inverse-transformed at once.
     rows = [range((a - p0) // step, (a - p0 + n_lags - 1) // step + 1)
             for a, _ in segments]
-    c = np.empty((sum(map(len, rows)), nfft), dtype=np.complex128)
+    c = np.empty((sum(map(len, rows)), SYNC_NFFT), dtype=np.complex128)
     at = 0
     for r, spec in zip(rows, spectra):
         np.multiply(blocks[r.start:r.stop], spec, out=c[at:at + len(r)])
@@ -459,9 +512,58 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
     return SyncResult(frame, min_lag + tau, fine, peak)
 
 
-def _soft_differential(mf_samples: np.ndarray, start: int, count: int,
+def _boundaries(mf_samples: np.ndarray, start: int, count: int) -> np.ndarray:
+    """The matched-filter samples at the boundaries of symbols 0..count-1,
+    whose decision instants are start + k*SPS, as far as the frame
+    reaches (start >= SPS/2)."""
+    return mf_samples[start - SPS // 2::SPS][:count + 1]
+
+
+def _rotated_boundaries(x: IqFrame, pulse: PulseShape, first: int, count: int,
+                        cfo_hz: float) -> np.ndarray:
+    """Samples first + j*SPS, j <= count, of the matched filter's output on
+    x derotated by cfo_hz, as far as that output reaches, each turned by
+    e^{jw(first + j*SPS)}, w = 2*pi*cfo_hz/fs.
+
+    Filtering x[n]e^{-jwn} with taps h[k] gives e^{-jwm} times x filtered
+    with h[k]e^{jwk}, so the boundaries come from x and the rotated taps,
+    and the turn is e^{jw*SPS} on every lag-SPS product (see
+    _soft_differential).  The taps, padded to whole symbols, split into
+    phases of SPS taps: each row of SPS input samples meets each phase in
+    one small product, and each boundary sums one product per phase.
+    """
+    taps = pulse.taps.size
+    n_phase = -(-taps // SPS)  # taps, in whole symbols
+    n = max(min(count + 1, -(-(len(x) + taps - 1 - first) // SPS)), 0)
+    rotated = np.zeros(n_phase * SPS, complex)
+    rotated[:taps] = pulse.taps * np.exp(
+        2j * np.pi * cfo_hz / x.sample_rate * np.arange(taps))
+    # phases[s, q] meets row sample s: it is tap q*SPS + SPS-1-s.
+    phases = rotated.reshape(n_phase, SPS)[:, ::-1].T
+    # Row i holds the input from first + 1 + (i - n_phase)*SPS on, zero
+    # outside the frame, and boundary j sums row j + n_phase-1-q with
+    # phase q.
+    rows = n + n_phase - 1
+    base = first + 1 - n_phase * SPS
+    lo, hi = max(base, 0), min(base + rows * SPS, len(x))
+    held = np.zeros((rows, SPS), complex)
+    if hi > lo:
+        held.ravel()[lo - base:hi - base] = x.samples[lo:hi]
+    # At most 1024 rows per product: OpenBLAS threads a product once m*n*k
+    # passes about 65,536, and its threads then spin for milliseconds.
+    products = np.empty((rows, n_phase), complex)
+    for a in range(0, rows, 1024):
+        np.matmul(held[a:a + 1024], phases, out=products[a:a + 1024])
+    out = np.zeros(n, complex)
+    for q in range(n_phase):
+        out += products[n_phase - 1 - q:n_phase - 1 - q + n, q]
+    return out
+
+
+def _soft_differential(boundaries: np.ndarray, count: int,
                        phase_step: float = 0.0) -> np.ndarray:
-    """Symbol-lag differential soft decisions from matched-filter output.
+    """Symbol-lag differential soft decisions of `count` symbols from the
+    matched-filter samples at their boundaries (see _boundaries).
 
     Each symbol's +-pi/2 phase step accrues between its two boundaries, so
     the lag-SPS product is taken across boundary samples (decision instant
@@ -470,22 +572,18 @@ def _soft_differential(mf_samples: np.ndarray, start: int, count: int,
     reliability weight.  Unlike a frequency discriminator this degrades
     gracefully when an interferer is stronger than the signal, which is
     what lets the coded modes cash in their spreading and FEC gains at
-    negative SIR.
+    negative SIR.  Symbols whose boundaries lie past the frame read 0.
 
     A residual carrier offset of phase_step radians per sample turns
     every product by the same phase_step*SPS, so it is removed by one
     rotation of the products instead of a derotation of the samples.
     """
-    hi = start + SPS // 2 + np.arange(count) * SPS
-    lo = hi - SPS
-    y1 = np.zeros(count, dtype=np.complex128)
-    ok1 = hi < mf_samples.size
-    y1[ok1] = mf_samples[hi[ok1]]
-    y0 = np.zeros(count, dtype=np.complex128)
-    ok0 = (lo >= 0) & (lo < mf_samples.size)
-    y0[ok0] = mf_samples[lo[ok0]]
+    y = np.zeros(count + 1, dtype=np.complex128)
+    held = min(boundaries.size, count + 1)
+    y[:held] = boundaries[:held]
+    y0, y1 = y[:-1], y[1:]
     z = np.imag(y1 * np.conj(y0) * np.exp(-1j * phase_step * SPS))
-    scale = float(np.mean(np.abs(y1[ok1]) ** 2)) if ok1.any() else 0.0
+    scale = float(np.mean(np.abs(y1[:held - 1]) ** 2)) if held > 1 else 0.0
     return z / scale if scale > 0 else z
 
 
@@ -532,6 +630,49 @@ def expected_symbol_count(cfg: ReceiverConfig, s: int = 8) -> int:
     return mode.preamble_len + 32 + cfg.pdu_bits + 24
 
 
+def _derotated(x: IqFrame, cfo_hz: float, a: int, b: int) -> np.ndarray:
+    """Samples [a, b) of x with the carrier offset cfo_hz removed, by
+    absolute sample index, so any slice equals the whole frame's."""
+    n = np.arange(a, b)
+    return x.samples[a:b] * np.exp(-2j * np.pi * cfo_hz * n / x.sample_rate)
+
+
+def _filtered(x: IqFrame, pulse: PulseShape, lo: int, hi: int,
+              cfo_hz: float | None = None) -> np.ndarray:
+    """Samples [lo, hi) of the matched filter's output on x, derotated
+    first by cfo_hz (by absolute sample index) if given.
+
+    Output m reads the input from m - taps + 1 to m, and np.convolve forms
+    each output from those samples alone, so filtering only the input
+    that [lo, hi) reads gives the full call's samples to the bit.  The
+    slice is at least `taps` long, or all of x: np.convolve swaps its
+    operands when the second is the longer one.
+    """
+    taps = pulse.taps.size
+    a = max(0, min(lo - taps + 1, len(x) - taps))
+    b = min(len(x), max(hi, a + taps))
+    part = x.samples[a:b] if cfo_hz is None else _derotated(x, cfo_hz, a, b)
+    return matched_filter(x.replace(part), pulse).samples[lo - a:hi - a]
+
+
+def _acquisition_head(length: int, max_lag: int) -> int:
+    """How many samples of a matched-filter output `length` long
+    preamble_acquire reads: its two windows at every start up to max_lag
+    + SYNC_LEAD, and at least at start 0, so that a frame too short for
+    any packet is still judged on its first samples."""
+    return min(length, max(max_lag, 0) + SYNC_LEAD + PREAMBLE_PERIOD
+               + PREAMBLE_WINDOW)
+
+
+def _sync_windows(starts: list[int], max_lag: int) -> list[tuple[int, int]]:
+    """The lag windows sync searches, in order: SYNC_LEAD before to
+    SYNC_TRAIL after each candidate start, earliest first, or every lag
+    at which the shortest packet fits."""
+    windows = [(max(t - SYNC_LEAD, 0), min(t + SYNC_TRAIL, max_lag))
+               for t in starts]
+    return [w for w in windows if w[0] <= w[1]] or [(0, max_lag)]
+
+
 def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
             ) -> RxPacketReport:
     """Run the full chain on one frame; failures land in the report."""
@@ -562,35 +703,41 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
     x = dc_notch(x)
     _trace("dc_notch", x)
     pulse = gaussian_taps()
-    # The last lag at which the shortest packet fits in the matched
-    # filter's output, which is taps - 1 samples longer than x.
-    max_lag = len(x) + pulse.taps.size - 1 - expected_symbol_count(cfg, 2) * SPS
+    mode = cfg.phy_mode
+    # The matched filter's output is taps - 1 samples longer than x; the
+    # last lag at which the shortest packet fits in it.
+    length = len(x) + pulse.taps.size - 1
+    max_lag = length - expected_symbol_count(cfg, 2) * SPS
     try:
         # Estimate from a band-limited scratch copy: out-of-band interference
         # would otherwise bury the squared-signal lines and the preamble's
-        # repetition.  The stream that flows on is corrected first and
-        # matched-filtered after.
-        if cfg.phy_mode.coded:
-            coarse, starts = preamble_acquire(matched_filter(x, pulse), max_lag)
+        # repetition.  Acquisition reads only the head of that copy.
+        if mode.coded:
+            head = _filtered(x, pulse, 0, _acquisition_head(length, max_lag))
+            coarse, starts = preamble_acquire(x.replace(head), max_lag)
         else:
             coarse, starts = coarse_cfo_estimate(matched_filter(x, pulse)), []
     except NoSignalError:
         report.reason = "no signal"
         return report
-    n = np.arange(len(x))
-    x = x.replace(x.samples * np.exp(-2j * np.pi * coarse * n / x.sample_rate))
-    _trace("cfo_corrected", x)
-    x = matched_filter(x, pulse)
-    _trace("matched_filter", x)
-    # Sync searches the lag window around each candidate start, earliest
-    # first, or every lag where the shortest packet fits.
-    windows = [(max(t - SYNC_LEAD, 0), min(t + SYNC_TRAIL, max_lag))
-               for t in starts]
-    windows = [w for w in windows if w[0] <= w[1]] or [(0, max_lag)]
+    # The stream that flows on is corrected first and matched-filtered
+    # after.  The uncoded modes, and a capture, build it whole; the coded
+    # modes compute only the spans that sync reads and, in the demodulator,
+    # the symbol boundaries.
+    y = None
+    if trace is not None or not mode.coded:
+        corrected = x.replace(_derotated(x, coarse, 0, len(x)))
+        _trace("cfo_corrected", corrected)
+        y = matched_filter(corrected, pulse)
+        _trace("matched_filter", y)
     reason = ""
-    for lo, hi in windows:
+    for lo, hi in _sync_windows(starts, max_lag):
         try:
-            sync = synchronize(x, cfg, max_lag=hi, min_lag=lo)
+            n_lags = _sync_lags(length, mode, hi, lo)
+            stop = min(length, lo + _sync_span(mode, n_lags))
+            span = (_filtered(x, pulse, lo, stop, coarse) if y is None
+                    else y.samples[lo:stop])
+            sync = synchronize(x.replace(span), cfg, max_lag=n_lags - 1)
             break
         except SyncFailure as exc:
             # The first window's text only: the exception's traceback
@@ -600,19 +747,28 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
     else:
         report.reason = reason
         return report
+    tau, fine = lo + sync.timing_offset, sync.fine_cfo_hz
     if trace is not None:  # the derotated frame is built only for a capture
-        _trace("synchronized", sync.aligned)
+        _trace("synchronized",
+               SyncResult(y, tau, fine, sync.peak_correlation).aligned)
 
     report.detected = True
-    report.timing_offset = sync.timing_offset
-    report.cfo_estimate_hz = coarse + sync.fine_cfo_hz
+    report.timing_offset = tau
+    report.cfo_estimate_hz = coarse + fine
     report.peak_correlation = sync.peak_correlation
 
+    count = expected_symbol_count(cfg)
+    if mode.coded:
+        # The boundaries come turned by the coarse CFO, which the detector
+        # removes together with the fine one.
+        boundaries = _rotated_boundaries(
+            x, pulse, tau + 2 * pulse.delay - SPS // 2, count, coarse)
+        residual = coarse + fine
+    else:
+        boundaries = _boundaries(y.samples[tau:], 2 * pulse.delay, count)
+        residual = fine
     soft = _soft_differential(
-        x.samples[sync.timing_offset:],
-        start=2 * pulse.delay, count=expected_symbol_count(cfg),
-        phase_step=2.0 * np.pi * sync.fine_cfo_hz / x.sample_rate,
-    )
+        boundaries, count, phase_step=2.0 * np.pi * residual / x.sample_rate)
     decode = _decode_coded if cfg.phy_mode.coded else _decode_uncoded
     try:
         aa_rx, clear = decode(soft, cfg)

@@ -17,7 +17,7 @@ from blesim.gmsk import (
     read_iq,
     write_iq,
 )
-from blesim.receiver import _soft_differential
+from blesim.receiver import _boundaries, _soft_differential
 
 
 def demodulate(frame, pulse, count):
@@ -25,7 +25,8 @@ def demodulate(frame, pulse, count):
     matched filter, then the symbol-lag differential detector starting at
     the TX transient plus the RX filter delay."""
     mf = matched_filter(frame, pulse)
-    return _soft_differential(mf.samples, 2 * pulse.delay, count)
+    return _soft_differential(_boundaries(mf.samples, 2 * pulse.delay, count),
+                              count)
 
 
 def reference_taps():

@@ -1,22 +1,27 @@
-"""Golden output: the sha256 of the CSV of four small campaigns.
+"""Golden output: the sha256 of the CSV of four small campaigns, and of
+the stage captures of two frames.
 
 The campaigns have the shapes of the benchmark's workloads (uncoded and
 coded NLOS sweeps, LOS with the WLAN interferer, CSA#2 hopping) at 5
-frames per point.  A change meant to leave every result as it is keeps
-these digests; a change that moves a result re-pins them and says so in
-CHANGES.md.
+frames per point.  The captures are `blesim dump-stages` of frame 0 of
+an NLOS scenario at 12 dB, in LE500K and in LE1M.  A change meant to
+leave every result as it is keeps these digests; a change that moves a
+result re-pins them and says so in CHANGES.md.
 """
+import contextlib
 import hashlib
 import io
 
 import pytest
 
 from blesim.channel import InterfererConfig, los_profile, nlos_profile
+from blesim.cli import main
 from blesim.harness import (
     HoppingConfig,
     ScenarioConfig,
     emit_results,
     run_campaign,
+    save_scenario,
 )
 
 NLOS_SWEEP = tuple(float(s) for s in range(0, 21, 4))
@@ -66,3 +71,43 @@ def test_campaign_csv_is_the_same_at_jobs_3(name):
     # Three chunks of frames per mode, more than a 2-core machine has
     # workers, so chunks queue and finish out of order.
     assert campaign_digest(name, jobs=3) == CAMPAIGNS[name][1]
+
+
+# sha256 of each stage file that dump-stages writes, in stage order.
+CAPTURES = {
+    "LE500K": (
+        "3b53cea21a272e2f250dae7f3bc82629a725fb705962808b3c08f83dbfae5e9b",
+        "c58bd1642e5349e619e46c532ab89c418cde169c45afe5851bc9437f34775c1d",
+        "0077e056d98781b1d248ceee1bf26324e4ba7d26558ca347cba924f405fc64b7",
+        "ef77ae28b72d0ac603e79905a3133fdf624211b4c8491ea4d11fc9486deea3cb",
+        "763bd0742e57ff6dd5fc9d924a8093fc82d77bb6ed38c4043e660769507083fa",
+        "f8deacdae9e08666327f7386a21f13b677d5859e7e375105bd3aecbdf0ea6326",
+    ),
+    "LE1M": (
+        "48062b28e1d6c215d4d7649c95ed30ecbbb21fa144c6ec862b0126e54f1dfe99",
+        "b77ec34e86f7995234e39766c63689de1b86e0b00069b2639535002f328dc7fa",
+        "1e89b95e9de700df0a31259a00b463119555cef80417d53a7c2dca600a363c9d",
+        "28306eaacfb9c1ce390c7772098bcb128b1a7fcf68033434b7ff83b384101886",
+        "59b8ccea18aed121a45ad2b6ae133dd7c1a238a45d70eab62a07e62f436c42ab",
+        "45d22901cf1c7eeb6b48cccc386c909ce267f2a05d4ed7e8766af2bc5c754be7",
+    ),
+}
+STAGES = ("input", "agc", "dc_notch", "cfo_corrected", "matched_filter",
+          "synchronized")
+
+
+@pytest.mark.parametrize("phy", list(CAPTURES))
+def test_dump_stages_captures_match_golden_digests(phy, tmp_path):
+    cfg = ScenarioConfig(id="capture", seed=1, frames=1, pdu_bits=128,
+                         phy_modes=(phy,), snr_sweep_db=(12.0,),
+                         profile=nlos_profile(), channel=37)
+    save_scenario(cfg, tmp_path / "s.json")
+    out = tmp_path / "stages"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["dump-stages", "--config", str(tmp_path / "s.json"),
+                     "--frame", "0", "--out", str(out)]) == 0
+    names = [f"{i:02d}_{stage}.iq" for i, stage in enumerate(STAGES)]
+    assert sorted(p.name for p in out.glob("*.iq")) == names
+    digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in names)
+    assert digests == CAPTURES[phy]

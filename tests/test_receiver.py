@@ -20,13 +20,16 @@ from blesim.phymode import PhyMode
 from blesim.receiver import (
     AGC_ALPHA,
     NOTCH_RADIUS,
+    PREAMBLE_PERIOD,
     SYNC_LEAD,
     SYNC_TRAIL,
     ReceiverConfig,
+    _acquisition_head,
     _template,
     agc,
     coarse_cfo_estimate,
     dc_notch,
+    expected_symbol_count,
     preamble_acquire,
     receive,
     synchronize,
@@ -252,6 +255,30 @@ def test_preamble_acquire_no_signal():
     frame = IqFrame(np.ones(575, complex), 8e6, 1e6)
     assert preamble_acquire(frame, 575) == (0.0, [])
     assert preamble_acquire(frame.replace(np.ones(576, complex)), 576)[1] == [0]
+
+
+@pytest.mark.parametrize("mode", [PhyMode.LE500K, PhyMode.LE125K])
+def test_acquisition_head_holds_every_start_read(mode):
+    # receive() hands preamble_acquire only the head of the matched-filter
+    # output.  Ten periods of a 64-sample pattern in noise, placed so that
+    # the metric peaks at the last starts acquisition reads, give the
+    # whole output's estimate from the head.
+    cfg = default_cfg(mode, pdu_bits=128)
+    rng = np.random.default_rng(12)
+    n = 9000
+    noise = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    pattern = np.exp(2j * np.pi * rng.random(PREAMBLE_PERIOD))
+    length = n + PULSE.taps.size - 1
+    max_lag = length - expected_symbol_count(cfg, 2) * SPS
+    assert max_lag + SYNC_LEAD + 10 * PREAMBLE_PERIOD < n
+    for start in (max_lag + 100, max_lag + 150, max_lag + SYNC_LEAD - 10):
+        x = noise.copy()
+        x[start:start + 10 * PREAMBLE_PERIOD] += np.tile(pattern, 10)
+        mf = matched_filter(IqFrame(x, 8e6, 1e6), PULSE)
+        head = mf.replace(mf.samples[:_acquisition_head(length, max_lag)])
+        whole = preamble_acquire(mf, max_lag)
+        assert preamble_acquire(head, max_lag) == whole
+        assert whole[1] and whole[1][-1] > max_lag + SYNC_TRAIL
 
 
 @pytest.mark.parametrize("mode", list(PhyMode))

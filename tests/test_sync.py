@@ -1,22 +1,43 @@
-"""Preamble sync against the per-segment fftconvolve oracle, and receive()
-robustness on arbitrary IQ."""
+"""Preamble sync against the per-segment fftconvolve oracle, the coded
+receive path against the full-frame chain, and receive() robustness on
+arbitrary IQ."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import fftconvolve
 
+from blesim import harness
 from blesim.bits import random_bits
-from blesim.channel import apply_cfo, awgn
+from blesim.channel import (
+    InterfererConfig,
+    apply_cfo,
+    awgn,
+    los_profile,
+    nlos_profile,
+)
 from blesim.coded import assemble_coded
 from blesim.errors import SyncFailure
 from blesim.gmsk import SPS, IqFrame, gaussian_taps, gmsk_modulate, matched_filter
+from blesim.harness import ScenarioConfig, run_frame
 from blesim.llpacket import ChannelIndex, LinkLayerPacket, assemble_uncoded
 from blesim.phymode import PhyMode
 from blesim.receiver import (
+    PREAMBLE_PERIOD,
+    PREAMBLE_WINDOW,
+    SYNC_LEAD,
+    SYNC_NFFT,
     ReceiverConfig,
+    _boundaries,
+    _rotated_boundaries,
     _soft_differential,
+    _sync_windows,
     _template,
+    agc,
+    dc_notch,
     expected_symbol_count,
+    preamble_acquire,
     receive,
     synchronize,
 )
@@ -156,8 +177,8 @@ def test_fine_cfo_rotation_matches_derotated_frame(mode, lead, cfo, snr, seed):
         -2j * np.pi * fine * np.arange(len(mf) - tau) / fs)
     assert np.array_equal(sync.aligned.samples, derotated)
     start, count = 2 * PULSE.delay, expected_symbol_count(cfg)
-    want = _soft_differential(derotated, start, count)
-    got = _soft_differential(mf.samples[tau:], start, count,
+    want = _soft_differential(_boundaries(derotated, start, count), count)
+    got = _soft_differential(_boundaries(mf.samples[tau:], start, count), count,
                              phase_step=2.0 * np.pi * fine / fs)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
@@ -199,6 +220,106 @@ def test_windowed_search_matches_full_search(mode, lead, cfo, snr, seed,
             assert got.fine_cfo_hz == full.fine_cfo_hz
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3000),
+       first=st.integers(0, 3100),
+       count=st.integers(0, 400),
+       cfo=st.floats(-50e3, 50e3),
+       seed=st.integers(0, 2**32 - 1))
+def test_rotated_boundaries_match_the_derotated_stream(n, first, count, cfo,
+                                                       seed):
+    # Samples first + j*SPS of the whole derotated, matched-filtered
+    # stream, each turned by e^{jw(first + j*SPS)}, as far as the stream
+    # reaches: within 1e-12 of the input's scale, from before the first
+    # full window to past the last sample.
+    rng = np.random.default_rng(seed)
+    x = IqFrame(rng.standard_normal(n) + 1j * rng.standard_normal(n), 8e6, 1e6)
+    w = 2.0 * np.pi * cfo / x.sample_rate
+    y = matched_filter(x.replace(x.samples * np.exp(-1j * w * np.arange(n))),
+                       PULSE).samples
+    at = np.arange(first, len(y), SPS)[:count + 1]
+    got = _rotated_boundaries(x, PULSE, first, count, cfo)
+    np.testing.assert_allclose(got, y[at] * np.exp(1j * w * at), rtol=0,
+                               atol=1e-12)
+
+
+# Coded frames at criterion 2's NLOS point and criterion 4's harshest WLAN
+# point: the frames a campaign hands the receiver, captured from run_frame.
+EXACT_CASES = {
+    "nlos": ScenarioConfig(id="exact-nlos", seed=202, profile=nlos_profile(),
+                           phy_modes=("LE500K", "LE125K"), pdu_bits=128,
+                           snr_sweep_db=(12.0,)),
+    "wlan": ScenarioConfig(id="exact-wlan", seed=404, profile=los_profile(),
+                           interferer=InterfererConfig(),
+                           phy_modes=("LE500K", "LE125K"), pdu_bits=128,
+                           snr_sweep_db=(20.0,), sir_sweep_db=(-10.0,)),
+}
+EXACT_FRAMES = 100
+
+
+def full_stream_receive(frame, cfg):
+    """The coded chain on whole streams: acquisition on the whole first
+    matched-filter output, the whole frame corrected and matched-filtered,
+    sync over receive()'s windows on that stream.  Returns the notch
+    output, the coarse CFO, the corrected stream and the sync result, or
+    None where no window holds the packet."""
+    x = dc_notch(agc(frame))
+    length = len(x) + PULSE.taps.size - 1
+    max_lag = length - expected_symbol_count(cfg, 2) * SPS
+    coarse, starts = preamble_acquire(matched_filter(x, PULSE), max_lag)
+    n = np.arange(len(x))
+    y = matched_filter(
+        x.replace(x.samples * np.exp(-2j * np.pi * coarse * n / x.sample_rate)),
+        PULSE)
+    for lo, hi in _sync_windows(starts, max_lag):
+        sync = sync_outcome(synchronize, y, cfg, max_lag=hi, min_lag=lo)
+        if sync is not None:
+            return x, coarse, y, sync
+    return None
+
+
+@pytest.mark.parametrize("mode", [PhyMode.LE500K, PhyMode.LE125K])
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+def test_coded_receive_matches_the_full_stream_chain(case, mode):
+    # receive() filters only the acquisition head, the spans sync reads
+    # and the symbol boundaries.  Its timing, CFO and peak are the full
+    # stream's to the bit, and its soft values match the full stream's
+    # within 1e-9 of their scale, with the same signs.
+    scenario = EXACT_CASES[case]
+    snr, sir = scenario.snr_sweep_db[0], (scenario.sir_sweep_db or (None,))[0]
+    seen = []
+
+    def capture(frame, rx, trace=None):
+        report = receive(frame, rx, trace=trace)
+        seen.append((frame, rx, report))
+        return report
+
+    with mock.patch.object(harness, "receive", capture):
+        for k in range(EXACT_FRAMES):
+            run_frame(scenario, mode, snr, sir, k)
+    detected = 0
+    for frame, rx, report in seen:
+        full = full_stream_receive(frame, rx)
+        assert report.detected == (full is not None)
+        if full is None:
+            continue
+        detected += 1
+        x, coarse, y, sync = full
+        tau, fine, fs = sync.timing_offset, sync.fine_cfo_hz, x.sample_rate
+        assert report.timing_offset == tau
+        assert report.cfo_estimate_hz == coarse + fine
+        assert report.peak_correlation == sync.peak_correlation
+        start, count = 2 * PULSE.delay, expected_symbol_count(rx)
+        want = _soft_differential(_boundaries(y.samples[tau:], start, count),
+                                  count, 2.0 * np.pi * fine / fs)
+        got = _soft_differential(
+            _rotated_boundaries(x, PULSE, tau + start - SPS // 2, count, coarse),
+            count, 2.0 * np.pi * (coarse + fine) / fs)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        assert np.array_equal(got > 0, want > 0)
+    assert detected >= EXACT_FRAMES // 2
+
+
 def _ref_size(mode):
     cfg = rx_cfg(mode)
     return _template(mode)[0].size
@@ -223,18 +344,22 @@ def test_synchronize_one_sample_short_fails(mode):
 @pytest.mark.parametrize("mode", list(PhyMode))
 def test_synchronize_at_overlap_save_block_boundary(mode):
     cfg = rx_cfg(mode)
-    _, segments, nfft, _, _ = _template(mode)
-    step = nfft - (segments[0][1] - segments[0][0]) + 1
+    segments = _template(mode)[1]
+    step = SYNC_NFFT - (segments[0][1] - segments[0][0]) + 1
     # The lags of the last segment end exactly at the end of the fewest
     # blocks that hold them (one block for the uncoded modes), then spill
     # one sample into the next block.
     spread = segments[-1][0] - segments[0][0]
     fill_lags = -(-(spread + 1) // step) * step - spread
-    mf = matched_filter(tx_frame(mode, 40, 5, tail=4000), PULSE)
+    # The packet starts at a lag both frames hold: 40 samples in where
+    # that fits (the uncoded modes fill 193 lags), the last filled lag
+    # otherwise (the coded modes fill 9).
+    lead = min(40, fill_lags - 1)
+    mf = matched_filter(tx_frame(mode, lead, 5, tail=4000), PULSE)
     for n_lags in (fill_lags, fill_lags + 1):
         frame = mf.replace(mf.samples[:_ref_size(mode) + n_lags - 1])
         assert_matches_oracle(frame, cfg)
-        assert synchronize(frame, cfg).timing_offset == 40
+        assert synchronize(frame, cfg).timing_offset == lead
     if not mode.coded:
         assert fill_lags + spread == step
 
@@ -247,8 +372,8 @@ def test_synchronize_where_a_segment_reads_another_block(mode):
     # sides of every such length, for every segment, from ref.size to
     # ref.size + 2*step.
     cfg = rx_cfg(mode)
-    ref, segments, nfft, _, _ = _template(mode)
-    step = nfft - (segments[0][1] - segments[0][0]) + 1
+    ref, segments = _template(mode)[:2]
+    step = SYNC_NFFT - (segments[0][1] - segments[0][0]) + 1
     p0 = segments[0][0]
     lengths = {ref.size, ref.size + 2 * step}
     for a, _ in segments:
@@ -268,8 +393,8 @@ def test_synchronize_with_the_peak_on_a_block_edge(mode):
     # i*step + [0, step): put the packet at the last of those, on either
     # side, and as the first of the next block.
     cfg = rx_cfg(mode)
-    _, segments, nfft, _, _ = _template(mode)
-    step = nfft - (segments[0][1] - segments[0][0]) + 1
+    segments = _template(mode)[1]
+    step = SYNC_NFFT - (segments[0][1] - segments[0][0]) + 1
     for lead in (step - 2, step - 1, step, step + 1):
         frame = awgn(tx_frame(mode, lead, lead), 20.0, seed=lead)
         mf = matched_filter(frame, PULSE)
@@ -365,3 +490,39 @@ def test_receive_never_raises_on_random_iq(mode, n, scale, seed, poison, where,
     elif sps != 8:
         assert rep.reason == (f"frame at {sps} samples per symbol, "
                               f"the receiver takes 8")
+
+
+@pytest.mark.parametrize("mode", [PhyMode.LE500K, PhyMode.LE125K])
+def test_coded_receive_with_energy_only_past_the_acquisition_head(mode):
+    # Acquisition reads the matched-filter output up to `head` only, and
+    # that output reads no input from `head` on: a frame silent before it
+    # has no signal there, whatever follows.
+    cfg = rx_cfg(mode)
+    fs = SPS * mode.symbol_rate
+    n = 20_000
+    max_lag = n + PULSE.taps.size - 1 - expected_symbol_count(cfg, 2) * SPS
+    head = max_lag + SYNC_LEAD + PREAMBLE_PERIOD + PREAMBLE_WINDOW
+    assert 0 < head < n
+    rng = np.random.default_rng(21)
+    noise = rng.standard_normal(n - head) + 1j * rng.standard_normal(n - head)
+    packet = tx_frame(mode, 0, 21, tail=0).samples[:n - head]
+    for tail in (noise, packet):
+        x = np.concatenate([np.zeros(head, complex), tail])
+        rep = receive(IqFrame(x, fs, mode.symbol_rate), cfg)
+        assert not rep.detected and rep.reason == "no signal"
+
+
+@pytest.mark.parametrize("mode", [PhyMode.LE500K, PhyMode.LE125K])
+def test_coded_receive_on_zeros_of_any_length(mode):
+    # Every length up to 64 and every 41st up to 20,000, and either side
+    # of each length where the coded path changes course: the sync
+    # reference starting to fit, and the shortest packet starting to fit.
+    cfg = rx_cfg(mode)
+    fs = SPS * mode.symbol_rate
+    grow = PULSE.taps.size - 1
+    edges = (_ref_size(mode) - grow, expected_symbol_count(cfg, 2) * SPS - grow)
+    lengths = set(range(65)) | set(range(0, 20_001, 41)) | {20_000}
+    lengths |= {e + d for e in edges for d in (-1, 0, 1)}
+    for n in sorted(lengths):
+        rep = receive(IqFrame(np.zeros(n, complex), fs, mode.symbol_rate), cfg)
+        assert not rep.detected and rep.reason, n
