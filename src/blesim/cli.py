@@ -20,12 +20,13 @@ from .harness import (
     emit_results,
     load_scenario,
     paper_scenarios,
+    received_frame,
     run_campaign,
-    run_frame,
     save_scenario,
     scenario_to_dict,
 )
 from .phymode import PhyMode
+from .receiver import STAGES, receive, reference_receive
 
 
 # Most points one --snr or --sir sweep may hold.
@@ -164,18 +165,29 @@ def _cmd_dump_stages(args) -> int:
     mode = cfg.phy_modes[0]
     snr = cfg.snr_sweep_db[0]
     sir = None if cfg.sir_sweep_db is None else cfg.sir_sweep_db[0]
-    trace: list = []
-    report = run_frame(cfg, mode, snr, sir, args.frame, trace=trace)
+    frame, rx = received_frame(cfg, mode, snr, sir, args.frame)
+    stages = reference_receive(frame, rx)[0]
+    report = receive(frame, rx)
     _make_dir(args.out)
-    for i, (name, frame) in enumerate(trace):
-        write_iq(frame, os.path.join(args.out, f"{i:02d}_{name}.iq"))
+    files = [f"{i:02d}_{name}.iq" for i, name in enumerate(STAGES)]
+    for path, stage in zip(files, stages.values()):
+        write_iq(stage, os.path.join(args.out, path))
+    # A stage this frame did not reach keeps no file from an earlier
+    # capture into the same directory.
+    for path in files[len(stages):]:
+        try:
+            os.remove(os.path.join(args.out, path))
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise IoError(str(exc)) from exc
     meta = {
         "scenario": scenario_to_dict(cfg),
         "frame": args.frame,
         "phy": mode.value,
         "snr_db": snr,
         "sir_db": sir,
-        "stages": [f"{i:02d}_{name}.iq" for i, (name, _) in enumerate(trace)],
+        "stages": files[:len(stages)],
         "report": {
             "detected": report.detected,
             "aa_ok": report.aa_ok,
@@ -192,7 +204,7 @@ def _cmd_dump_stages(args) -> int:
             fh.write("\n")
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    print(f"wrote {len(trace)} stages to {args.out}")
+    print(f"wrote {len(stages)} stages to {args.out}")
     return 0
 
 

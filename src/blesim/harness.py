@@ -300,19 +300,17 @@ def _draw_frame(cfg: ScenarioConfig, mode: PhyMode, frame_idx: int) -> _FrameDra
                       inband_db, int(rng.integers(2**63)), rx)
 
 
-def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
-              sir_db: float | None, frame_idx: int, mode_idx: int = 0,
-              point_idx: int = 0, trace: list | None = None,
-              shared: dict | None = None):
-    """Simulate frame `frame_idx` of one of cfg's modes at one sweep point;
-    returns the receiver report.
+def received_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
+                   sir_db: float | None, frame_idx: int,
+                   shared: dict | None = None
+                   ) -> tuple[IqFrame, ReceiverConfig]:
+    """Frame `frame_idx` of one of cfg's modes as it reaches the receiver
+    at one sweep point, and the receiver set to the frame's channel.
 
     The frame's draws depend on (cfg.seed, cfg.id, mode, frame_idx) only.
-    mode_idx and point_idx seed nothing; they name the mode's and the
-    point's place in a campaign for whoever traces the calls.  Calls for
-    the points of one frame may pass one `shared` dict: the first call
-    stores the frame's transmit and channel draw there, and the others
-    only scale the interferer and the noise.
+    Calls for the points of one frame may pass one `shared` dict: the
+    first call stores the frame's transmit and channel draw there, and
+    the others only scale the interferer and the noise.
     """
     key = (mode, frame_idx)
     draw = None if shared is None else shared.get(key)
@@ -326,8 +324,20 @@ def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
         frame = mix(frame, draw.interferer, sir_db - draw.inband_db,
                     p_sig=p_sig, p_int=draw.interferer_power)
         p_sig = None  # awgn measures the mixture
-    frame = awgn(frame, snr_db, draw.noise_seed, p_sig=p_sig)
-    return receive(frame, draw.rx, trace=trace)
+    return awgn(frame, snr_db, draw.noise_seed, p_sig=p_sig), draw.rx
+
+
+def run_frame(cfg: ScenarioConfig, mode: PhyMode, snr_db: float,
+              sir_db: float | None, frame_idx: int, mode_idx: int = 0,
+              point_idx: int = 0, shared: dict | None = None):
+    """Receive frame `frame_idx` of one of cfg's modes at one sweep point
+    (see received_frame); returns the receiver report.
+
+    mode_idx and point_idx seed nothing; they name the mode's and the
+    point's place in a campaign for whoever traces the calls.
+    """
+    return receive(*received_frame(cfg, mode, snr_db, sir_db, frame_idx,
+                                   shared))
 
 
 def _count_chunk(args) -> list[tuple[int, int]]:

@@ -16,15 +16,20 @@ them.  The fine CFO that sync estimates is applied by the differential
 detector as one rotation of its lag-SPS products, not by derotating the
 frame.
 
-The uncoded modes correct and matched-filter the whole frame.  The coded
-modes compute only the samples they read: acquisition filters the head
-of the frame that it reads, and each sync window derotates and filters
-the span that its overlap-save blocks read, both equal to the whole
-stream's samples to the bit.  The demodulator computes its
-symbol-boundary samples straight from the notch output with CFO-rotated
-taps, equal to the whole stream's up to rounding and each turned by a
-phase that the detector's one rotation takes out with the fine CFO.
-The whole corrected streams are built for a capture only.
+In receive(), the uncoded modes correct and matched-filter the whole
+frame.  The coded modes compute only the samples they read: acquisition
+filters the head of the frame that it reads, and each sync window
+derotates and filters the span that its overlap-save blocks read, both
+equal to the whole stream's samples to the bit.  The demodulator
+computes its symbol-boundary samples straight from the notch output with
+CFO-rotated taps, equal to the whole stream's up to rounding and each
+turned by a phase that the detector's one rotation takes out with the
+fine CFO.
+
+reference_receive() is the same chain written plainly on whole streams,
+and it returns every stage in STAGES that the frame reaches: the stage
+captures of `blesim dump-stages` come from it, and the tests hold
+receive() to it.
 
 The matched filter and the sync template use the transmitter's
 pulse and modulation index, gmsk.BT, gmsk.H and gmsk.SPAN, at gmsk.SPS
@@ -111,6 +116,11 @@ SYNC_TRAIL = 64
 # SYNC_LEAD + SYNC_TRAIL + 1 = 257-lag window.
 SYNC_NFFT = 512
 
+# The stages reference_receive() returns, in order; a frame with no
+# signal stops after dc_notch and a sync miss after matched_filter.
+STAGES = ("input", "agc", "dc_notch", "cfo_corrected", "matched_filter",
+          "synchronized")
+
 
 @dataclass
 class ReceiverConfig:
@@ -137,22 +147,10 @@ class ReceiverConfig:
 
 @dataclass
 class SyncResult:
-    # The matched-filtered stream that was searched: receive() passes the
-    # span of it that one lag window reads, so its offsets count from there.
-    frame: IqFrame
+    # Offsets count from the start of the stream that was searched.
     timing_offset: int
     fine_cfo_hz: float
     peak_correlation: float
-
-    @property
-    def aligned(self) -> IqFrame:
-        """The frame from the packet start on, with the fine CFO removed."""
-        x = self.frame.samples
-        tau, fine = self.timing_offset, self.fine_cfo_hz
-        n = np.arange(len(x) - tau)
-        return self.frame.replace(
-            x[tau:] * np.exp(-2j * np.pi * fine * n / self.frame.sample_rate)
-        )
 
 
 @dataclass
@@ -379,10 +377,9 @@ def _template(mode: PhyMode):
     return ref, segments, spectra, norms
 
 
-def _sync_lags(length: int, mode: PhyMode, max_lag: int | None,
-               min_lag: int) -> int:
-    """How many lags, from min_lag on, synchronize searches in a stream of
-    `length` samples; raises its SyncFailure if there are none."""
+def _sync_lags(length: int, mode: PhyMode, max_lag: int | None) -> int:
+    """How many lags synchronize searches in a stream of `length` samples;
+    raises its SyncFailure if there are none."""
     size = _template(mode)[0].size
     if length < size:
         raise SyncFailure(f"frame ({length}) shorter than sync reference ({size})")
@@ -393,9 +390,7 @@ def _sync_lags(length: int, mode: PhyMode, max_lag: int | None,
                 f"frame ({length}) shorter than the shortest packet "
                 f"({length - max_lag})")
         n_lags = min(n_lags, max_lag + 1)
-    if not 0 <= min_lag < n_lags:
-        raise SyncFailure(f"no lag in {min_lag}..{n_lags - 1}")
-    return n_lags - min_lag
+    return n_lags
 
 
 def _overlap_save(mode: PhyMode, n_lags: int) -> tuple[int, int, int]:
@@ -418,7 +413,7 @@ def _sync_span(mode: PhyMode, n_lags: int) -> int:
 
 
 def synchronize(frame: IqFrame, cfg: ReceiverConfig,
-                max_lag: int | None = None, min_lag: int = 0) -> SyncResult:
+                max_lag: int | None = None) -> SyncResult:
     """Locate the packet and estimate residual CFO from the preamble region.
 
     The reference is split into short segments that are correlated
@@ -429,23 +424,19 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
     segment, each segment multiplies only the blocks that hold its lags,
     and one inverse FFT transforms every segment's products.
 
-    The search covers the lags min_lag..max_lag at which the reference
-    fits; receive() passes the last lag at which the shortest packet it
-    can decode still fits, and None searches every lag.  A negative
-    max_lag raises SyncFailure, as does a window that holds no lag.  With
-    min_lag 0, over the lags both searches cover, the correlations are
-    the full search's to the bit; a window starting later splits the
-    frame into other blocks and matches them to rounding.  The search
-    reads _sync_span samples from min_lag on, so that span of the frame,
-    searched from its lag 0 to max_lag - min_lag, gives the window's tau
-    (less min_lag), fine CFO and peak to the bit.  The fine CFO is
-    returned, not applied: the differential detector takes it as a
-    rotation, and SyncResult.aligned derotates the frame on request.
+    The search covers the lags 0..max_lag at which the reference fits;
+    None searches every lag.  A negative max_lag raises SyncFailure.
+    Over the lags both searches cover, the correlations are the full
+    search's to the bit.  A lag window lo..hi is searched on the stream
+    from lo on, with max_lag hi - lo: that splits the stream into other
+    blocks than a search from 0 and matches it to rounding.  The search
+    reads only the first _sync_span samples, so that span alone gives the
+    same tau, fine CFO and peak to the bit.  The fine CFO is returned,
+    not applied: the differential detector takes it as a rotation.
     """
     ref, segments, spectra, norms = _template(cfg.phy_mode)
-    n_lags = _sync_lags(len(frame), cfg.phy_mode, max_lag, min_lag)
-    # From here on, lag 0 is min_lag.
-    x = frame.samples[min_lag:]
+    n_lags = _sync_lags(len(frame), cfg.phy_mode, max_lag)
+    x = frame.samples
     seg_len = segments[0][1] - segments[0][0]
     # Overlap-save: block i holds x[p0 + i*step:][:SYNC_NFFT] (zero-padded
     # past the end), and its first `step` outputs are a segment's
@@ -509,7 +500,7 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
         fine = float(slope / (2.0 * np.pi))
     else:
         fine = 0.0
-    return SyncResult(frame, min_lag + tau, fine, peak)
+    return SyncResult(tau, fine, peak)
 
 
 def _boundaries(mf_samples: np.ndarray, start: int, count: int) -> np.ndarray:
@@ -673,35 +664,51 @@ def _sync_windows(starts: list[int], max_lag: int) -> list[tuple[int, int]]:
     return [w for w in windows if w[0] <= w[1]] or [(0, max_lag)]
 
 
-def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
-            ) -> RxPacketReport:
-    """Run the full chain on one frame; failures land in the report."""
-    report = RxPacketReport()
+def _frame_fault(frame: IqFrame, cfg: ReceiverConfig) -> str:
+    """Why the receiver cannot take the frame at all, or "" if it can."""
     rs = cfg.phy_mode.symbol_rate
     if frame.symbol_rate != rs:
-        report.reason = (f"frame at {frame.symbol_rate / 1e6:g} Msym/s, "
-                         f"{cfg.phy_mode.value} is {rs / 1e6:g} Msym/s")
-        return report
+        return (f"frame at {frame.symbol_rate / 1e6:g} Msym/s, "
+                f"{cfg.phy_mode.value} is {rs / 1e6:g} Msym/s")
     if frame.sample_rate != rs * SPS:
-        report.reason = (f"frame at {frame.sample_rate / rs:g} samples per "
-                         f"symbol, the receiver takes {SPS}")
-        return report
+        return (f"frame at {frame.sample_rate / rs:g} samples per "
+                f"symbol, the receiver takes {SPS}")
     if len(frame) == 0:
-        report.reason = "empty frame"
-        return report
+        return "empty frame"
     if not np.isfinite(frame.samples).all():
-        report.reason = "non-finite samples"
+        return "non-finite samples"
+    return ""
+
+
+def _decoded(cfg: ReceiverConfig, tau: int, coarse: float, sync: SyncResult,
+             soft: np.ndarray) -> RxPacketReport:
+    """The report on a packet that sync found at tau: its timing, CFO and
+    peak, and the packet decoded from its soft values and validated."""
+    report = RxPacketReport(True, timing_offset=tau,
+                            cfo_estimate_hz=coarse + sync.fine_cfo_hz,
+                            peak_correlation=sync.peak_correlation)
+    decode = _decode_coded if cfg.phy_mode.coded else _decode_uncoded
+    try:
+        aa_rx, clear = decode(soft, cfg)
+        report.aa_ok, report.crc_ok = validate_packet(
+            aa_rx, ADVERTISING_ACCESS_ADDRESS, clear, ADVERTISING_CRC_INIT)
+    except LengthError as exc:
+        report.reason = str(exc)
         return report
+    if report.crc_ok:
+        report.pdu = clear[:-24]
+    else:
+        report.reason = ("crc check failed" if report.aa_ok
+                         else "access address mismatch")
+    return report
 
-    def _trace(name, f):
-        if trace is not None:
-            trace.append((name, f))
 
-    _trace("input", frame)
-    x = agc(frame)
-    _trace("agc", x)
-    x = dc_notch(x)
-    _trace("dc_notch", x)
+def receive(frame: IqFrame, cfg: ReceiverConfig) -> RxPacketReport:
+    """Run the full chain on one frame; failures land in the report."""
+    report = RxPacketReport(reason=_frame_fault(frame, cfg))
+    if report.reason:
+        return report
+    x = dc_notch(agc(frame))
     pulse = gaussian_taps()
     mode = cfg.phy_mode
     # The matched filter's output is taps - 1 samples longer than x; the
@@ -721,19 +728,14 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
         report.reason = "no signal"
         return report
     # The stream that flows on is corrected first and matched-filtered
-    # after.  The uncoded modes, and a capture, build it whole; the coded
-    # modes compute only the spans that sync reads and, in the demodulator,
-    # the symbol boundaries.
-    y = None
-    if trace is not None or not mode.coded:
-        corrected = x.replace(_derotated(x, coarse, 0, len(x)))
-        _trace("cfo_corrected", corrected)
-        y = matched_filter(corrected, pulse)
-        _trace("matched_filter", y)
-    reason = ""
+    # after.  The uncoded modes build it whole; the coded modes compute
+    # only the spans that sync reads and, in the demodulator, the symbol
+    # boundaries.
+    y = None if mode.coded else matched_filter(
+        x.replace(_derotated(x, coarse, 0, len(x))), pulse)
     for lo, hi in _sync_windows(starts, max_lag):
         try:
-            n_lags = _sync_lags(length, mode, hi, lo)
+            n_lags = _sync_lags(length - lo, mode, hi - lo)
             stop = min(length, lo + _sync_span(mode, n_lags))
             span = (_filtered(x, pulse, lo, stop, coarse) if y is None
                     else y.samples[lo:stop])
@@ -743,20 +745,10 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
             # The first window's text only: the exception's traceback
             # holds this frame, and keeping it would keep sync's arrays
             # alive until a GC pass.
-            reason = reason or str(exc)
+            report.reason = report.reason or str(exc)
     else:
-        report.reason = reason
         return report
     tau, fine = lo + sync.timing_offset, sync.fine_cfo_hz
-    if trace is not None:  # the derotated frame is built only for a capture
-        _trace("synchronized",
-               SyncResult(y, tau, fine, sync.peak_correlation).aligned)
-
-    report.detected = True
-    report.timing_offset = tau
-    report.cfo_estimate_hz = coarse + fine
-    report.peak_correlation = sync.peak_correlation
-
     count = expected_symbol_count(cfg)
     if mode.coded:
         # The boundaries come turned by the coarse CFO, which the detector
@@ -769,17 +761,57 @@ def receive(frame: IqFrame, cfg: ReceiverConfig, trace: list | None = None
         residual = fine
     soft = _soft_differential(
         boundaries, count, phase_step=2.0 * np.pi * residual / x.sample_rate)
-    decode = _decode_coded if cfg.phy_mode.coded else _decode_uncoded
+    return _decoded(cfg, tau, coarse, sync, soft)
+
+
+def reference_receive(frame: IqFrame, cfg: ReceiverConfig
+                      ) -> tuple[dict[str, IqFrame], RxPacketReport]:
+    """receive()'s chain written plainly on whole streams: the stages the
+    frame reaches, by their names in STAGES, and the report.
+
+    Coded acquisition reads the same head of the first matched-filter
+    output as in receive().  The synchronized stage is the corrected,
+    matched-filtered stream from the packet start on, derotated by the
+    fine CFO; the demodulator reads that stream and takes the fine CFO
+    as its rotation.
+    """
+    stages: dict[str, IqFrame] = {}
+
+    def keep(stage: IqFrame) -> IqFrame:
+        stages[STAGES[len(stages)]] = stage
+        return stage
+
+    report = RxPacketReport(reason=_frame_fault(frame, cfg))
+    if report.reason:
+        return stages, report
+    x = keep(dc_notch(keep(agc(keep(frame)))))
+    pulse = gaussian_taps()
+    first = matched_filter(x, pulse)
+    max_lag = len(first) - expected_symbol_count(cfg, 2) * SPS
     try:
-        aa_rx, clear = decode(soft, cfg)
-        report.aa_ok, report.crc_ok = validate_packet(
-            aa_rx, ADVERTISING_ACCESS_ADDRESS, clear, ADVERTISING_CRC_INIT)
-    except LengthError as exc:
-        report.reason = str(exc)
-        return report
-    if report.crc_ok:
-        report.pdu = clear[:-24]
+        if cfg.phy_mode.coded:
+            head = first.samples[:_acquisition_head(len(first), max_lag)]
+            coarse, starts = preamble_acquire(first.replace(head), max_lag)
+        else:
+            coarse, starts = coarse_cfo_estimate(first), []
+    except NoSignalError:
+        report.reason = "no signal"
+        return stages, report
+    corrected = keep(x.replace(_derotated(x, coarse, 0, len(x))))
+    y = keep(matched_filter(corrected, pulse))
+    for lo, hi in _sync_windows(starts, max_lag):
+        try:
+            sync = synchronize(y.replace(y.samples[lo:]), cfg, max_lag=hi - lo)
+            break
+        except SyncFailure as exc:
+            report.reason = report.reason or str(exc)
     else:
-        report.reason = ("crc check failed" if report.aa_ok
-                         else "access address mismatch")
-    return report
+        return stages, report
+    tau, fine, fs = lo + sync.timing_offset, sync.fine_cfo_hz, y.sample_rate
+    n = np.arange(len(y) - tau)
+    keep(y.replace(y.samples[tau:] * np.exp(-2j * np.pi * fine * n / fs)))
+    count = expected_symbol_count(cfg)
+    soft = _soft_differential(_boundaries(y.samples[tau:], 2 * pulse.delay,
+                                          count),
+                              count, phase_step=2.0 * np.pi * fine / fs)
+    return stages, _decoded(cfg, tau, coarse, sync, soft)

@@ -1,10 +1,11 @@
 """Golden output: the sha256 of the CSV of four small campaigns, and of
-the stage captures of two frames.
+the stage captures of one frame in each PHY mode.
 
 The campaigns have the shapes of the benchmark's workloads (uncoded and
 coded NLOS sweeps, LOS with the WLAN interferer, CSA#2 hopping) at 5
 frames per point.  The captures are `blesim dump-stages` of frame 0 of
-an NLOS scenario at 12 dB, in LE500K and in LE1M.  A change meant to
+an NLOS scenario at 12 dB in each of LE1M, LE2M, LE500K and LE125K:
+their six stage files and their stages.json.  A change meant to
 leave every result as it is keeps these digests; a change that moves a
 result re-pins them and says so in CHANGES.md.
 """
@@ -73,7 +74,8 @@ def test_campaign_csv_is_the_same_at_jobs_3(name):
     assert campaign_digest(name, jobs=3) == CAMPAIGNS[name][1]
 
 
-# sha256 of each stage file that dump-stages writes, in stage order.
+# sha256 of each stage file that dump-stages writes, in stage order.  The
+# LE2M frame is detected and fails its CRC.
 CAPTURES = {
     "LE500K": (
         "3b53cea21a272e2f250dae7f3bc82629a725fb705962808b3c08f83dbfae5e9b",
@@ -91,6 +93,30 @@ CAPTURES = {
         "59b8ccea18aed121a45ad2b6ae133dd7c1a238a45d70eab62a07e62f436c42ab",
         "45d22901cf1c7eeb6b48cccc386c909ce267f2a05d4ed7e8766af2bc5c754be7",
     ),
+    "LE2M": (
+        "6e226412022970f41a53bf44011dad3e8af3d1a280080d3a54f5f2d928e5eaa0",
+        "50ae2c208bdcce70da68114661d95097a302c4e125d9bb5ca641bae7391f405e",
+        "a0143e76a275a4e623fb94cca3219532f2870c4866aeb5ff1db458544a96100e",
+        "495e6f8696e4ac14dc3bc5a912f548a4bd9fda8dc86dfa08f7b1ae5ad0453c2a",
+        "61b4f67eae31d51fde884b783ea931a42b35d88bb07b02759be3b8b244b69c97",
+        "3bcded0fdd07f6695d482be49c0471a722cf06c3ea0669dbf462bdeb31d3b259",
+    ),
+    "LE125K": (
+        "dc392326087eadc51cb03ce313ff1560871be5a6bbb9895ef7faaba587680fe4",
+        "d96e3a33ded0611cdfe0e15afa5d276ab30292104c8393cc67e1599f6238db3f",
+        "e88a3d55854caa39df8e21a031f0bd53aadf0e1a6348b6f6bcea01990aa30c44",
+        "82d4ada38847ac7c2f1171daa32fce0b7b2f6389e3526ed77cd629732e688bb7",
+        "3b7cb015dcf391fe57d59440d2ad7d7862a3407b1f020daa572077c7a6fb8e8b",
+        "1d55a016ef104f770aecc793afad8c85905aa17afee8f6eca658ed4ec0404621",
+    ),
+}
+# sha256 of each capture's stages.json: the scenario, the frame and the
+# report of receive() on it.
+REPORTS = {
+    "LE1M": "3914ab75f89a02e45e8b032adfcbf6f67a791e45a7949bd829530fc61f446803",
+    "LE2M": "5ef5ed7da1a3e817fcb7879c751924cf93f3d96be2ba294a1724fd4b398d627b",
+    "LE500K": "1239bf1990da21b6b9a241cc93b566592c625a3d147f79ff4fbcbabb7a1bec0b",
+    "LE125K": "3471c6152c9f2cc195b2496d18f33d55283a1d525f07d9b350656c20e22787ca",
 }
 STAGES = ("input", "agc", "dc_notch", "cfo_corrected", "matched_filter",
           "synchronized")
@@ -111,3 +137,5 @@ def test_dump_stages_captures_match_golden_digests(phy, tmp_path):
     digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in names)
     assert digests == CAPTURES[phy]
+    report = hashlib.sha256((out / "stages.json").read_bytes()).hexdigest()
+    assert report == REPORTS[phy]

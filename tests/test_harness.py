@@ -502,6 +502,30 @@ def test_cli_dump_stages(tmp_path, capsys):
         assert (out / name).exists()
 
 
+def test_cli_dump_stages_removes_stale_stage_files(tmp_path, capsys):
+    # A detected frame writes six stages; the same frame at -20 dB misses
+    # sync and reaches five, so the earlier capture's synchronized file
+    # goes.  A file that names no stage stays.
+    out = tmp_path / "stages"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    written = []
+    for snr in (12.0, -20.0):
+        cfg_path = tmp_path / f"s{snr}.json"
+        save_scenario(small_scenario(frames=1, snr_sweep_db=(snr,),
+                                     pdu_bits=128, profile=nlos_profile()),
+                      cfg_path)
+        assert main(["dump-stages", "--config", str(cfg_path), "--frame", "0",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        meta = json.loads((out / "stages.json").read_text())
+        written.append(meta["stages"])
+        assert sorted(p.name for p in out.glob("*.iq")) == meta["stages"]
+    assert len(written[0]) == 6 and written[1] == written[0][:5]
+    assert meta["report"]["detected"] is False
+    assert (out / "notes.txt").read_text() == "kept"
+
+
 def test_cli_dump_stages_rejects_negative_frame(tmp_path, capsys):
     cfg_path = tmp_path / "s.json"
     save_scenario(small_scenario(frames=1), cfg_path)

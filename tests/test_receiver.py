@@ -23,6 +23,7 @@ from blesim.receiver import (
     PREAMBLE_PERIOD,
     SYNC_LEAD,
     SYNC_TRAIL,
+    STAGES,
     ReceiverConfig,
     _acquisition_head,
     _template,
@@ -32,6 +33,7 @@ from blesim.receiver import (
     expected_symbol_count,
     preamble_acquire,
     receive,
+    reference_receive,
     synchronize,
 )
 
@@ -384,16 +386,25 @@ def test_receive_wrong_access_address_sets_flags():
         assert report.reason == "access address mismatch"
 
 
-def test_receive_stage_trace_order():
+def test_reference_receive_stage_order():
+    # Every stage once sync finds the packet, up to the matched filter on
+    # a sync miss (noise alone), and up to the DC notch with no signal.
     frame, _ = make_frame(seed=10)
-    trace = []
-    receive(frame, default_cfg(), trace=trace)
-    names = [t[0] for t in trace]
-    assert names == ["input", "agc", "dc_notch", "cfo_corrected",
-                     "matched_filter", "synchronized"]
-    assert names.index("cfo_corrected") < names.index("matched_filter")
-    for _, f in trace:
-        assert isinstance(f, IqFrame)
+    rng = np.random.default_rng(56)
+    noise = frame.replace(rng.standard_normal(len(frame))
+                          + 1j * rng.standard_normal(len(frame)))
+    silence = frame.replace(np.zeros(len(frame), complex))
+    assert STAGES == ("input", "agc", "dc_notch", "cfo_corrected",
+                      "matched_filter", "synchronized")
+    for x, reached, reason in ((frame, 6, ""), (noise, 5, "peak correlation"),
+                               (silence, 3, "no signal")):
+        stages, report = reference_receive(x, default_cfg())
+        assert list(stages) == list(STAGES[:reached])
+        assert report.detected == (reached == 6)
+        assert report.reason.startswith(reason)
+        assert stages["input"] is x
+        for f in stages.values():
+            assert isinstance(f, IqFrame)
 
 
 def test_receive_deterministic():

@@ -1,14 +1,14 @@
-"""Preamble sync against the per-segment fftconvolve oracle, the coded
-receive path against the full-frame chain, and receive() robustness on
+"""Preamble sync against the per-segment fftconvolve oracle, receive()
+against the whole-stream reference chain, and receive() robustness on
 arbitrary IQ."""
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.signal import fftconvolve
 
-from blesim import harness
+from blesim import receiver
 from blesim.bits import random_bits
 from blesim.channel import (
     InterfererConfig,
@@ -20,25 +20,23 @@ from blesim.channel import (
 from blesim.coded import assemble_coded
 from blesim.errors import SyncFailure
 from blesim.gmsk import SPS, IqFrame, gaussian_taps, gmsk_modulate, matched_filter
-from blesim.harness import ScenarioConfig, run_frame
+from blesim.harness import ScenarioConfig, received_frame
 from blesim.llpacket import ChannelIndex, LinkLayerPacket, assemble_uncoded
 from blesim.phymode import PhyMode
 from blesim.receiver import (
     PREAMBLE_PERIOD,
     PREAMBLE_WINDOW,
     SYNC_LEAD,
+    STAGES,
     SYNC_NFFT,
     ReceiverConfig,
     _boundaries,
     _rotated_boundaries,
     _soft_differential,
-    _sync_windows,
     _template,
-    agc,
-    dc_notch,
     expected_symbol_count,
-    preamble_acquire,
     receive,
+    reference_receive,
     synchronize,
 )
 
@@ -94,7 +92,6 @@ def assert_matches_oracle(frame, cfg):
         assert got.timing_offset == tau
         assert got.peak_correlation == pytest.approx(peak, abs=1e-9)
         assert got.fine_cfo_hz == pytest.approx(fine, abs=1e-9)
-        assert len(got.aligned) == len(frame) - tau
 
 
 def tx_frame(mode, lead, seed, tail=128):
@@ -175,7 +172,6 @@ def test_fine_cfo_rotation_matches_derotated_frame(mode, lead, cfo, snr, seed):
     tau, fine, fs = sync.timing_offset, sync.fine_cfo_hz, mf.sample_rate
     derotated = mf.samples[tau:] * np.exp(
         -2j * np.pi * fine * np.arange(len(mf) - tau) / fs)
-    assert np.array_equal(sync.aligned.samples, derotated)
     start, count = 2 * PULSE.delay, expected_symbol_count(cfg)
     want = _soft_differential(_boundaries(derotated, start, count), count)
     got = _soft_differential(_boundaries(mf.samples[tau:], start, count), count,
@@ -193,11 +189,12 @@ def test_fine_cfo_rotation_matches_derotated_frame(mode, lead, cfo, snr, seed):
        width=st.integers(0, 400))
 def test_windowed_search_matches_full_search(mode, lead, cfo, snr, seed,
                                              where, width):
-    # Lags min_lag..max_lag split the frame into other overlap-save blocks
-    # than the full search, so the correlations match it to rounding: the
-    # full search's tau whenever it lies in the window, and never a tau
-    # outside it.  The windows checked end on either side of the full
-    # search's tau, and one is drawn over the whole frame.
+    # Lags min_lag..max_lag, searched as lags 0..max_lag - min_lag of the
+    # stream from min_lag on, split the frame into other overlap-save
+    # blocks than the full search, so the correlations match it to
+    # rounding: the full search's tau whenever it lies in the window, and
+    # never a tau outside it.  The windows checked end on either side of
+    # the full search's tau, and one is drawn over the whole frame.
     frame = awgn(apply_cfo(tx_frame(mode, lead, seed), cfo), snr, seed=seed)
     mf = matched_filter(frame, PULSE)
     cfg = rx_cfg(mode)
@@ -210,11 +207,12 @@ def test_windowed_search_matches_full_search(mode, lead, cfo, snr, seed,
         min_lag, max_lag = max(window[0], 0), min(window[1], n_lags - 1)
         if min_lag > max_lag:
             continue
-        got = sync_outcome(synchronize, mf, cfg, max_lag=max_lag, min_lag=min_lag)
+        got = sync_outcome(synchronize, mf.replace(mf.samples[min_lag:]), cfg,
+                           max_lag=max_lag - min_lag)
         if got is not None:
-            assert min_lag <= got.timing_offset <= max_lag
+            assert min_lag <= min_lag + got.timing_offset <= max_lag
         if full is not None and min_lag <= tau <= max_lag:
-            assert got.timing_offset == tau
+            assert min_lag + got.timing_offset == tau
             assert got.peak_correlation == pytest.approx(
                 full.peak_correlation, abs=1e-9)
             assert got.fine_cfo_hz == full.fine_cfo_hz
@@ -243,85 +241,105 @@ def test_rotated_boundaries_match_the_derotated_stream(n, first, count, cfo,
                                atol=1e-12)
 
 
-# Coded frames at criterion 2's NLOS point and criterion 4's harshest WLAN
-# point: the frames a campaign hands the receiver, captured from run_frame.
+# Frames at criterion 2's NLOS point and criterion 4's harshest WLAN
+# point: the frames a campaign hands the receiver.
 EXACT_CASES = {
     "nlos": ScenarioConfig(id="exact-nlos", seed=202, profile=nlos_profile(),
-                           phy_modes=("LE500K", "LE125K"), pdu_bits=128,
+                           phy_modes=tuple(PhyMode), pdu_bits=128,
                            snr_sweep_db=(12.0,)),
     "wlan": ScenarioConfig(id="exact-wlan", seed=404, profile=los_profile(),
                            interferer=InterfererConfig(),
-                           phy_modes=("LE500K", "LE125K"), pdu_bits=128,
+                           phy_modes=tuple(PhyMode), pdu_bits=128,
                            snr_sweep_db=(20.0,), sir_sweep_db=(-10.0,)),
 }
 EXACT_FRAMES = 100
 
 
-def full_stream_receive(frame, cfg):
-    """The coded chain on whole streams: acquisition on the whole first
-    matched-filter output, the whole frame corrected and matched-filtered,
-    sync over receive()'s windows on that stream.  Returns the notch
-    output, the coarse CFO, the corrected stream and the sync result, or
-    None where no window holds the packet."""
-    x = dc_notch(agc(frame))
-    length = len(x) + PULSE.taps.size - 1
-    max_lag = length - expected_symbol_count(cfg, 2) * SPS
-    coarse, starts = preamble_acquire(matched_filter(x, PULSE), max_lag)
-    n = np.arange(len(x))
-    y = matched_filter(
-        x.replace(x.samples * np.exp(-2j * np.pi * coarse * n / x.sample_rate)),
-        PULSE)
-    for lo, hi in _sync_windows(starts, max_lag):
-        sync = sync_outcome(synchronize, y, cfg, max_lag=hi, min_lag=lo)
-        if sync is not None:
-            return x, coarse, y, sync
-    return None
-
-
-@pytest.mark.parametrize("mode", [PhyMode.LE500K, PhyMode.LE125K])
-@pytest.mark.parametrize("case", list(EXACT_CASES))
-def test_coded_receive_matches_the_full_stream_chain(case, mode):
-    # receive() filters only the acquisition head, the spans sync reads
-    # and the symbol boundaries.  Its timing, CFO and peak are the full
-    # stream's to the bit, and its soft values match the full stream's
-    # within 1e-9 of their scale, with the same signs.
-    scenario = EXACT_CASES[case]
-    snr, sir = scenario.snr_sweep_db[0], (scenario.sir_sweep_db or (None,))[0]
+def with_soft_values(chain, frame, rx):
+    """chain(frame, rx) and the soft values its detector gave, None if it
+    gave none."""
     seen = []
 
-    def capture(frame, rx, trace=None):
-        report = receive(frame, rx, trace=trace)
-        seen.append((frame, rx, report))
-        return report
+    def record(*args, **kwargs):
+        seen.append(_soft_differential(*args, **kwargs))
+        return seen[-1]
 
-    with mock.patch.object(harness, "receive", capture):
-        for k in range(EXACT_FRAMES):
-            run_frame(scenario, mode, snr, sir, k)
+    with mock.patch.object(receiver, "_soft_differential", record):
+        out = chain(frame, rx)
+    assert len(seen) <= 1
+    return out, (seen[0] if seen else None)
+
+
+def assert_same_report(got, want):
+    # Detection, timing, CFO and peak to the bit; the decisions equal.
+    assert got.detected == want.detected
+    assert got.timing_offset == want.timing_offset
+    assert got.cfo_estimate_hz == want.cfo_estimate_hz
+    assert got.peak_correlation == want.peak_correlation
+    assert (got.aa_ok, got.crc_ok, got.reason) == (
+        want.aa_ok, want.crc_ok, want.reason)
+    assert (got.pdu is None) == (want.pdu is None)
+    if got.pdu is not None:
+        assert np.array_equal(got.pdu, want.pdu)
+
+
+@pytest.mark.parametrize("mode", list(PhyMode))
+@pytest.mark.parametrize("case", list(EXACT_CASES))
+def test_coded_receive_matches_the_full_stream_chain(case, mode):
+    # receive() filters only the coded modes' acquisition head, the spans
+    # sync reads and the symbol boundaries; the reference chain filters
+    # whole streams, in every mode.  receive()'s report is the
+    # reference's, and its soft values match the reference's within 1e-9
+    # of their scale, with the same signs.
+    scenario = EXACT_CASES[case]
+    snr, sir = scenario.snr_sweep_db[0], (scenario.sir_sweep_db or (None,))[0]
     detected = 0
-    for frame, rx, report in seen:
-        full = full_stream_receive(frame, rx)
-        assert report.detected == (full is not None)
-        if full is None:
+    for k in range(EXACT_FRAMES):
+        frame, rx = received_frame(scenario, mode, snr, sir, k)
+        report, got = with_soft_values(receive, frame, rx)
+        (stages, ref), want = with_soft_values(reference_receive, frame, rx)
+        assert_same_report(report, ref)
+        assert (got is None) == (want is None) == (not ref.detected)
+        if not ref.detected:
             continue
         detected += 1
-        x, coarse, y, sync = full
-        tau, fine, fs = sync.timing_offset, sync.fine_cfo_hz, x.sample_rate
-        assert report.timing_offset == tau
-        assert report.cfo_estimate_hz == coarse + fine
-        assert report.peak_correlation == sync.peak_correlation
-        start, count = 2 * PULSE.delay, expected_symbol_count(rx)
-        want = _soft_differential(_boundaries(y.samples[tau:], start, count),
-                                  count, 2.0 * np.pi * fine / fs)
-        got = _soft_differential(
-            _rotated_boundaries(x, PULSE, tau + start - SPS // 2, count, coarse),
-            count, 2.0 * np.pi * (coarse + fine) / fs)
+        assert list(stages) == list(STAGES)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
         assert np.array_equal(got > 0, want > 0)
     assert detected >= EXACT_FRAMES // 2
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(list(PhyMode)),
+       profile=st.sampled_from([None, los_profile, nlos_profile]),
+       sir=st.none() | st.floats(-10.0, 10.0),
+       snr=st.floats(-15.0, 30.0),
+       pdu_bits=st.integers(16, 512),
+       frame_idx=st.integers(0, 1000),
+       cut=st.just(0.0) | st.floats(0.0, 1.0))
+# Sync misses in an uncoded and a coded mode, and a frame cut to nothing.
+@example(PhyMode.LE1M, nlos_profile, None, -15.0, 128, 0, 0.0)
+@example(PhyMode.LE125K, nlos_profile, -10.0, -15.0, 128, 0, 0.0)
+@example(PhyMode.LE500K, None, None, 30.0, 16, 0, 1.0)
+def test_receive_matches_the_reference_chain(mode, profile, sir, snr, pdu_bits,
+                                             frame_idx, cut):
+    # Over modes, channels, PDU sizes and frames cut short, down to below
+    # the shortest packet and to nothing: receive() reports what the
+    # whole-stream chain does.
+    scenario = ScenarioConfig(
+        id="oracle", seed=7, phy_modes=(mode,), snr_sweep_db=(snr,),
+        sir_sweep_db=None if sir is None else (sir,),
+        profile=None if profile is None else profile(),
+        interferer=None if sir is None else InterfererConfig(),
+        pdu_bits=pdu_bits)
+    frame, rx = received_frame(scenario, mode, snr, sir, frame_idx)
+    frame = frame.replace(frame.samples[:len(frame) - int(cut * len(frame))])
+    stages, want = reference_receive(frame, rx)
+    assert_same_report(receive(frame, rx), want)
+    assert list(stages) == list(STAGES[:len(stages)])
+
+
 def _ref_size(mode):
-    cfg = rx_cfg(mode)
     return _template(mode)[0].size
 
 
@@ -508,8 +526,10 @@ def test_coded_receive_with_energy_only_past_the_acquisition_head(mode):
     packet = tx_frame(mode, 0, 21, tail=0).samples[:n - head]
     for tail in (noise, packet):
         x = np.concatenate([np.zeros(head, complex), tail])
-        rep = receive(IqFrame(x, fs, mode.symbol_rate), cfg)
+        frame = IqFrame(x, fs, mode.symbol_rate)
+        rep = receive(frame, cfg)
         assert not rep.detected and rep.reason == "no signal"
+        assert reference_receive(frame, cfg)[1].reason == "no signal"
 
 
 @pytest.mark.parametrize("mode", [PhyMode.LE500K, PhyMode.LE125K])
