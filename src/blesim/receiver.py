@@ -16,15 +16,14 @@ them.  The fine CFO that sync estimates is applied by the differential
 detector as one rotation of its lag-SPS products, not by derotating the
 frame.
 
-In receive(), the uncoded modes correct and matched-filter the whole
-frame.  The coded modes compute only the samples they read: acquisition
-filters the head of the frame that it reads, and each sync window
-derotates and filters the span that its overlap-save blocks read, both
-equal to the whole stream's samples to the bit.  The demodulator
-computes its symbol-boundary samples straight from the notch output with
-CFO-rotated taps, equal to the whole stream's up to rounding and each
-turned by a phase that the detector's one rotation takes out with the
-fine CFO.
+receive() computes only the samples it reads, in every mode: each sync
+window derotates and filters the span that its overlap-save blocks
+read, equal to the whole corrected stream's samples to the bit, and the
+demodulator computes its symbol-boundary samples straight from the notch
+output with CFO-rotated taps, equal to the whole stream's up to rounding
+and each turned by a phase that the detector's one rotation takes out
+with the fine CFO.  Coded acquisition filters only the head of the frame
+that it reads.
 
 reference_receive() is the same chain written plainly on whole streams,
 and it returns every stage in STAGES that the frame reaches: the stage
@@ -266,6 +265,13 @@ def _cfo_search(nfft: int, fs: float, rs: float):
     return tables
 
 
+def _require_signal(power: np.ndarray) -> None:
+    """Raise NoSignalError on a frame of sample powers `power` that is
+    shorter than 16 samples or whose mean power is under 1e-15."""
+    if power.size < 16 or float(np.mean(power)) < 1e-15:
+        raise NoSignalError("not enough signal power for CFO estimation")
+
+
 def coarse_cfo_estimate(frame: IqFrame) -> float:
     """Estimate carrier offset from the modulation-stripped (squared) signal.
 
@@ -276,8 +282,7 @@ def coarse_cfo_estimate(frame: IqFrame) -> float:
     the bins that search reads.
     """
     x = frame.samples
-    if len(x) < 16 or float(np.mean(np.abs(x) ** 2)) < 1e-15:
-        raise NoSignalError("not enough signal power for CFO estimation")
+    _require_signal(np.abs(x) ** 2)
     fs = frame.sample_rate
     rs = frame.symbol_rate
     sq = x * x
@@ -319,8 +324,7 @@ def preamble_acquire(frame: IqFrame, max_lag: int) -> tuple[float, list[int]]:
     """
     y = frame.samples
     power = np.abs(y) ** 2
-    if len(y) < 16 or float(np.mean(power)) < 1e-15:
-        raise NoSignalError("not enough signal power for CFO estimation")
+    _require_signal(power)
     d, w = PREAMBLE_PERIOD, PREAMBLE_WINDOW
     n = min(len(y) - d - w, max_lag + SYNC_LEAD) + 1
     if n < 1:
@@ -728,17 +732,13 @@ def receive(frame: IqFrame, cfg: ReceiverConfig) -> RxPacketReport:
         report.reason = "no signal"
         return report
     # The stream that flows on is corrected first and matched-filtered
-    # after.  The uncoded modes build it whole; the coded modes compute
-    # only the spans that sync reads and, in the demodulator, the symbol
-    # boundaries.
-    y = None if mode.coded else matched_filter(
-        x.replace(_derotated(x, coarse, 0, len(x))), pulse)
+    # after; only the spans that sync reads and, in the demodulator, the
+    # symbol boundaries are computed.
     for lo, hi in _sync_windows(starts, max_lag):
         try:
             n_lags = _sync_lags(length - lo, mode, hi - lo)
             stop = min(length, lo + _sync_span(mode, n_lags))
-            span = (_filtered(x, pulse, lo, stop, coarse) if y is None
-                    else y.samples[lo:stop])
+            span = _filtered(x, pulse, lo, stop, coarse)
             sync = synchronize(x.replace(span), cfg, max_lag=n_lags - 1)
             break
         except SyncFailure as exc:
@@ -750,17 +750,12 @@ def receive(frame: IqFrame, cfg: ReceiverConfig) -> RxPacketReport:
         return report
     tau, fine = lo + sync.timing_offset, sync.fine_cfo_hz
     count = expected_symbol_count(cfg)
-    if mode.coded:
-        # The boundaries come turned by the coarse CFO, which the detector
-        # removes together with the fine one.
-        boundaries = _rotated_boundaries(
-            x, pulse, tau + 2 * pulse.delay - SPS // 2, count, coarse)
-        residual = coarse + fine
-    else:
-        boundaries = _boundaries(y.samples[tau:], 2 * pulse.delay, count)
-        residual = fine
-    soft = _soft_differential(
-        boundaries, count, phase_step=2.0 * np.pi * residual / x.sample_rate)
+    # The boundaries come turned by the coarse CFO, which the detector
+    # removes together with the fine one.
+    boundaries = _rotated_boundaries(
+        x, pulse, tau + 2 * pulse.delay - SPS // 2, count, coarse)
+    soft = _soft_differential(boundaries, count, phase_step=2.0 * np.pi
+                              * (coarse + fine) / x.sample_rate)
     return _decoded(cfg, tau, coarse, sync, soft)
 
 

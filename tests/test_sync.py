@@ -223,15 +223,17 @@ def test_windowed_search_matches_full_search(mode, lead, cfo, snr, seed,
        first=st.integers(0, 3100),
        count=st.integers(0, 400),
        cfo=st.floats(-50e3, 50e3),
-       seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1),
+       rates=st.sampled_from([(8e6, 1e6), (16e6, 2e6)]))
 def test_rotated_boundaries_match_the_derotated_stream(n, first, count, cfo,
-                                                       seed):
+                                                       seed, rates):
     # Samples first + j*SPS of the whole derotated, matched-filtered
     # stream, each turned by e^{jw(first + j*SPS)}, as far as the stream
     # reaches: within 1e-12 of the input's scale, from before the first
-    # full window to past the last sample.
+    # full window to past the last sample, at the 1 Msym/s modes' rate
+    # and at LE2M's.
     rng = np.random.default_rng(seed)
-    x = IqFrame(rng.standard_normal(n) + 1j * rng.standard_normal(n), 8e6, 1e6)
+    x = IqFrame(rng.standard_normal(n) + 1j * rng.standard_normal(n), *rates)
     w = 2.0 * np.pi * cfo / x.sample_rate
     y = matched_filter(x.replace(x.samples * np.exp(-1j * w * np.arange(n))),
                        PULSE).samples
@@ -285,12 +287,12 @@ def assert_same_report(got, want):
 
 @pytest.mark.parametrize("mode", list(PhyMode))
 @pytest.mark.parametrize("case", list(EXACT_CASES))
-def test_coded_receive_matches_the_full_stream_chain(case, mode):
-    # receive() filters only the coded modes' acquisition head, the spans
-    # sync reads and the symbol boundaries; the reference chain filters
-    # whole streams, in every mode.  receive()'s report is the
-    # reference's, and its soft values match the reference's within 1e-9
-    # of their scale, with the same signs.
+def test_receive_matches_the_full_stream_chain(case, mode):
+    # receive() filters only the spans sync reads, the symbol boundaries
+    # and, in the coded modes, the acquisition head; the reference chain
+    # filters whole streams.  receive()'s report is the reference's, and
+    # its soft values match the reference's within 1e-9 of their scale,
+    # with the same signs.
     scenario = EXACT_CASES[case]
     snr, sir = scenario.snr_sweep_db[0], (scenario.sir_sweep_db or (None,))[0]
     detected = 0
@@ -307,6 +309,26 @@ def test_coded_receive_matches_the_full_stream_chain(case, mode):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
         assert np.array_equal(got > 0, want > 0)
     assert detected >= EXACT_FRAMES // 2
+
+
+@pytest.mark.parametrize("mode", [PhyMode.LE1M, PhyMode.LE2M])
+def test_uncoded_receive_derotates_no_whole_frame(mode):
+    # The uncoded modes derotate only the spans that sync reads, as the
+    # coded modes do, never the whole notch output.
+    seen = []
+    derotated = receiver._derotated
+
+    def record(x, cfo_hz, a, b):
+        seen.append((a, b, len(x)))
+        return derotated(x, cfo_hz, a, b)
+
+    scenario = EXACT_CASES["nlos"]
+    with mock.patch.object(receiver, "_derotated", record):
+        for k in range(20):
+            receive(*received_frame(scenario, mode, scenario.snr_sweep_db[0],
+                                    None, k))
+    assert seen
+    assert all(b - a < n for a, b, n in seen)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
