@@ -1,19 +1,20 @@
 """Channel impairments: noise, block fading, CFO/DC offsets, WLAN interference.
 
-Fading is a block model: one tapped-delay-line realization is drawn per
-call, from the call's seed, and applied to the whole frame.  Tap delays
+Fading is a block model: one tapped-delay-line realization of one of the
+three fixed profiles (ChannelProfile: LOS, NLOS, reverberant) is drawn
+per call, from the call's seed, and applied to the whole frame.  Tap delays
 are expressed in samples at PROFILE_RATE_HZ and rescaled to the frame's
 actual rate so the physical delay spread is the same for every PHY mode.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import LengthError, ParamError, is_number
+from .errors import LengthError, ParamError
 from .gmsk import IqFrame
 
 
@@ -63,9 +64,12 @@ def _unit_noise(seed: int, n: int) -> np.ndarray:
 PROFILE_RATE_HZ = 8e6
 
 
-@dataclass(frozen=True)
-class ChannelProfile:
-    """Tapped-delay-line description of a propagation environment.
+class ChannelProfile(Enum):
+    """The three propagation environments a scenario can fade with: LOS,
+    one dominant path with a mild diffuse component (K 10 dB); NLOS, eight
+    Rayleigh taps with an exponential decay, ~0.5 us RMS spread; and
+    REVERBERANT, dense uniform Rayleigh taps, as in a highly reflective
+    cavity.
 
     `taps` holds (delay in samples at PROFILE_RATE_HZ, relative power in
     dB) pairs; powers are normalized to unit average gain when the profile
@@ -73,51 +77,39 @@ class ChannelProfile:
     component on the first tap; None means pure Rayleigh on every tap.
     """
 
-    kind: str
-    taps: tuple = ((0, 0.0),)
-    rician_k_db: float | None = None
+    LOS = "los"
+    NLOS = "nlos"
+    REVERBERANT = "reverberant"
 
-    def __post_init__(self):
-        if not self.taps:
-            raise ParamError("profile needs at least one tap")
-        delays = [d for d, _ in self.taps]
-        if any(d < 0 for d in delays):
-            raise ParamError("tap delays must be non-negative")
-        if len(set(delays)) != len(delays):
-            raise ParamError("duplicate tap delays")
-        # Levels within 300 dB keep 10**(dB/10) a finite float.
-        k = self.rician_k_db
-        if not (all(is_number(d) and math.isfinite(d) and int(d) == d
-                    and is_number(p) and abs(p) <= 300.0 for d, p in self.taps)
-                and (k is None or is_number(k) and (abs(k) <= 300.0 or k == math.inf))):
-            raise ParamError("need numbers: whole-sample delays, powers and K "
-                             "within 300 dB (or K inf)")
+    @property
+    def taps(self) -> tuple:
+        return _PROFILES[self][0]
+
+    @property
+    def rician_k_db(self) -> float | None:
+        return _PROFILES[self][1]
+
+
+# Each profile's taps and Rician K factor.
+_PROFILES = {
+    ChannelProfile.LOS: (((0, 0.0),), 10.0),
+    ChannelProfile.NLOS: (
+        tuple((d, -10.0 * (d / 6.0) / np.log(10.0)) for d in range(0, 16, 2)),
+        None),
+    ChannelProfile.REVERBERANT: (tuple((d, 0.0) for d in range(32)), None),
+}
 
 
 def los_profile() -> ChannelProfile:
-    """Single dominant path with a mild diffuse component (K 10 dB)."""
-    return ChannelProfile("los", ((0, 0.0),), 10.0)
+    return ChannelProfile.LOS
 
 
 def nlos_profile() -> ChannelProfile:
-    """Eight Rayleigh taps with an exponential decay, ~0.5 us RMS spread."""
-    taps = tuple((d, -10.0 * (d / 6.0) / np.log(10.0)) for d in range(0, 16, 2))
-    return ChannelProfile("nlos", taps)
+    return ChannelProfile.NLOS
 
 
 def reverberant_profile() -> ChannelProfile:
-    """Dense uniform Rayleigh taps, as in a highly reflective cavity."""
-    taps = tuple((d, 0.0) for d in range(32))
-    return ChannelProfile("reverberant", taps)
-
-
-# The canned profiles by kind: the names a scenario's profile object and
-# `blesim per --profile` accept.
-PROFILE_FACTORIES = {
-    "los": los_profile,
-    "nlos": nlos_profile,
-    "reverberant": reverberant_profile,
-}
+    return ChannelProfile.REVERBERANT
 
 
 def channel_realization(profile: ChannelProfile, sample_rate: float,
@@ -134,13 +126,9 @@ def channel_realization(profile: ChannelProfile, sample_rate: float,
         diffuse = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
         if i == 0 and profile.rician_k_db is not None:
             theta = rng.uniform(0.0, 2.0 * np.pi)
-            if np.isinf(profile.rician_k_db):
-                coeff = np.exp(1j * theta)
-            else:
-                k = 10.0 ** (profile.rician_k_db / 10.0)
-                coeff = np.sqrt(k / (k + 1.0)) * np.exp(1j * theta) + diffuse / np.sqrt(
-                    k + 1.0
-                )
+            k = 10.0 ** (profile.rician_k_db / 10.0)
+            coeff = (np.sqrt(k / (k + 1.0)) * np.exp(1j * theta)
+                     + diffuse / np.sqrt(k + 1.0))
         else:
             coeff = diffuse
         cir[d] += coeff * np.sqrt(p)

@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .channel import PROFILE_FACTORIES, InterfererConfig
+from .channel import ChannelProfile, InterfererConfig
 from .errors import ConfigError, IoError
 from .gmsk import write_iq
 from .harness import (
@@ -148,8 +148,7 @@ def _cmd_per(args) -> int:
         id=args.id, seed=args.seed, phy_modes=tuple(args.phy),
         snr_sweep_db=_parse_sweep(args.snr),
         sir_sweep_db=None if args.sir is None else _parse_sweep(args.sir),
-        profile=(None if args.profile == "none"
-                 else PROFILE_FACTORIES[args.profile]()),
+        profile=None if args.profile == "none" else args.profile,
         interferer=None if args.sir is None else InterfererConfig(),
         frames=args.frames, pdu_bits=args.pdu_bits,
     )
@@ -236,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=[m.value for m in PhyMode])
     per.add_argument("--snr", required=True, help="a:step:b or comma list (dB)")
     per.add_argument("--sir", default=None, help="comma list (dB); enables WLAN interferer")
-    per.add_argument("--profile", choices=sorted(["none", *PROFILE_FACTORIES]),
-                     default="none")
+    per.add_argument("--profile", default="none",
+                     choices=sorted(["none", *(p.value for p in ChannelProfile)]))
     per.add_argument("--frames", type=int, default=1000)
     per.add_argument("--pdu-bits", type=int, default=128)
     per.add_argument("--seed", type=int, default=0)

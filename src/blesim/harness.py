@@ -23,14 +23,12 @@ import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .bits import random_bits
 from .channel import (
-    PROFILE_FACTORIES,
-    PROFILE_RATE_HZ,
     ChannelProfile,
     InterfererConfig,
     apply_cfo,
@@ -46,8 +44,16 @@ from .channel import (
 )
 from .chansel import ChannelMap, HopState, csa1_next, csa2_select
 from .coded import assemble_coded
-from .errors import BlesimError, ConfigError, IoError, ParamError, check_int, check_real
-from .gmsk import SPS, IqFrame, gaussian_taps, gmsk_modulate
+from .errors import (
+    BlesimError,
+    ConfigError,
+    IoError,
+    ParamError,
+    check_enum,
+    check_int,
+    check_real,
+)
+from .gmsk import IqFrame, gaussian_taps, gmsk_modulate
 from .llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
     ChannelIndex,
@@ -156,9 +162,14 @@ class ScenarioConfig:
         self.snr_sweep_db = _sweep_db("snr_sweep_db", self.snr_sweep_db)
         if (self.sir_sweep_db is None) != (self.interferer is None):
             raise ConfigError("a sir sweep needs an interferer and vice versa")
+        if not isinstance(self.interferer, (InterfererConfig, type(None))):
+            raise ConfigError(
+                f"interferer must be an InterfererConfig, got {self.interferer!r}")
         if self.sir_sweep_db is not None:
             self.sir_sweep_db = _sweep_db("sir_sweep_db", self.sir_sweep_db)
         self.frames = check_int("frames", self.frames, 1)
+        if self.profile is not None:
+            self.profile = check_enum("profile", ChannelProfile, self.profile)
 
         self._channel = self._channel_map = self._hop = None
         if (self.channel is None) == (self.hopping is None):
@@ -168,6 +179,8 @@ class ScenarioConfig:
             self.channel = self._channel.index
         else:
             hop = self.hopping
+            if not isinstance(hop, HoppingConfig):
+                raise ConfigError(f"hopping must be a HoppingConfig, got {hop!r}")
             self._channel_map = ChannelMap.from_mask(hop.map_mask)
             if hop.algorithm == "csa1":
                 self._hop = HopState(hop.hop_increment)
@@ -180,17 +193,6 @@ class ScenarioConfig:
         }
         # The receivers checked pdu_bits; keep the int they hold.
         self.pdu_bits = self._rx[self.phy_modes[0]].pdu_bits
-
-        prof = self.profile
-        if prof is not None:
-            for mode in self.phy_modes:
-                # fade() needs the impulse response shorter than the frame:
-                # the least padding plus at least an uncoded packet.
-                fs = mode.symbol_rate * SPS
-                taps = round(max(d for d, _ in prof.taps) * fs / PROFILE_RATE_HZ)
-                packet = (mode.preamble_len + 56 + self.pdu_bits) * SPS
-                if taps + 1 >= LEAD + TAIL + packet:
-                    raise ConfigError(f"profile delay spread too long for {mode.value}")
 
 
 @dataclass
@@ -456,32 +458,12 @@ def _check_keys(obj, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
-# The JSON keys: the dataclass fields, HoppingConfig's under these names,
-# and ScenarioConfig's init fields with hopping nested under channel.
-_PROFILE_KEYS = {f.name for f in fields(ChannelProfile)}
+# The JSON keys: HoppingConfig's fields under these names, and
+# ScenarioConfig's init fields with hopping nested under channel.
 _HOP_KEYS = {"algorithm": "algorithm", "map": "map_mask",
              "hop_increment": "hop_increment"}
 _TOP_KEYS = {"version"} | {
     f.name for f in fields(ScenarioConfig) if f.init and f.name != "hopping"}
-
-
-def _profile_from_dict(obj: dict) -> ChannelProfile:
-    """A canned kind with any field overridden, or explicit taps."""
-    _check_keys(obj, _PROFILE_KEYS, "profile")
-    given = dict(obj)
-    kind = given.pop("kind", None)
-    if "taps" not in given:
-        if not (isinstance(kind, str) and kind in PROFILE_FACTORIES):
-            raise ConfigError(f"profile kind {kind!r} needs explicit taps")
-        return replace(PROFILE_FACTORIES[kind](), **given)
-    given["taps"] = tuple(tuple(tap) for tap in given["taps"])
-    return ChannelProfile(kind or "custom", **given)
-
-
-def _profile_to_dict(p: ChannelProfile) -> dict:
-    if p.kind in PROFILE_FACTORIES and p == PROFILE_FACTORIES[p.kind]():
-        return {"kind": p.kind}
-    return asdict(p)
 
 
 def scenario_from_dict(obj: dict) -> ScenarioConfig:
@@ -513,7 +495,9 @@ def scenario_from_dict(obj: dict) -> ScenarioConfig:
             raise ConfigError("channel must carry either 'index' or 'hopping'")
 
         if obj.get("profile") is not None:
-            kwargs["profile"] = _profile_from_dict(obj["profile"])
+            _check_keys(obj["profile"], {"kind"}, "profile")
+            kwargs["profile"] = check_enum("profile kind", ChannelProfile,
+                                           obj["profile"].get("kind"))
         if obj.get("interferer") is not None:
             _check_keys(obj["interferer"], (), "interferer")
             kwargs["interferer"] = InterfererConfig()
@@ -530,7 +514,7 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     else:
         out["channel"] = {"hopping": {
             key: getattr(cfg.hopping, name) for key, name in _HOP_KEYS.items()}}
-    out["profile"] = None if cfg.profile is None else _profile_to_dict(cfg.profile)
+    out["profile"] = None if cfg.profile is None else {"kind": cfg.profile.value}
     out["interferer"] = None if cfg.interferer is None else {}
     return out
 

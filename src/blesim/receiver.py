@@ -223,7 +223,8 @@ def agc(frame: IqFrame) -> IqFrame:
     if len(x) == 0:
         return frame.replace(x.copy())
     a = AGC_ALPHA
-    power = np.abs(x) ** 2
+    with np.errstate(over="ignore"):  # inf past |x| ~ 1.3e154, no warning
+        power = np.abs(x) ** 2
     # Seed the tracker with the first sample's power to avoid a cold-start
     # spike, then clamp so silent stretches cannot produce infinite gain.
     p = _one_pole(power, 1.0 - a, max(float(power[0]), 1e-18), gain=a)

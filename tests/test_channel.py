@@ -24,8 +24,12 @@ from blesim.channel import (
     nlos_profile,
     reverberant_profile,
 )
+from blesim.coded import assemble_coded
 from blesim.errors import LengthError, ParamError
 from blesim.gmsk import IqFrame, gaussian_taps, gmsk_modulate
+from blesim.harness import LEAD, TAIL
+from blesim.llpacket import PDU_MIN_BITS, LinkLayerPacket, assemble_uncoded
+from blesim.phymode import PhyMode
 
 
 def _tone(n=100_000, fs=8e6, f=1e5):
@@ -97,59 +101,52 @@ def test_awgn_snr_ignores_zero_padding():
     assert 9.5 < snr < 10.5
 
 
-def test_profile_validation():
-    with pytest.raises(ParamError):
-        ChannelProfile("bad", taps=())
-    with pytest.raises(ParamError):
-        ChannelProfile("bad", taps=((0, 0.0), (0, -3.0)))
-    with pytest.raises(ParamError):
-        ChannelProfile("bad", taps=((-1, 0.0),))
-    # Whole-sample delays and levels within 300 dB: past those the channel
-    # would fail or overflow mid-campaign.
-    for bad in (dict(taps=((1.5, 0.0),)), dict(taps=((np.nan, 0.0),)),
-                dict(taps=((np.inf, 0.0),)), dict(taps=((0, 400.0),)),
-                dict(taps=((0, float("nan")),)), dict(rician_k_db=-np.inf),
-                dict(rician_k_db=1e4)):
-        with pytest.raises(ParamError):
-            ChannelProfile("bad", **bad)
-    ChannelProfile("ok", rician_k_db=np.inf)
-
-
-def test_los_realization_k_infinite():
-    prof = ChannelProfile("los", ((0, 0.0),), rician_k_db=np.inf)
-    h = channel_realization(prof, 8e6, 9)
-    assert h.shape == (1,)
-    assert abs(abs(h[0]) - 1.0) < 1e-12
-
-
 def test_rayleigh_tap_distribution():
-    # Single diffuse tap: |h| should be Rayleigh with sigma = 1/sqrt(2).
-    prof = ChannelProfile("flat", ((0, 0.0),))
+    # NLOS's first tap is diffuse: |h| is Rayleigh with sigma^2 half its
+    # share of the power.
+    prof = ChannelProfile.NLOS
+    powers = np.array([10.0 ** (p / 10.0) for _, p in prof.taps])
+    sigma = np.sqrt(powers[0] / powers.sum() / 2.0)
     mags = np.array([
         abs(channel_realization(prof, 8e6, s)[0]) for s in range(4000)
     ])
-    _, p = stats.kstest(mags, "rayleigh", args=(0, 1 / np.sqrt(2)))
+    _, p = stats.kstest(mags, "rayleigh", args=(0, sigma))
     assert p > 0.01
 
 
 def test_rician_concentrates_envelope():
-    los = np.array([
-        abs(channel_realization(los_profile(), 8e6, s)[0])
-        for s in range(2000)
-    ])
-    ray = np.array([
-        abs(channel_realization(ChannelProfile("flat", ((0, 0.0),)), 8e6, s)[0])
-        for s in range(2000)
-    ])
+    def envelope(prof):
+        return np.array([
+            abs(channel_realization(prof, 8e6, s)[0]) for s in range(2000)
+        ])
+
+    los, ray = envelope(ChannelProfile.LOS), envelope(ChannelProfile.NLOS)
     assert np.std(los) / np.mean(los) < 0.5 * np.std(ray) / np.mean(ray)
 
 
 def test_delay_scaling_with_sample_rate():
     # Tap delays count samples at 8 Msps, so they scale with the frame's rate.
-    prof = ChannelProfile("two", ((0, 0.0), (8, -3.0)))
-    assert channel_realization(prof, 8e6, 0).size == 9
-    assert channel_realization(prof, 16e6, 0).size == 17
-    assert channel_realization(prof, 4e6, 0).size == 5
+    prof = ChannelProfile.REVERBERANT
+    assert max(d for d, _ in prof.taps) == 31
+    assert channel_realization(prof, 8e6, 0).size == 32
+    assert channel_realization(prof, 16e6, 0).size == 63
+    assert channel_realization(prof, 4e6, 0).size == 17
+    assert channel_realization(ChannelProfile.NLOS, 16e6, 0).size == 29
+
+
+def test_every_profile_has_unit_gain_and_fits_the_shortest_frame():
+    shortest = min(
+        LEAD + TAIL + len(gmsk_modulate(
+            (assemble_coded if mode.coded else assemble_uncoded)(
+                LinkLayerPacket(pdu=np.zeros(PDU_MIN_BITS, np.uint8)), mode),
+            gaussian_taps(), symbol_rate=mode.symbol_rate))
+        for mode in PhyMode)
+    for prof in ChannelProfile:
+        for fs in (8e6, 16e6):
+            cirs = [channel_realization(prof, fs, s) for s in range(2000)]
+            gain = np.mean([np.sum(np.abs(h) ** 2) for h in cirs])
+            assert 0.95 < gain < 1.05, (prof, fs, gain)
+            assert max(h.size for h in cirs) < shortest, (prof, fs)
 
 
 def test_fade_unit_average_gain():

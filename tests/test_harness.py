@@ -578,12 +578,16 @@ def test_cli_run_checks_out_before_any_frame(tmp_path, capsys, monkeypatch):
     ("interferer", {"burst_symbols": 20}),
     ("cfo_range_hz", [-50e3, 50e3]), ("dc_dbc", -20.0),
     ("profile", {"kind": "nlos", "reference_rate_hz": 8e6}),
+    ("profile", {"kind": "nlos", "taps": [[0, 0.0], [2, -3.0]]}),
+    ("profile", {"kind": "los", "rician_k_db": 10.0}),
+    ("profile", {"kind": "custom"}),
 ])
 def test_cli_run_rejects_removed_receiver_keys(removed, tmp_path, capsys,
                                                monkeypatch):
-    # The receiver, the interferer and the front end's CFO range, DC level
-    # and profile rate are fixed: a key that once set one is now unknown,
-    # at the top level or inside its object, even at the fixed value.
+    # The receiver, the interferer, the profiles and the front end's CFO
+    # range, DC level and profile rate are fixed: a key that once set one
+    # is now unknown, at the top level or inside its object, even at the
+    # fixed value, and a profile kind is one of the three.
     monkeypatch.setattr(harness, "_count_chunk", lambda t: pytest.fail("ran"))
     key, value = removed
     cfg_path = tmp_path / "s.json"

@@ -14,7 +14,6 @@ from blesim.channel import (
     ChannelProfile,
     InterfererConfig,
     interferer_inband_fraction,
-    los_profile,
     nlos_profile,
     reverberant_profile,
 )
@@ -49,7 +48,6 @@ BAD_CONFIGS = {
     "phy_modes empty": {"phy_modes": []},
     "phy_modes string": {"phy_modes": "LE1M"},
     "duty cycle 2": dict(WLAN, interferer={"duty_cycle": 2}),
-    "tap delay -1": {"profile": {"kind": "custom", "taps": [[-1, 0.0]]}},
     "snr string": {"snr_sweep_db": "abc"},
     "channel index 40": {"channel": {"index": 40}},
     "pdu_bits 8": {"pdu_bits": 8},
@@ -94,9 +92,12 @@ BAD_CONFIGS = {
     "burst 2.5 symbols": dict(WLAN, interferer={"burst_symbols": 2.5,
                                                 "duty_cycle": 0.5}),
     "burst true": dict(WLAN, interferer={"burst_symbols": True}),
+    "hop map 3.7": hopping(map=3.7),
+    # The profiles are fixed, so a profile object holds its kind alone:
+    # taps and a K factor are unknown keys, and "custom" no kind.
+    "tap delay -1": {"profile": {"kind": "custom", "taps": [[-1, 0.0]]}},
     "rician K true": {"profile": {"kind": "los", "rician_k_db": True}},
     "tap delay true": {"profile": {"taps": [[True, 0.0], [0, -3]]}},
-    "hop map 3.7": hopping(map=3.7),
 }
 
 
@@ -141,17 +142,22 @@ def test_python_constructor_checks_like_json():
         ScenarioConfig(id="x", seed=1, snr_sweep_db=(float("-inf"),))
     with pytest.raises(ConfigError):
         ScenarioConfig(id="x", seed=1, snr_sweep_db=(float("nan"),))
-    with pytest.raises(ConfigError, match="delay spread"):
-        ScenarioConfig(id="x", seed=1, profile=replace(
-            los_profile(), taps=((0, 0.0), (10**6, -3.0))))
+    # A nested object of the wrong type is a ConfigError too, never an
+    # AttributeError mid-check or a campaign run on it.
+    with pytest.raises(ConfigError, match="hopping"):
+        ScenarioConfig(id="x", seed=1, channel=None, hopping="csa2")
+    for bad in (3, {"kind": "nlos"}, "custom"):
+        with pytest.raises(ConfigError, match="profile"):
+            ScenarioConfig(id="x", seed=1, profile=bad)
+    assert ScenarioConfig(id="x", seed=1, profile="nlos").profile is nlos_profile()
+    with pytest.raises(ConfigError, match="interferer"):
+        ScenarioConfig(id="x", seed=1, interferer="wlan", sir_sweep_db=(0.0,))
     cfg = ScenarioConfig(id="x", seed=1)
     with pytest.raises(ConfigError, match="seed"):
         replace(cfg, seed=-1)
     # The nested objects' checks live in the component, so Python
     # construction rejects what a scenario file does.
-    for make in (lambda: ChannelProfile("los", rician_k_db=True),
-                 lambda: ChannelProfile("c", ((True, 0.0), (0, -3.0))),
-                 lambda: ChannelMap.from_mask(3.7),
+    for make in (lambda: ChannelMap.from_mask(3.7),
                  lambda: HoppingConfig("csa3"),
                  lambda: HoppingConfig(hop_increment=7.5),
                  lambda: ChannelMap([1.5, 3]),
@@ -164,19 +170,21 @@ def test_python_constructor_checks_like_json():
     # The receivers' check hands pdu_bits back as an int.
     cfg = ScenarioConfig(id="x", seed=1, pdu_bits=np.int64(32))
     assert type(cfg.pdu_bits) is int
-    # Whole-number float delays and integer masks stay valid.
-    taps = ((0, 0.0), (2.0, -3.0))
-    assert ChannelProfile("c", taps).taps == taps
-    cfg = scenario_from_dict(dict(BASE, profile={"taps": [[0, 0.0], [2.0, -3.0]]},
-                                  **hopping(map=0b11)))
-    assert cfg.profile.taps == taps and cfg._channel_map.used == (0, 1)
+    # Integer masks stay valid.
+    cfg = scenario_from_dict(dict(BASE, **hopping(map=0b11)))
+    assert cfg._channel_map.used == (0, 1)
 
 
-def test_canned_profile_takes_every_given_field():
-    los = scenario_from_dict(dict(BASE, profile={"kind": "los",
-                                                 "rician_k_db": 3.0}))
-    assert los.profile == replace(los_profile(), rician_k_db=3.0)
-    assert scenario_from_dict(scenario_to_dict(los)) == los
+def test_profile_object_is_its_kind_alone():
+    for prof in ChannelProfile:
+        cfg = scenario_from_dict(dict(BASE, profile={"kind": prof.value}))
+        assert cfg.profile is prof
+        assert scenario_to_dict(cfg)["profile"] == {"kind": prof.value}
+    for bad in ({}, {"kind": None}, {"kind": "custom"},
+                {"kind": "los", "rician_k_db": 3.0},
+                {"kind": "nlos", "taps": [[0, 0.0]]}):
+        with pytest.raises(ConfigError, match="profile"):
+            scenario_from_dict(dict(BASE, profile=bad))
 
 
 def test_json_defaults_come_from_the_dataclasses():
@@ -283,7 +291,7 @@ FUZZ_BASES = [
     scenario_to_dict(ScenarioConfig(
         id="fuzz", seed=11, snr_sweep_db=(12.0,), channel=None,
         hopping=HoppingConfig("csa1", "0x1FFFFFFFFF", 9),
-        profile=ChannelProfile("custom", ((0, 0.0), (3, -3.0)), 6.0),
+        profile=reverberant_profile(),
         frames=1, pdu_bits=32)),
 ]
 
@@ -347,14 +355,7 @@ def scenarios(draw):
         kw["hopping"] = HoppingConfig(
             draw(st.sampled_from(["csa1", "csa2"])),
             f"0x{sum(1 << c for c in used):010X}", draw(st.integers(5, 16)))
-    kw["profile"] = draw(st.sampled_from([None, los_profile(), nlos_profile()])
-                         | st.builds(
-        lambda delays, k: replace(
-            nlos_profile(), kind="custom",
-            taps=tuple((d, -float(i)) for i, d in enumerate(delays)),
-            rician_k_db=k),
-        st.lists(st.integers(0, 20), min_size=1, max_size=4, unique=True),
-        st.none() | st.floats(-30, 30)))
+    kw["profile"] = draw(st.none() | st.sampled_from(ChannelProfile))
     if draw(st.booleans()):
         kw["sir_sweep_db"] = tuple(draw(st.lists(_DB, min_size=1, max_size=3)))
         kw["interferer"] = InterfererConfig()
