@@ -43,6 +43,8 @@ class ChannelMap:
         except ValueError:
             raise ParamError(f"channel map must be a hex string or an integer, "
                              f"got {mask!r}") from None
+        if value < 0:
+            raise ParamError(f"channel map mask must be non-negative, got {mask!r}")
         if value >> N_DATA_CHANNELS:
             raise ParamError(f"mask {value:#x} has bits above channel 36")
         return cls([c for c in range(N_DATA_CHANNELS) if value & (1 << c)])

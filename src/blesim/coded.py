@@ -19,7 +19,12 @@ import numpy as np
 
 from .bits import as_bits, int_to_bits
 from .errors import LengthError, ParamError
-from .llpacket import LinkLayerPacket, crc24_bits, whiten
+from .llpacket import (
+    ADVERTISING_ACCESS_ADDRESS,
+    LinkLayerPacket,
+    crc24_bits,
+    whiten,
+)
 from .phymode import PhyMode
 
 TERM_BITS = 3
@@ -171,12 +176,12 @@ def assemble_coded(packet: LinkLayerPacket, mode: PhyMode) -> np.ndarray:
     if not mode.coded:
         raise ParamError(f"{mode.value} packets are built by assemble_uncoded")
     preamble = mode.preamble_bits()
-    aa = int_to_bits(packet.access_address, 32, lsb_first=True)
+    aa = int_to_bits(ADVERTISING_ACCESS_ADDRESS, 32, lsb_first=True)
     scheme = CODING_SCHEMES[mode]
     ci = int_to_bits(scheme.ci, CI_FIELD_BITS, lsb_first=True)
     term = np.zeros(TERM_BITS, dtype=np.uint8)
     block1 = pattern_map(fec_encode(np.concatenate([aa, ci, term])), 8)
-    body = np.concatenate([packet.pdu, crc24_bits(packet.pdu, packet.crc_init)])
+    body = np.concatenate([packet.pdu, crc24_bits(packet.pdu)])
     block2_in = np.concatenate([whiten(body, packet.channel.index), term])
     block2 = pattern_map(fec_encode(block2_in), scheme.s)
     return np.concatenate([preamble, block1, block2])

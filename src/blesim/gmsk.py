@@ -81,6 +81,8 @@ def read_iq(path) -> IqFrame:
     magic, fs, rs, _ = _IQ_HEADER.unpack_from(raw)
     if magic != _IQ_MAGIC:
         raise IoError(f"{path}: bad magic {magic!r}")
+    if not (fs and rs):
+        raise IoError(f"{path}: zero rate in header ({fs} Sa/s, {rs} sym/s)")
     body = np.frombuffer(raw, dtype="<f4", offset=_IQ_HEADER.size)
     if body.size % 2:
         raise IoError(f"{path}: odd float count")

@@ -1,8 +1,10 @@
 """Link-layer packet assembly: CRC-24, data whitening, channel indexing.
 
-Bit order follows the air interface: every field is transmitted LSB first
-except the CRC, which goes out most-significant bit first.  Whitening
-covers PDU and CRC only; preamble and access address are sent in clear.
+The link is fixed: packets, the CRC and the validator use the advertising
+access address and CRC init below as constants.  Bit order follows the
+air interface: every field is transmitted LSB first except the CRC, which
+goes out most-significant bit first.  Whitening covers PDU and CRC only;
+preamble and access address are sent in clear.
 """
 from __future__ import annotations
 
@@ -41,16 +43,17 @@ def _crc_table() -> np.ndarray:
     return table
 
 
-def crc24(bits: np.ndarray, init: int = ADVERTISING_CRC_INIT) -> int:
+def crc24(bits: np.ndarray) -> int:
     """CRC of a bit vector taken in transmission order.
 
     Returns the 24-bit register value; bit i of the result is the
-    coefficient of x^i.  The shift register starts at `init` and each
-    message bit is fed into the feedback path from the x^23 end, which is
-    what the byte table above implements eight bits at a time.
+    coefficient of x^i.  The shift register starts at the advertising CRC
+    init and each message bit is fed into the feedback path from the x^23
+    end, which is what the byte table above implements eight bits at a
+    time.
     """
     bits = as_bits(bits)
-    reg = init & 0xFFFFFF
+    reg = ADVERTISING_CRC_INIT
     table = _crc_table()
     n_whole = bits.size // 8
     if n_whole:
@@ -67,9 +70,9 @@ def crc24(bits: np.ndarray, init: int = ADVERTISING_CRC_INIT) -> int:
     return reg
 
 
-def crc24_bits(bits: np.ndarray, init: int = ADVERTISING_CRC_INIT) -> np.ndarray:
+def crc24_bits(bits: np.ndarray) -> np.ndarray:
     """CRC field in transmission order (register bit 23 first)."""
-    return int_to_bits(crc24(bits, init), 24, lsb_first=False)
+    return int_to_bits(crc24(bits), 24, lsb_first=False)
 
 
 @lru_cache(maxsize=64)
@@ -103,7 +106,7 @@ def whiten(bits: np.ndarray, channel: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelIndex:
-    """BLE channel index 0..39 with its non-linear frequency plan."""
+    """A BLE channel index, checked to lie in 0..39."""
 
     index: int
 
@@ -113,21 +116,17 @@ class ChannelIndex:
 
 @dataclass
 class LinkLayerPacket:
-    """Payload-bearing packet before modulation.
+    """Payload-bearing packet before modulation: its PDU and channel.
 
     `pdu` is an opaque bit vector; no header semantics are applied.
     """
 
-    access_address: int = ADVERTISING_ACCESS_ADDRESS
     pdu: np.ndarray = field(default_factory=lambda: np.zeros(16, dtype=np.uint8))
     channel: ChannelIndex = field(default_factory=lambda: ChannelIndex(37))
-    crc_init: int = ADVERTISING_CRC_INIT
 
     def __post_init__(self):
         self.pdu = as_bits(self.pdu)
         check_int("PDU bits", self.pdu.size, PDU_MIN_BITS, PDU_MAX_BITS)
-        check_int("access address", self.access_address, 0, 2**32 - 1)
-        check_int("crc_init", self.crc_init, 0, 2**24 - 1)
         if not isinstance(self.channel, ChannelIndex):
             raise ParamError(f"channel must be a ChannelIndex, got {self.channel!r}")
 
@@ -136,19 +135,15 @@ def assemble_uncoded(packet: LinkLayerPacket, mode: PhyMode) -> np.ndarray:
     """On-air bit stream for LE1M/LE2M: preamble | AA | whitened(PDU | CRC)."""
     if mode.coded:
         raise ParamError(f"{mode.value} packets are built by assemble_coded")
-    preamble = mode.preamble_bits(packet.access_address)
-    aa = int_to_bits(packet.access_address, 32, lsb_first=True)
-    body = np.concatenate([packet.pdu, crc24_bits(packet.pdu, packet.crc_init)])
-    return np.concatenate([preamble, aa, whiten(body, packet.channel.index)])
+    aa = int_to_bits(ADVERTISING_ACCESS_ADDRESS, 32, lsb_first=True)
+    body = np.concatenate([packet.pdu, crc24_bits(packet.pdu)])
+    return np.concatenate([mode.preamble_bits(), aa,
+                           whiten(body, packet.channel.index)])
 
 
-def validate_packet(
-    aa_rx: int,
-    aa_expected: int,
-    pdu_and_crc: np.ndarray,
-    crc_init: int = ADVERTISING_CRC_INIT,
-) -> tuple[bool, bool]:
-    """Check a received packet's address and CRC.
+def validate_packet(aa_rx: int, pdu_and_crc: np.ndarray) -> tuple[bool, bool]:
+    """Check a received packet's address and CRC against the advertising
+    ones.
 
     `pdu_and_crc` must already be de-whitened.  CRC is only evaluated when
     the address matched, so crc_ok always implies aa_ok.
@@ -159,11 +154,10 @@ def validate_packet(
             f"need at least {PDU_MIN_BITS + 24} bits of PDU+CRC, "
             f"got {pdu_and_crc.size}"
         )
-    aa_ok = aa_rx == aa_expected
-    if not aa_ok:
+    if aa_rx != ADVERTISING_ACCESS_ADDRESS:
         return False, False
     pdu, crc_rx = pdu_and_crc[:-24], pdu_and_crc[-24:]
-    crc_ok = crc24(pdu, crc_init) == int(
+    crc_ok = crc24(pdu) == int(
         sum(int(b) << (23 - i) for i, b in enumerate(crc_rx))
     )
-    return aa_ok, crc_ok
+    return True, crc_ok

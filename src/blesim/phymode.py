@@ -29,19 +29,16 @@ class PhyMode(Enum):
             return 16
         return 80
 
-    def preamble_bits(self, access_address: int = 0) -> np.ndarray:
+    def preamble_bits(self) -> np.ndarray:
         """Preamble bit pattern in transmission order.
 
-        Uncoded modes alternate 0/1 starting from the LSB of the access
-        address; coded modes repeat the fixed 8-symbol pattern 00111100
-        ten times regardless of the address.
+        Uncoded modes alternate 0/1 starting from the LSB of the advertising
+        access address; coded modes repeat the fixed 8-symbol pattern
+        00111100 ten times.
         """
         if self.coded:
             return np.tile(np.array([0, 0, 1, 1, 1, 1, 0, 0], dtype=np.uint8), 10)
-        first = access_address & 1
-        n = self.preamble_len
-        pattern = np.empty(n, dtype=np.uint8)
-        pattern[0::2] = first
-        pattern[1::2] = first ^ 1
-        return pattern
+        # llpacket imports this module, so the LSB of 0x8E89BED6, a 0, is
+        # written here; a test ties it to the constant.
+        return np.resize(np.array([0, 1], dtype=np.uint8), self.preamble_len)
 

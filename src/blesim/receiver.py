@@ -63,8 +63,6 @@ from .gmsk import (
     matched_filter,
 )
 from .llpacket import (
-    ADVERTISING_ACCESS_ADDRESS,
-    ADVERTISING_CRC_INIT,
     PDU_MAX_BITS,
     PDU_MIN_BITS,
     ChannelIndex,
@@ -695,8 +693,7 @@ def _decoded(cfg: ReceiverConfig, tau: int, coarse: float, sync: SyncResult,
     decode = _decode_coded if cfg.phy_mode.coded else _decode_uncoded
     try:
         aa_rx, clear = decode(soft, cfg)
-        report.aa_ok, report.crc_ok = validate_packet(
-            aa_rx, ADVERTISING_ACCESS_ADDRESS, clear, ADVERTISING_CRC_INIT)
+        report.aa_ok, report.crc_ok = validate_packet(aa_rx, clear)
     except LengthError as exc:
         report.reason = str(exc)
         return report

@@ -51,6 +51,9 @@ def test_channel_map_mask_round_trip():
     assert ChannelMap.from_mask(0b11).used == (0, 1)
     with pytest.raises(ParamError):
         ChannelMap.from_mask("0x2000000000")  # bit 37
+    for negative in (-1, "-0x1"):
+        with pytest.raises(ParamError, match="non-negative"):
+            ChannelMap.from_mask(negative)
 
 
 def test_hop_state_validation():

@@ -261,7 +261,7 @@ def test_viterbi_soft_beats_erasures():
 def test_assemble_coded_structure():
     rng = np.random.default_rng(27)
     pdu = random_bits(64, rng)
-    pkt = LinkLayerPacket(ADVERTISING_ACCESS_ADDRESS, pdu, ChannelIndex(37))
+    pkt = LinkLayerPacket(pdu, ChannelIndex(37))
     for mode, s in ((PhyMode.LE125K, 8), (PhyMode.LE500K, 2)):
         assert CODING_SCHEMES[mode].s == s
         sym = assemble_coded(pkt, mode)
@@ -284,8 +284,8 @@ def test_assemble_coded_structure():
 def test_block1_depends_only_on_access_address():
     # The first coded block never sees the payload: sync can rely on it.
     rng = np.random.default_rng(28)
-    pkt_a = LinkLayerPacket(0xC0FFEE11, random_bits(32, rng), ChannelIndex(4))
-    pkt_b = LinkLayerPacket(0xC0FFEE11, random_bits(200, rng), ChannelIndex(19))
+    pkt_a = LinkLayerPacket(random_bits(32, rng), ChannelIndex(4))
+    pkt_b = LinkLayerPacket(random_bits(200, rng), ChannelIndex(19))
     a = assemble_coded(pkt_a, PhyMode.LE125K)
     b = assemble_coded(pkt_b, PhyMode.LE125K)
     head = 80 + block1_symbol_count()
@@ -294,11 +294,11 @@ def test_block1_depends_only_on_access_address():
 
 def coded_symbols(packet, mode, ci, s):
     """assemble_coded with the CI field and block-2 scheme given by hand."""
-    aa = int_to_bits(packet.access_address, 32, lsb_first=True)
+    aa = int_to_bits(ADVERTISING_ACCESS_ADDRESS, 32, lsb_first=True)
     term = np.zeros(TERM_BITS, dtype=np.uint8)
     block1 = pattern_map(
         fec_encode(np.concatenate([aa, int_to_bits(ci, 2), term])), 8)
-    body = np.concatenate([packet.pdu, crc24_bits(packet.pdu, packet.crc_init)])
+    body = np.concatenate([packet.pdu, crc24_bits(packet.pdu)])
     block2 = pattern_map(
         fec_encode(np.concatenate([whiten(body, packet.channel.index), term])), s)
     return np.concatenate([mode.preamble_bits(), block1, block2])
@@ -315,8 +315,7 @@ def test_scheme_from_ci():
     # reserved CI value falls back to the mode's own scheme.
     rng = np.random.default_rng(29)
     pulse = gaussian_taps()
-    pkt = LinkLayerPacket(ADVERTISING_ACCESS_ADDRESS, random_bits(48, rng),
-                          ChannelIndex(12))
+    pkt = LinkLayerPacket(random_bits(48, rng), ChannelIndex(12))
     for mode, scheme in CODING_SCHEMES.items():
         assert np.array_equal(coded_symbols(pkt, mode, scheme.ci, scheme.s),
                               assemble_coded(pkt, mode))

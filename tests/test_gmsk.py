@@ -159,4 +159,9 @@ def test_read_iq_errors(tmp_path):
     bad.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(IoError):
         read_iq(bad)
+    # A header rate of 0 is a bad file too, named by its path.
+    for fs, rs in ((0, 1_000_000), (8_000_000, 0)):
+        bad.write_bytes(struct.pack("<4sIII", b"BIQ1", fs, rs, 0) + b"\x00" * 8)
+        with pytest.raises(IoError, match="bad.iq"):
+            read_iq(bad)
 

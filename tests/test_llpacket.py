@@ -1,8 +1,16 @@
 """Link-layer packet tests: CRC and whitening against independent oracles."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blesim.bits import bits_to_int, int_to_bits, random_bits
+from blesim.coded import (
+    CODING_SCHEMES,
+    TERM_BITS,
+    assemble_coded,
+    block1_symbol_count,
+    viterbi_decode,
+)
 from blesim.errors import LengthError, ParamError
 from blesim.llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
@@ -25,10 +33,10 @@ from blesim.phymode import PhyMode
 _POLY_POSITIONS = (0, 14, 15, 18, 20, 21, 23, 24)  # 24 - exponent
 
 
-def crc24_longdiv(bits, init=ADVERTISING_CRC_INIT):
+def crc24_longdiv(bits):
     d = [int(b) for b in bits] + [0] * 24
     for i in range(24):
-        d[i] ^= (init >> (23 - i)) & 1
+        d[i] ^= (ADVERTISING_CRC_INIT >> (23 - i)) & 1
     for i in range(len(bits)):
         if d[i]:
             for p in _POLY_POSITIONS:
@@ -62,13 +70,6 @@ def test_crc_register_value_matches_onair_bits():
         bits = crc24_bits(msg)
         reg = crc24(msg)
         assert reg == sum(int(b) << (23 - i) for i, b in enumerate(bits))
-
-
-def test_crc_custom_init():
-    rng = np.random.default_rng(6)
-    msg = random_bits(40, rng)
-    assert np.array_equal(crc24_bits(msg, 0xABCDEF), crc24_longdiv(msg, 0xABCDEF))
-    assert crc24(msg, 0) != crc24(msg, ADVERTISING_CRC_INIT)
 
 
 def test_crc_detects_single_and_double_flips():
@@ -131,22 +132,18 @@ def test_channel_index_range():
 
 def test_packet_pdu_length_limits():
     rng = np.random.default_rng(10)
-    LinkLayerPacket(ADVERTISING_ACCESS_ADDRESS, random_bits(16, rng),
-                    ChannelIndex(0))
-    LinkLayerPacket(ADVERTISING_ACCESS_ADDRESS, random_bits(2056, rng),
-                    ChannelIndex(0))
+    LinkLayerPacket(random_bits(16, rng), ChannelIndex(0))
+    LinkLayerPacket(random_bits(2056, rng), ChannelIndex(0))
     with pytest.raises(ParamError):
-        LinkLayerPacket(ADVERTISING_ACCESS_ADDRESS, random_bits(8, rng),
-                        ChannelIndex(0))
+        LinkLayerPacket(random_bits(8, rng), ChannelIndex(0))
     with pytest.raises(ParamError):
-        LinkLayerPacket(ADVERTISING_ACCESS_ADDRESS, random_bits(2064, rng),
-                        ChannelIndex(0))
+        LinkLayerPacket(random_bits(2064, rng), ChannelIndex(0))
 
 
 def test_assemble_uncoded_layout():
     rng = np.random.default_rng(11)
     pdu = random_bits(40, rng)
-    pkt = LinkLayerPacket(ADVERTISING_ACCESS_ADDRESS, pdu, ChannelIndex(37))
+    pkt = LinkLayerPacket(pdu, ChannelIndex(37))
     bits = assemble_uncoded(pkt, PhyMode.LE1M)
     assert bits.size == 8 + 32 + 40 + 24
     # Preamble alternates starting from the complement rule on AA bit 0;
@@ -166,25 +163,49 @@ def test_validate_packet_paths():
     rng = np.random.default_rng(12)
     pdu = random_bits(32, rng)
     body = np.concatenate([pdu, crc24_bits(pdu)])
-    aa_ok, crc_ok = validate_packet(
-        ADVERTISING_ACCESS_ADDRESS, ADVERTISING_ACCESS_ADDRESS, body,
-        ADVERTISING_CRC_INIT,
-    )
-    assert aa_ok and crc_ok
-    aa_ok, crc_ok = validate_packet(
-        ADVERTISING_ACCESS_ADDRESS ^ 1, ADVERTISING_ACCESS_ADDRESS, body,
-        ADVERTISING_CRC_INIT,
-    )
-    assert not aa_ok and not crc_ok
+    assert validate_packet(ADVERTISING_ACCESS_ADDRESS, body) == (True, True)
+    assert validate_packet(ADVERTISING_ACCESS_ADDRESS ^ 1, body) == (False, False)
     bad = body.copy()
     bad[3] ^= 1
-    aa_ok, crc_ok = validate_packet(
-        ADVERTISING_ACCESS_ADDRESS, ADVERTISING_ACCESS_ADDRESS, bad,
-        ADVERTISING_CRC_INIT,
-    )
-    assert aa_ok and not crc_ok
+    assert validate_packet(ADVERTISING_ACCESS_ADDRESS, bad) == (True, False)
     with pytest.raises(LengthError):
-        validate_packet(0, 0, np.zeros(30, dtype=np.uint8), 0)
+        validate_packet(ADVERTISING_ACCESS_ADDRESS, np.zeros(30, dtype=np.uint8))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(pdu=st.lists(st.integers(0, 1), min_size=16, max_size=600),
+       channel=st.integers(0, 39), flip=st.integers(0, 2**16))
+def test_packet_layer_round_trips(pdu, channel, flip):
+    # In every mode a packet's on-air address decodes to the advertising
+    # one and its de-whitened body validates; one flipped PDU or CRC bit
+    # fails the CRC alone.
+    pkt = LinkLayerPacket(np.array(pdu, dtype=np.uint8), ChannelIndex(channel))
+    for mode in PhyMode:
+        if mode.coded:
+            sym = assemble_coded(pkt, mode)[mode.preamble_len:]
+            n1 = block1_symbol_count()
+            aa_bits = viterbi_decode(sym[:n1], 8)[:32]
+            air = viterbi_decode(sym[n1:], CODING_SCHEMES[mode].s)[:-TERM_BITS]
+        else:
+            bits = assemble_uncoded(pkt, mode)[mode.preamble_len:]
+            aa_bits, air = bits[:32], bits[32:]
+        aa_rx = bits_to_int(aa_bits, lsb_first=True)
+        assert aa_rx == ADVERTISING_ACCESS_ADDRESS, mode
+        body = whiten(air, channel)
+        assert np.array_equal(body[:-24], pkt.pdu), mode
+        assert validate_packet(aa_rx, body) == (True, True), mode
+        body[flip % body.size] ^= 1
+        assert validate_packet(aa_rx, body) == (True, False), mode
+
+
+def test_uncoded_preamble_starts_with_the_address_lsb():
+    # phymode cannot import llpacket, so it writes the advertising
+    # address's LSB as a literal; this ties the two.
+    for mode in (PhyMode.LE1M, PhyMode.LE2M):
+        preamble = mode.preamble_bits()
+        assert preamble.size == mode.preamble_len
+        assert preamble[0] == ADVERTISING_ACCESS_ADDRESS & 1
+        assert np.all(preamble[1:] != preamble[:-1])
 
 
 def test_bit_helpers_round_trip():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.signal import lfilter
 
-from blesim.bits import random_bits
+from blesim.bits import int_to_bits, random_bits
 from blesim.channel import apply_cfo, apply_dc, awgn, interferer_at_rate, mix
 from blesim.errors import NoSignalError, ParamError, SyncFailure
 from blesim.gmsk import SPS, IqFrame, gaussian_taps, gmsk_modulate, matched_filter
@@ -15,7 +15,15 @@ from blesim.llpacket import (
     LinkLayerPacket,
     assemble_uncoded,
 )
-from blesim.coded import assemble_coded
+from blesim.coded import (
+    CI_FIELD_BITS,
+    CODING_SCHEMES,
+    TERM_BITS,
+    assemble_coded,
+    block1_symbol_count,
+    fec_encode,
+    pattern_map,
+)
 from blesim.phymode import PhyMode
 from blesim.receiver import (
     AGC_ALPHA,
@@ -40,12 +48,33 @@ from blesim.receiver import (
 PULSE = gaussian_taps()
 
 
+def readdress(bits, mode, access_address):
+    """A packet's on-air bits with another access address in them.
+
+    Uncoded modes send the address in clear after the preamble; coded
+    modes carry it in block 1, which is rebuilt from the new address.
+    """
+    bits = bits.copy()
+    aa = int_to_bits(access_address, 32, lsb_first=True)
+    start = mode.preamble_len
+    if not mode.coded:
+        bits[start:start + 32] = aa
+        return bits
+    ci = int_to_bits(CODING_SCHEMES[mode].ci, CI_FIELD_BITS, lsb_first=True)
+    term = np.zeros(TERM_BITS, dtype=np.uint8)
+    bits[start:start + block1_symbol_count()] = pattern_map(
+        fec_encode(np.concatenate([aa, ci, term])), 8)
+    return bits
+
+
 def make_frame(mode=PhyMode.LE1M, pdu_bits=64, lead=200, seed=0, channel=37,
                access_address=ADVERTISING_ACCESS_ADDRESS):
     rng = np.random.default_rng(seed)
     pdu = random_bits(pdu_bits, rng)
-    pkt = LinkLayerPacket(access_address, pdu, ChannelIndex(channel))
+    pkt = LinkLayerPacket(pdu, ChannelIndex(channel))
     bits = assemble_coded(pkt, mode) if mode.coded else assemble_uncoded(pkt, mode)
+    if access_address != ADVERTISING_ACCESS_ADDRESS:
+        bits = readdress(bits, mode, access_address)
     tx = gmsk_modulate(bits, PULSE, symbol_rate=mode.symbol_rate)
     x = np.concatenate([np.zeros(lead, complex), tx.samples,
                         np.zeros(128, complex)])

@@ -30,7 +30,7 @@ from blesim.harness import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from blesim.llpacket import ChannelIndex, LinkLayerPacket
+from blesim.llpacket import ChannelIndex
 from blesim.phymode import PhyMode
 
 BASE = scenario_to_dict(ScenarioConfig(
@@ -93,6 +93,8 @@ BAD_CONFIGS = {
                                                 "duty_cycle": 0.5}),
     "burst true": dict(WLAN, interferer={"burst_symbols": True}),
     "hop map 3.7": hopping(map=3.7),
+    "hop map -1": hopping(map=-1),
+    "hop map -0x1": hopping(map="-0x1"),
     # The profiles are fixed, so a profile object holds its kind alone:
     # taps and a K factor are unknown keys, and "custom" no kind.
     "tap delay -1": {"profile": {"kind": "custom", "taps": [[-1, 0.0]]}},
@@ -163,8 +165,7 @@ def test_python_constructor_checks_like_json():
                  lambda: ChannelMap([1.5, 3]),
                  lambda: ChannelMap([True, 3]),
                  lambda: HopState(7.5),
-                 lambda: ChannelIndex(True),
-                 lambda: LinkLayerPacket(access_address=1.5)):
+                 lambda: ChannelIndex(True)):
         with pytest.raises(ParamError):
             make()
     # The receivers' check hands pdu_bits back as an int.
