@@ -34,10 +34,7 @@ def bits_to_int(bits: np.ndarray, lsb_first: bool = True) -> int:
     """Pack a bit vector back into an unsigned integer."""
     bits = as_bits(bits)
     order = bits if lsb_first else bits[::-1]
-    value = 0
-    for i, b in enumerate(order):
-        value |= int(b) << i
-    return value
+    return int.from_bytes(np.packbits(order, bitorder="little").tobytes(), "little")
 
 
 def random_bits(n: int, rng: np.random.Generator) -> np.ndarray:

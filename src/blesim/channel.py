@@ -112,18 +112,30 @@ def reverberant_profile() -> ChannelProfile:
     return ChannelProfile.REVERBERANT
 
 
+@lru_cache(maxsize=16)
+def _tap_table(profile: ChannelProfile, sample_rate: float):
+    """A profile's tap delays in samples at sample_rate and its tap
+    amplitudes, the root of powers normalized to unit average gain;
+    read-only."""
+    scale = sample_rate / PROFILE_RATE_HZ
+    delays = np.array([int(round(d * scale)) for d, _ in profile.taps])
+    powers = np.array([10.0 ** (p / 10.0) for _, p in profile.taps])
+    powers /= powers.sum()
+    amplitudes = np.sqrt(powers)
+    for table in delays, amplitudes:
+        table.setflags(write=False)
+    return delays, amplitudes
+
+
 def channel_realization(profile: ChannelProfile, sample_rate: float,
                         seed: int) -> np.ndarray:
     """Draw one complex impulse response at the given sample rate."""
     rng = np.random.default_rng(seed)
-    scale = sample_rate / PROFILE_RATE_HZ
-    delays = np.array([int(round(d * scale)) for d, _ in profile.taps])
-    powers = np.array([10.0 ** (p / 10.0) for _, p in profile.taps])
-    powers /= powers.sum()  # unit average gain
-
+    delays, amplitudes = _tap_table(profile, sample_rate)
     cir = np.zeros(delays.max() + 1, dtype=np.complex128)
-    for i, (d, p) in enumerate(zip(delays, powers)):
-        diffuse = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
+    root2 = np.sqrt(2.0)
+    for i, (d, a) in enumerate(zip(delays, amplitudes)):
+        diffuse = (rng.standard_normal() + 1j * rng.standard_normal()) / root2
         if i == 0 and profile.rician_k_db is not None:
             theta = rng.uniform(0.0, 2.0 * np.pi)
             k = 10.0 ** (profile.rician_k_db / 10.0)
@@ -131,7 +143,7 @@ def channel_realization(profile: ChannelProfile, sample_rate: float,
                      + diffuse / np.sqrt(k + 1.0))
         else:
             coeff = diffuse
-        cir[d] += coeff * np.sqrt(p)
+        cir[d] += coeff * a
     return cir
 
 

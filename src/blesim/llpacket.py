@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bits import as_bits, int_to_bits
+from .bits import as_bits, bits_to_int, int_to_bits
 from .errors import LengthError, ParamError, check_int
 from .phymode import PhyMode
 
@@ -75,33 +75,36 @@ def crc24_bits(bits: np.ndarray) -> np.ndarray:
     return int_to_bits(crc24(bits), 24, lsb_first=False)
 
 
-@lru_cache(maxsize=64)
-def _whitening_period(channel: int) -> np.ndarray:
-    """One full 127-bit period of the whitening LFSR for a channel index.
+# Room for every channel at three lengths; a campaign whitens one length.
+@lru_cache(maxsize=128)
+def _whitening(channel: int, n: int) -> np.ndarray:
+    """The first n bits of the whitening sequence of a channel index,
+    read-only.
 
-    Register polynomial x^7 + x^4 + 1.  Position 0 starts at 1 and
-    positions 1..6 hold the channel index MSB first; the output is taken
-    from position 6 and feeds back into positions 0 and 4.
+    The LFSR has the register polynomial x^7 + x^4 + 1 and a period of
+    127 bits.  Position 0 starts at 1 and positions 1..6 hold the channel
+    index MSB first; the output is taken from position 6 and feeds back
+    into positions 0 and 4.
     """
     state = [1] + [(channel >> (5 - i)) & 1 for i in range(6)]
-    out = np.empty(127, dtype=np.uint8)
-    for n in range(127):
+    period = np.empty(127, dtype=np.uint8)
+    for i in range(127):
         fb = state[6]
-        out[n] = fb
+        period[i] = fb
         state = [fb, state[0], state[1], state[2], state[3] ^ fb, state[4], state[5]]
-    return out
+    seq = np.tile(period, -(-n // 127))[:n]
+    seq.setflags(write=False)
+    return seq
 
 
 def whitening_sequence(channel: int, n: int) -> np.ndarray:
-    period = _whitening_period(ChannelIndex(channel).index)
-    reps = -(-n // 127)
-    return np.tile(period, reps)[:n]
+    return _whitening(ChannelIndex(channel).index, n).copy()
 
 
 def whiten(bits: np.ndarray, channel: int) -> np.ndarray:
     """XOR a bit vector with the channel's whitening sequence (involution)."""
     bits = as_bits(bits)
-    return bits ^ whitening_sequence(channel, bits.size)
+    return bits ^ _whitening(ChannelIndex(channel).index, bits.size)
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,4 @@ def validate_packet(aa_rx: int, pdu_and_crc: np.ndarray) -> tuple[bool, bool]:
     if aa_rx != ADVERTISING_ACCESS_ADDRESS:
         return False, False
     pdu, crc_rx = pdu_and_crc[:-24], pdu_and_crc[-24:]
-    crc_ok = crc24(pdu) == int(
-        sum(int(b) << (23 - i) for i, b in enumerate(crc_rx))
-    )
-    return True, crc_ok
+    return True, crc24(pdu) == bits_to_int(crc_rx, lsb_first=False)

@@ -12,9 +12,10 @@ searches every lag at which the shortest packet the config can receive
 still fits in the frame.  The coded modes acquire from the preamble's
 repetition instead: its delay-and-correlate metric gives the coarse CFO
 and a few candidate starts, and sync searches short lag windows around
-them.  The fine CFO that sync estimates is applied by the differential
-detector as one rotation of its lag-SPS products, not by derotating the
-frame.
+them.  Sync's fine CFO is a closed-form weighted least-squares line
+through the phases of its reference segments' correlations at the peak,
+and the differential detector applies it as one rotation of its lag-SPS
+products, not by derotating the frame.
 
 receive() computes only the samples it reads, in every mode: each sync
 window derotates and filters the span that its overlap-save blocks
@@ -40,8 +41,11 @@ the public API surface as report flags, never exceptions.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -180,8 +184,9 @@ def _pole_weights(alpha: float, gain: float):
 
 
 def _one_pole(v: np.ndarray, alpha: float, y0, gain: float = 1.0,
-              scale: int = 0) -> np.ndarray:
-    """y[n] = alpha*y[n-1] + gain*v[n] from y[-1] = y0, for 0 < alpha < 1.
+              scale: int = 0, difference: bool = False) -> np.ndarray:
+    """y[n] = alpha*y[n-1] + gain*v[n] from y[-1] = y0, for 0 < alpha < 1,
+    or with v[n] - v[n-1] (v[-1] = 0) in place of v[n] if `difference`.
 
     lfilter([gain], [1, -alpha], v, zi=[alpha*y0]) up to rounding,
     computed block by block: within a block y is alpha**i times a
@@ -190,12 +195,17 @@ def _one_pole(v: np.ndarray, alpha: float, y0, gain: float = 1.0,
     weights reach alpha**-255 (1.4e7 for the AGC's pole), so if a sum
     overflows, it is formed again with the weights and y0 scaled by
     2**-64, an exact power of two, and y scaled back: y then overflows
-    only where the recurrence itself does.
+    only where the recurrence itself does.  y is a view of a buffer made
+    for the call, so the caller may overwrite it.
     """
     n = v.size
     rise, fall, last = _pole_weights(alpha, gain * 2.0 ** -scale)
     u = np.zeros((-(-n // _BLOCK), _BLOCK), np.result_type(v, float))
-    u.ravel()[:n] = v
+    if difference:
+        u.ravel()[:1] = v[:1]
+        np.subtract(v[1:], v[:-1], out=u.ravel()[1:n])
+    else:
+        u.ravel()[:n] = v
     with np.errstate(over="ignore", invalid="ignore"):
         u *= rise
         np.cumsum(u, axis=1, out=u)
@@ -206,7 +216,7 @@ def _one_pole(v: np.ndarray, alpha: float, y0, gain: float = 1.0,
             carry.append(alpha * y_end)
             y_end = last * (end + alpha * y_end)
         if not (scale or cmath.isfinite(y_end)):
-            return _one_pole(v, alpha, y0, gain, 64)
+            return _one_pole(v, alpha, y0, gain, 64, difference)
         u += np.array(carry)[:, None]
         u *= fall
         y = u.ravel()[:n]
@@ -226,17 +236,16 @@ def agc(frame: IqFrame) -> IqFrame:
     # Seed the tracker with the first sample's power to avoid a cold-start
     # spike, then clamp so silent stretches cannot produce infinite gain.
     p = _one_pole(power, 1.0 - a, max(float(power[0]), 1e-18), gain=a)
-    p = np.maximum(p, 1e-18)
-    return frame.replace(x * np.sqrt(1.0 / p))
+    np.maximum(p, 1e-18, out=p)
+    np.divide(1.0, p, out=p)
+    return frame.replace(x * np.sqrt(p, out=p))
 
 
 def dc_notch(frame: IqFrame) -> IqFrame:
     """First-order complex notch at 0 Hz: (1 - z^-1) / (1 - r z^-1), r =
     NOTCH_RADIUS."""
-    x = frame.samples
-    v = x.copy()
-    v[1:] -= x[:-1]
-    return frame.replace(_one_pole(v, NOTCH_RADIUS, 0.0))
+    return frame.replace(_one_pole(frame.samples, NOTCH_RADIUS, 0.0,
+                                   difference=True))
 
 
 @lru_cache(maxsize=32)
@@ -375,8 +384,9 @@ def _template(mode: PhyMode):
     segments = tuple((d + i * seg_len, d + (i + 1) * seg_len) for i in range(n_seg))
     spectra = np.conj(np.fft.fft([ref[a:b] for a, b in segments], SYNC_NFFT,
                                  axis=1))
-    spectra.setflags(write=False)
-    norms = tuple(float(np.linalg.norm(ref[a:b])) for a, b in segments)
+    norms = np.array([np.linalg.norm(ref[a:b]) for a, b in segments])
+    for table in spectra, norms:
+        table.setflags(write=False)
     return ref, segments, spectra, norms
 
 
@@ -415,27 +425,81 @@ def _sync_span(mode: PhyMode, n_lags: int) -> int:
                _template(mode)[0].size + n_lags - 1)
 
 
+def _strided(a: np.ndarray, shape: tuple, offset: int, strides: tuple
+             ) -> np.ndarray:
+    """A view of the contiguous array a from element `offset` on, of the
+    given shape and strides, both counted in elements."""
+    return np.ndarray(shape, a.dtype, a, offset * a.itemsize,
+                      tuple(s * a.itemsize for s in strides))
+
+
+def _fine_cfo(corrs: list[complex], times: list[float]) -> float:
+    """The frequency, in Hz, of the line through the phases of `corrs` at
+    `times`, each weighted by its magnitude.
+
+    The phases are unwrapped by numpy's unwrap rule, and the line is the
+    weighted least-squares one: with w the magnitudes and t0 and phi0 the
+    w^2-weighted means, its slope is sum w^2 (t - t0)(phi - phi0) over
+    sum w^2 (t - t0)^2, numpy's polyfit(times, phases, 1, w=w) up to
+    rounding.  The weights count relative to the largest, so their
+    squares neither overflow nor all underflow.  With no spread of
+    weighted times, as with fewer than two non-zero weights, the result
+    is 0.0.
+    """
+    mags = [abs(z) for z in corrs]
+    top = max(mags, default=0.0)
+    if not top > 0:
+        return 0.0
+    w2 = [(m / top) ** 2 for m in mags]
+    phases, turn, prev = [], 0.0, 0.0
+    for z in corrs:
+        phi = cmath.phase(z)
+        # unwrap: a step of pi or more is taken to the one in [-pi, pi]
+        # that differs from it by a multiple of 2*pi, +pi staying +pi.
+        step = phi - prev
+        if phases and abs(step) >= math.pi:
+            wrapped = (step + math.pi) % (2.0 * math.pi) - math.pi
+            if wrapped == -math.pi and step > 0:
+                wrapped = math.pi
+            turn += wrapped - step
+        prev = phi
+        phases.append(phi + turn)
+    total = sum(w2)
+    t0 = sum(map(mul, w2, times)) / total
+    phi0 = sum(map(mul, w2, phases)) / total
+    dt = [t - t0 for t in times]
+    wdt = list(map(mul, w2, dt))
+    spread = sum(map(mul, wdt, dt))
+    if spread == 0:
+        return 0.0
+    slope = sum(d * (phi - phi0) for d, phi in zip(wdt, phases)) / spread
+    return slope / (2.0 * math.pi)
+
+
 def synchronize(frame: IqFrame, cfg: ReceiverConfig,
                 max_lag: int | None = None) -> SyncResult:
     """Locate the packet and estimate residual CFO from the preamble region.
 
     The reference is split into short segments that are correlated
     coherently and combined non-coherently, so the search tolerates a few
-    kHz of post-coarse frequency error; the phase ramp across segment
-    correlations then gives the fine CFO.  The correlations run by
+    kHz of post-coarse frequency error.  The correlations run by
     overlap-save: one FFT of the frame's blocks is shared by every
     segment, each segment multiplies only the blocks that hold its lags,
-    and one inverse FFT transforms every segment's products.
+    all in one product, and one inverse FFT transforms every segment's
+    products.  The fine CFO is the closed-form weighted least-squares
+    line through the phases of the segments' correlations at the peak
+    (_fine_cfo), each correlation taken directly from the samples.
 
     The search covers the lags 0..max_lag at which the reference fits;
     None searches every lag.  A negative max_lag raises SyncFailure.
     Over the lags both searches cover, the correlations are the full
     search's to the bit.  A lag window lo..hi is searched on the stream
     from lo on, with max_lag hi - lo: that splits the stream into other
-    blocks than a search from 0 and matches it to rounding.  The search
-    reads only the first _sync_span samples, so that span alone gives the
-    same tau, fine CFO and peak to the bit.  The fine CFO is returned,
-    not applied: the differential detector takes it as a rotation.
+    blocks than a search from 0 and matches it to rounding, and gives
+    the same fine CFO to the bit.  The search reads only the first
+    _sync_span samples, so that span alone gives the same tau, fine CFO
+    and peak to the bit.  The fine CFO is returned, not applied: the
+    differential detector takes it as a rotation.
     """
     ref, segments, spectra, norms = _template(cfg.phy_mode)
     n_lags = _sync_lags(len(frame), cfg.phy_mode, max_lag)
@@ -455,36 +519,52 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
     # Over silence the correlations are FFT round-off, up to about 1e-16
     # of the blocks' amplitude, so a window with less than 1e-20 of
     # their energy counts as that much and silence reads near 0.
-    energy = np.concatenate([[0.0], np.cumsum(np.abs(x[:read]) ** 2)])
+    held = np.ascontiguousarray(x[:read])
+    if held.size < read:
+        held = np.concatenate((held, np.zeros(read - held.size, held.dtype)))
+    power = np.abs(held)
+    np.multiply(power, power, out=power)
+    energy = np.zeros(read + 1)
+    np.cumsum(power, out=energy[1:])
     floor = max(1e-20 * energy[-1], 1e-30)
-    rms = np.sqrt(np.maximum(energy[seg_len:] - energy[:-seg_len], floor))
-    blocks = np.zeros((n_blocks, SYNC_NFFT), dtype=np.complex128)
-    for i, row in enumerate(blocks):
-        part = x[p0 + i * step:p0 + i * step + SYNC_NFFT]
-        row[:part.size] = part
+    rms = energy[seg_len:] - energy[:-seg_len]
+    np.sqrt(np.maximum(rms, floor, out=rms), out=rms)
+    # The blocks are one strided view of the samples, zero-padded past
+    # the end of x (padding adds nothing to the energies), copied before
+    # the FFT: numpy's FFT of the strided view itself is slower.
+    blocks = _strided(held, (n_blocks, SYNC_NFFT), p0, (step, 1)).copy()
     np.fft.fft(blocks, axis=1, out=blocks)
 
     # Segment (a, b) reads its lags from block rows (a-p0)//step through
-    # (a-p0+n_lags-1)//step only; its products fill the next rows of one
-    # buffer, which is inverse-transformed at once.
-    rows = [range((a - p0) // step, (a - p0 + n_lags - 1) // step + 1)
-            for a, _ in segments]
-    c = np.empty((sum(map(len, rows)), SYNC_NFFT), dtype=np.complex128)
-    at = 0
-    for r, spec in zip(rows, spectra):
-        np.multiply(blocks[r.start:r.stop], spec, out=c[at:at + len(r)])
-        at += len(r)
+    # (a-p0+n_lags-1)//step only.  Those rows, segment after segment,
+    # times their segment's spectrum fill one buffer, which is
+    # inverse-transformed at once; segment s's rows start at row at[s].
+    first = [(a - p0) // step for a, _ in segments]
+    counts = [(a - p0 + n_lags - 1) // step - f + 1
+              for (a, _), f in zip(segments, first)]
+    at = accumulate(counts, initial=0)
+    c = blocks[[r for f, k in zip(first, counts) for r in range(f, f + k)]]
+    c *= np.repeat(spectra, counts, axis=0)
     np.fft.ifft(c, axis=1, out=c)
-    mag = np.abs(c[:, :step])
-    num = np.zeros(n_lags)
-    den = np.full(n_lags, 1e-30)
-    at = 0
-    for (a, _), r, norm in zip(segments, rows, norms):
-        offset = (a - p0) % step
-        num += mag[at:at + len(r)].ravel()[offset:offset + n_lags]
-        den += norm * rms[a:a + n_lags]
-        at += len(r)
-    rho = num / den
+    # Segment s's correlations at lags 0..n_lags-1 are the magnitudes
+    # from (a-p0)%step on in its rows, and the energies it divides by
+    # those from a on in rms: rows of strided views of lag windows.  num
+    # and den add the segments in order, den from 1e-30, by one sum down
+    # the rows each.  numpy adds the rows one after the other, lag by
+    # lag, when there are two lag columns or more (a single column is
+    # summed pairwise), so a single lag is read twice.
+    width, lag = (n_lags, 1) if n_lags > 1 else (2, 0)
+    mag = np.abs(c[:, :step]).ravel()
+    lag_windows = _strided(mag, (mag.size - (width - 1) * lag, width), 0, (1, lag))
+    num = np.add.reduce(lag_windows[[r * step + (a - p0) % step
+                                     for r, (a, _) in zip(at, segments)]])
+    terms = np.empty((len(segments) + 1, width))
+    terms[0] = 1e-30
+    np.multiply(norms[:, None],
+                _strided(rms, (len(segments), width), p0, (seg_len, lag)),
+                out=terms[1:])
+    den = np.add.reduce(terms)
+    rho = num[:n_lags] / den[:n_lags]
     tau = int(np.argmax(rho))
     peak = float(rho[tau])
     if peak < cfg.preamble_detect_threshold:
@@ -493,17 +573,14 @@ def synchronize(frame: IqFrame, cfg: ReceiverConfig,
             f"{cfg.preamble_detect_threshold:.3f}"
         )
 
-    # Fine CFO: weighted slope of the segment correlation phases at tau.
-    corrs = np.array([np.vdot(ref[a:b], x[tau + a:tau + b]) for a, b in segments])
-    phases = np.unwrap(np.angle(corrs))
-    weights = np.abs(corrs)
-    times = np.array([(a + b) / 2.0 for a, b in segments]) / frame.sample_rate
-    if len(segments) >= 2 and weights.sum() > 0:
-        slope = np.polyfit(times, phases, 1, w=weights)[0]
-        fine = float(slope / (2.0 * np.pi))
-    else:
-        fine = 0.0
-    return SyncResult(tau, fine, peak)
+    # The correlations at tau come from the samples, not from c, so a
+    # lag window gives the full search's fine CFO to the bit: row s is
+    # np.vdot(ref[a:b], x[tau + a:tau + b]) of segment (a, b).
+    end = segments[-1][1]
+    corrs = np.vecdot(ref[p0:end].reshape(-1, seg_len),
+                      x[tau + p0:tau + end].reshape(-1, seg_len)).tolist()
+    times = [(a + b) / 2.0 / frame.sample_rate for a, b in segments]
+    return SyncResult(tau, _fine_cfo(corrs, times), peak)
 
 
 def _boundaries(mf_samples: np.ndarray, start: int, count: int) -> np.ndarray:

@@ -113,7 +113,7 @@ CAPTURES = {
 # sha256 of each capture's stages.json: the scenario, the frame and the
 # report of receive() on it.
 REPORTS = {
-    "LE1M": "3914ab75f89a02e45e8b032adfcbf6f67a791e45a7949bd829530fc61f446803",
+    "LE1M": "9a67d27a8eb2bfd445ee087e5d672c18909ca69e3874913d881e2050c1b66ae7",
     "LE2M": "5ef5ed7da1a3e817fcb7879c751924cf93f3d96be2ba294a1724fd4b398d627b",
     "LE500K": "1239bf1990da21b6b9a241cc93b566592c625a3d147f79ff4fbcbabb7a1bec0b",
     "LE125K": "3471c6152c9f2cc195b2496d18f33d55283a1d525f07d9b350656c20e22787ca",

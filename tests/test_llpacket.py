@@ -209,8 +209,11 @@ def test_uncoded_preamble_starts_with_the_address_lsb():
 
 
 def test_bit_helpers_round_trip():
+    # Widths on and off whole bytes: bits_to_int packs the bits by bytes.
     rng = np.random.default_rng(13)
-    for _ in range(50):
-        v = int(rng.integers(0, 2**32))
-        assert bits_to_int(int_to_bits(v, 32, lsb_first=True), lsb_first=True) == v
-        assert bits_to_int(int_to_bits(v, 32, lsb_first=False), lsb_first=False) == v
+    for width in (1, 2, 7, 8, 24, 32, 33, 64):
+        for _ in range(50):
+            v = int.from_bytes(rng.bytes(8), "little") >> (64 - width)
+            for lsb_first in (True, False):
+                bits = int_to_bits(v, width, lsb_first=lsb_first)
+                assert bits_to_int(bits, lsb_first=lsb_first) == v

@@ -1,6 +1,6 @@
-"""Preamble sync against the per-segment fftconvolve oracle, receive()
-against the whole-stream reference chain, and receive() robustness on
-arbitrary IQ."""
+"""Preamble sync against the per-segment fftconvolve oracle, its fine-CFO
+line against np.polyfit, receive() against the whole-stream reference
+chain, and receive() robustness on arbitrary IQ."""
 import warnings
 from unittest import mock
 
@@ -217,6 +217,63 @@ def test_windowed_search_matches_full_search(mode, lead, cfo, snr, seed,
             assert got.peak_correlation == pytest.approx(
                 full.peak_correlation, abs=1e-9)
             assert got.fine_cfo_hz == full.fine_cfo_hz
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mode=st.sampled_from([PhyMode.LE1M, PhyMode.LE500K]),
+       cfo=st.floats(-60e3, 60e3),
+       start=st.floats(-np.pi, np.pi),
+       data=st.data())
+def test_fine_cfo_matches_polyfit(mode, cfo, start, data):
+    # The closed-form line through the unwrapped segment phases against
+    # np.polyfit on np.unwrap's phases, at the segment times of the
+    # 5-segment LE1M and 10-segment LE500K references: correlations of
+    # magnitudes 0.1 to 10 along a phase ramp of up to 60 kHz, which
+    # wraps through +-pi, each turned by up to +-pi/2 off the ramp.
+    # polyfit's own error grows with the spread of the weights: with
+    # four weights of 1/256 and one of 1.5 it is 1.3e-9 Hz off the exact
+    # rational slope, which the closed form meets to the bit.
+    segments = _template(mode)[1]
+    fs = SPS * mode.symbol_rate
+    times = [(a + b) / 2.0 / fs for a, b in segments]
+    n = len(segments)
+    mags = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    turns = data.draw(st.lists(st.floats(-np.pi / 2, np.pi / 2), min_size=n,
+                               max_size=n))
+    corrs = [m * np.exp(1j * (start + 2.0 * np.pi * cfo * t + d))
+             for m, t, d in zip(mags, times, turns)]
+    want = np.polyfit(times, np.unwrap(np.angle(corrs)), 1,
+                      w=np.abs(corrs))[0] / (2.0 * np.pi)
+    assert receiver._fine_cfo(corrs, times) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", list(PhyMode))
+def test_single_segment_peak_gives_zero_fine_cfo_without_warning(mode):
+    # Zeros but for the reference's first segment at lag 100: at the peak
+    # only that segment's correlation is non-zero, so the segment phases
+    # fix no line.  The fine CFO reads 0, and no warning is raised (a
+    # warning fails the test).
+    ref, segments = _template(mode)[:2]
+    a, b = segments[0]
+    x = np.zeros(ref.size + 200, complex)
+    x[100 + a:100 + b] = ref[a:b]
+    frame = IqFrame(x, SPS * mode.symbol_rate, mode.symbol_rate)
+    sync = synchronize(frame, rx_cfg(mode))
+    assert sync.timing_offset == 100
+    assert sync.fine_cfo_hz == 0.0
+
+
+@pytest.mark.parametrize("mode", list(PhyMode))
+def test_receive_runs_without_a_least_squares_fit(mode):
+    # The fine CFO is a closed-form line: receive() finds and decodes a
+    # clean packet with numpy's fit, unwrap and least-squares solver made
+    # to raise.
+    frame = tx_frame(mode, 300, 17)
+    with mock.patch.object(np, "polyfit", side_effect=AssertionError), \
+            mock.patch.object(np, "unwrap", side_effect=AssertionError), \
+            mock.patch.object(np.linalg, "lstsq", side_effect=AssertionError):
+        report = receive(frame, rx_cfg(mode))
+    assert report.crc_ok and report.timing_offset == 300
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
