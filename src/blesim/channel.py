@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import LengthError, ParamError
-from .gmsk import IqFrame
+from .gmsk import IqFrame, phase_ramp, serial_matmul
 
 
 def measured_power(samples: np.ndarray) -> float:
@@ -129,21 +129,25 @@ def _tap_table(profile: ChannelProfile, sample_rate: float):
 
 def channel_realization(profile: ChannelProfile, sample_rate: float,
                         seed: int) -> np.ndarray:
-    """Draw one complex impulse response at the given sample rate."""
+    """Draw one complex impulse response at the given sample rate.
+
+    Each tap's diffuse part is a pair of standard normals, drawn for all
+    taps at once in tap order: the values of one scalar draw each.  The
+    Rician profile, LOS, has one tap, so its phase, drawn next, follows
+    tap 0's pair.  Taps whose delays round to the same sample add up, in
+    tap order.
+    """
     rng = np.random.default_rng(seed)
     delays, amplitudes = _tap_table(profile, sample_rate)
+    coeff = rng.standard_normal(2 * delays.size).view(complex) / np.sqrt(2.0)
+    k_db = profile.rician_k_db
+    if k_db is not None:
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        k = 10.0 ** (k_db / 10.0)
+        coeff[0] = (np.sqrt(k / (k + 1.0)) * np.exp(1j * theta)
+                    + coeff[0] / np.sqrt(k + 1.0))
     cir = np.zeros(delays.max() + 1, dtype=np.complex128)
-    root2 = np.sqrt(2.0)
-    for i, (d, a) in enumerate(zip(delays, amplitudes)):
-        diffuse = (rng.standard_normal() + 1j * rng.standard_normal()) / root2
-        if i == 0 and profile.rician_k_db is not None:
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            k = 10.0 ** (profile.rician_k_db / 10.0)
-            coeff = (np.sqrt(k / (k + 1.0)) * np.exp(1j * theta)
-                     + diffuse / np.sqrt(k + 1.0))
-        else:
-            coeff = diffuse
-        cir[d] += coeff * a
+    np.add.at(cir, delays, coeff * amplitudes)
     return cir
 
 
@@ -163,10 +167,8 @@ def apply_cfo(frame: IqFrame, offset_hz: float) -> IqFrame:
         raise ParamError(
             f"offset {offset_hz} Hz outside +-fs/2 ({frame.sample_rate / 2.0} Hz)"
         )
-    n = np.arange(len(frame))
-    return frame.replace(
-        frame.samples * np.exp(2j * np.pi * offset_hz * n / frame.sample_rate)
-    )
+    ramp = phase_ramp(2.0 * np.pi * offset_hz / frame.sample_rate, 0, len(frame))
+    return frame.replace(np.multiply(frame.samples, ramp, out=ramp))
 
 
 def apply_dc(frame: IqFrame, dc_dbc: float, phase_rad: float = 0.0) -> IqFrame:
@@ -237,17 +239,9 @@ def interferer_at_rate(n_samples: int, fs: float, seed: int) -> IqFrame:
     kept, basis = _ofdm_tones(fs)
     n_syms = (n_samples - 1) // basis.shape[1] + 1
     symbols = _QPSK[rng.integers(0, 4, size=(n_syms, _SUBCARRIERS.size))[:, kept]]
-    # OpenBLAS threads a product once m*n*k passes about 65,536, and its
-    # threads then spin for milliseconds of CPU.  Blocks of at most 16 rows
-    # stay below that at 8 and 16 Msps (12,288 and 51,200).  Blocks of
-    # near-equal size hold 8 rows or more once there are 17, never the one
-    # row that numpy would multiply as a vector, which can round
-    # differently; so the samples are one product's, bit for bit.
-    n_blocks = -(-n_syms // 16)
-    edges = [n_syms * i // n_blocks for i in range(n_blocks + 1)]
+    # The samples are one product's, bit for bit, on the calling thread.
     rows = np.empty((n_syms, basis.shape[1]), complex)
-    for a, b in zip(edges, edges[1:]):
-        np.matmul(symbols[a:b], basis, out=rows[a:b])
+    serial_matmul(symbols, basis, rows)
     return IqFrame(rows.ravel()[:n_samples], fs, WLAN_BANDWIDTH_HZ / 64.0)
 
 

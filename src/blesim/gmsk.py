@@ -1,19 +1,23 @@
 """GMSK modulator, pulse filters and the complex-baseband frame container.
 
-The modulator is a classic CPM chain: NRZ impulses -> Gaussian frequency
-pulse -> phase accumulator -> unit-envelope complex exponential.  The
-frequency pulse is the convolution of a Gaussian (3 dB bandwidth BT times
-the symbol rate, SPAN symbols long) with a one-symbol rectangle,
-normalised so each symbol advances the phase by exactly pi*H.  BT, H and
-SPAN are BLE's for every PHY mode, and every frame has SPS samples per
-symbol, so they are constants, not options.  The same pulse serves as
-the receiver's matched filter; demodulation lives in the receiver.
+The modulator is a classic CPM chain: NRZ symbols -> Gaussian frequency
+pulse, one small product of each symbol's NRZ window with the pulse's
+SPS-tap phases -> phase accumulator -> the phase's cosine and sine as
+the real and imaginary parts.  The frequency pulse is the convolution of
+a Gaussian (3 dB bandwidth BT times the symbol rate, SPAN symbols long)
+with a one-symbol rectangle, normalised so each symbol advances the
+phase by exactly pi*H.  BT, H and SPAN are BLE's for every PHY mode, and
+every frame has SPS samples per symbol, so they are constants, not
+options.  The same pulse serves as the receiver's matched filter, a
+polyphase filter over rows of SPS samples; demodulation lives in the
+receiver.  phase_ramp builds the linear phase ramps of carrier offsets
+from two short tables.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -101,6 +105,14 @@ class PulseShape:
         """Group delay of the (odd, symmetric) tap vector in samples."""
         return (self.taps.size - 1) // 2
 
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """The taps at every output phase of polyphase (see tap_phases);
+        read-only."""
+        weights = tap_phases(self.taps, tuple(range(SPS)))
+        weights.setflags(write=False)
+        return weights
+
 
 @lru_cache(maxsize=1)
 def gaussian_taps() -> PulseShape:
@@ -114,10 +126,120 @@ def gaussian_taps() -> PulseShape:
     t = (np.arange(n) - (n - 1) / 2.0) / SPS
     # Gaussian with 3 dB cutoff at BT * symbol_rate.
     gauss = np.exp(-2.0 * np.pi**2 * BT**2 * t**2 / np.log(2.0))
-    taps = np.convolve(gauss, np.ones(SPS))
+    # The one-symbol box: each tap sums SPS Gaussian samples in order,
+    # as np.convolve(gauss, np.ones(SPS)) does, to the bit.
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(gauss, SPS - 1), SPS)
+    taps = np.cumsum(windows, axis=1)[:, -1]
     taps /= taps.sum()
     taps.flags.writeable = False
     return PulseShape(taps=taps)
+
+
+# OpenBLAS runs a product on its thread pool once m*n*k passes about
+# 65,536, and its threads then spin for milliseconds of CPU after the
+# call; every product here stays at or under that.
+_SERIAL_MNK = 65_536
+
+
+def _serial_blocks(rows: int, k: int, n: int) -> list[tuple[int, int]]:
+    """Row blocks [lo, hi) of near-equal size that split a product of rows
+    x k by k x n into products OpenBLAS runs on the calling thread.  Once
+    there are two, each holds at least half the rows the limit allows."""
+    per = max(_SERIAL_MNK // max(k * n, 1), 2)
+    n_blocks = max(-(-rows // per), 1)
+    return [(rows * i // n_blocks, rows * (i + 1) // n_blocks)
+            for i in range(n_blocks)]
+
+
+def serial_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ b for 2-D a and b, in the row blocks of _serial_blocks.
+
+    Where the limit allows four rows or more, as for every product here,
+    no block is the one row that numpy would multiply as a vector, which
+    can round differently, unless a is one row.  OpenBLAS computes each
+    row of a product alike, whatever rows share its block, so every row
+    of out is what one product gives, to the bit.
+    """
+    for lo, hi in _serial_blocks(a.shape[0], a.shape[1], b.shape[1]):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    return out
+
+
+# phase_ramp's blocks: one exp per block and one per offset in a block.
+_RAMP_BLOCK = 64
+
+
+def phase_ramp(w: float, a: int, b: int) -> np.ndarray:
+    """e^{jwn} for n in [a, b), a <= b, as a new array.
+
+    Sample n is e^{jw*B*k} times e^{jw*i}, with n = B*k + i and B =
+    _RAMP_BLOCK: the outer product of one exp per block and one per
+    offset, not one exp per sample.  Its value depends on n alone, so a
+    slice of a ramp equals the same samples of a longer one to the bit.
+    """
+    k0, k1 = a // _RAMP_BLOCK, -(-b // _RAMP_BLOCK)
+    blocks = np.exp(1j * w * (_RAMP_BLOCK * np.arange(k0, k1)))
+    # A ramp within one block needs only the offsets up to its end.
+    offsets = np.exp(1j * w * np.arange(min(_RAMP_BLOCK, b - k0 * _RAMP_BLOCK)))
+    ramp = np.multiply.outer(blocks, offsets).ravel()
+    return ramp[a - k0 * _RAMP_BLOCK:b - k0 * _RAMP_BLOCK]
+
+
+@lru_cache(maxsize=4)
+def _phase_index(n_taps: int, phases: tuple) -> np.ndarray:
+    """tap_phases' gather: for each weight, its tap's index, or n_taps
+    where it falls past either end; read-only."""
+    shifts = -(-(n_taps - 1 - min(phases)) // SPS) + 1
+    k = (SPS * np.arange(shifts)[:, None, None]
+         - np.arange(SPS)[None, :, None] + np.array(phases)[None, None, :])
+    index = np.where((k >= 0) & (k < n_taps), k, n_taps)
+    index.setflags(write=False)
+    return index
+
+
+def tap_phases(taps: np.ndarray, phases: tuple) -> np.ndarray:
+    """Taps split into SPS-tap phases for polyphase: w[d, s, i] is tap
+    d*SPS + phases[i] - s, 0 past either end, which sample s of input row
+    r - d meets in output sample r*SPS + phases[i], for each d up to the
+    furthest row back that the taps reach from the lowest phase."""
+    return np.append(taps, 0)[_phase_index(taps.size, phases)]
+
+
+def polyphase(rows: np.ndarray, weights: np.ndarray, out: np.ndarray
+              ) -> np.ndarray:
+    """Output row r of a polyphase filter, into out: the sum of input row
+    r - d times tap phase weights[d], for d = 0, 1, ... in that order,
+    with no term for rows before the first (see tap_phases).
+
+    The input rows are a stream's samples SPS at a time, as real planes
+    or as the float view of the complex samples, so each row meets each
+    tap phase in a small real product.  The output runs in the row
+    blocks of _serial_blocks, from the last to the first, each summed in
+    a buffer of its own and then written out; a block's rows lie past
+    every input row that the blocks before it read, so out may be rows
+    itself where the widths agree.  The sums run in an order fixed by d
+    alone and each product row is what one product gives (see
+    serial_matmul), so an output row depends only on the input rows it
+    reads: a slice of the rows gives the same output rows, to the bit,
+    from its row weights.shape[0] - 1 on.  A product of one row, which
+    numpy would multiply as a vector, arises only for at most
+    weights.shape[0] rows in all.
+    """
+    n, width = rows.shape[0], weights.shape[2]
+    blocks = _serial_blocks(n, rows.shape[1], width)
+    size = -(-n // len(blocks))
+    total, step = np.empty((size, width)), np.empty((size, width))
+    for lo, hi in reversed(blocks):
+        block = np.matmul(rows[lo:hi], weights[0], out=total[:hi - lo])
+        for d in range(1, weights.shape[0]):
+            # Input rows [a, hi - d) meet phase d in output rows [a + d, hi).
+            a = max(lo - d, 0)
+            if hi - d > a:
+                block[a + d - lo:] += np.matmul(rows[a:hi - d], weights[d],
+                                                out=step[:hi - d - a])
+        out[lo:hi] = block
+    return out
 
 
 def gmsk_modulate(bits: np.ndarray, pulse: PulseShape,
@@ -126,23 +248,55 @@ def gmsk_modulate(bits: np.ndarray, pulse: PulseShape,
 
     The map is 1 -> +H/2 frequency, 0 -> -H/2.  Output contains the full
     filter transient on both ends; symbol k is centred at sample
-    k*SPS + pulse.delay.
+    k*SPS + pulse.delay.  The frequency train is the convolution of the
+    NRZ symbols, SPS samples apart, with the taps: its row of SPS
+    samples from k*SPS on is the product of the window of NRZ symbols
+    k-p+1..k with the taps' p phases of SPS taps, p = ceil(taps / SPS).
     """
     bits = as_bits(bits)
     if bits.size == 0:
         raise LengthError("cannot modulate zero bits")
-    nrz = bits.astype(np.float64) * 2.0 - 1.0
-    impulses = np.zeros(bits.size * SPS)
-    impulses[::SPS] = nrz
-    freq = np.convolve(impulses, pulse.taps)
-    phase = np.pi * H * np.cumsum(freq)
-    samples = np.exp(1j * phase)
+    taps = pulse.taps.size
+    n, p = bits.size, -(-taps // SPS)
+    nrz = np.zeros(n + 2 * (p - 1))
+    nrz[p - 1:p - 1 + n] = bits * 2.0 - 1.0
+    # Row k reads symbols k-p+1, ..., k, zero outside the bits, which meet
+    # the taps from (p-1)*SPS, ..., SPS, 0 on: the pulse's phases at a
+    # row's first sample, last first: the order in which np.convolve of
+    # the NRZ impulse train adds them.
+    windows = np.lib.stride_tricks.sliding_window_view(nrz, p)
+    freq = np.zeros(n * SPS + taps - 1)
+    rows = n + p - 1
+    serial_matmul(np.ascontiguousarray(windows),
+                  pulse.phases[p - 1::-1, 0].copy(),
+                  freq[:rows * SPS].reshape(rows, SPS))
+    phase = np.cumsum(freq, out=freq)
+    phase *= np.pi * H
+    samples = np.empty(phase.size, complex)
+    np.cos(phase, out=samples.real)
+    np.sin(phase, out=samples.imag)
     return IqFrame(samples, sample_rate=symbol_rate * SPS, symbol_rate=symbol_rate)
 
 
 def matched_filter(frame: IqFrame, pulse: PulseShape) -> IqFrame:
-    """Receive half of the split pulse filter, applied to IQ samples."""
+    """Receive half of the split pulse filter, applied to IQ samples: the
+    full convolution with the taps, len(frame) + taps - 1 samples.
+
+    polyphase filters the real and imaginary planes in place, each cut
+    into rows of SPS samples and followed by as many zero rows as the
+    taps reach back, so that the imaginary plane's first rows take only
+    zero products of the real plane's last ones.
+    """
     if frame.sample_rate != SPS * frame.symbol_rate:
         raise ParamError(f"the pulse is for frames at {SPS} samples per symbol")
-    return frame.replace(np.convolve(frame.samples, pulse.taps))
-
+    x = frame.samples
+    rows = -(-x.size // SPS) + pulse.phases.shape[0] - 1
+    planes = np.zeros((2, rows * SPS))
+    planes[0, :x.size] = x.real
+    planes[1, :x.size] = x.imag
+    held = planes.reshape(2 * rows, SPS)
+    y = polyphase(held, pulse.phases, held).reshape(2, -1)
+    out = np.empty(x.size + pulse.taps.size - 1, complex)
+    out.real = y[0, :out.size]
+    out.imag = y[1, :out.size]
+    return frame.replace(out)

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bits import as_bits, bits_to_int, int_to_bits
+from .bits import as_bits, int_to_bits
 from .errors import LengthError, ParamError, check_int
 from .phymode import PhyMode
 
@@ -29,9 +29,10 @@ _CRC_POLY_MASK = 0x00065B
 
 
 @lru_cache(maxsize=1)
-def _crc_table() -> np.ndarray:
-    """256-entry table for processing 8 message bits per step."""
-    table = np.zeros(256, dtype=np.uint32)
+def _crc_table() -> tuple[int, ...]:
+    """256-entry table for processing 8 message bits per step, as Python
+    ints, which the per-byte loop indexes faster than numpy scalars."""
+    table = []
     for byte in range(256):
         reg = byte << 16
         for _ in range(8):
@@ -39,8 +40,8 @@ def _crc_table() -> np.ndarray:
             reg = (reg << 1) & 0xFFFFFF
             if fb:
                 reg ^= _CRC_POLY_MASK
-        table[byte] = reg
-    return table
+        table.append(reg)
+    return tuple(table)
 
 
 def crc24(bits: np.ndarray) -> int:
@@ -56,14 +57,12 @@ def crc24(bits: np.ndarray) -> int:
     reg = ADVERTISING_CRC_INIT
     table = _crc_table()
     n_whole = bits.size // 8
-    if n_whole:
-        # packbits puts the first bit in the MSB, matching the register's
-        # first-in-at-the-top orientation.
-        packed = np.packbits(bits[: n_whole * 8])
-        for byte in packed:
-            reg = ((reg << 8) & 0xFFFFFF) ^ int(table[((reg >> 16) & 0xFF) ^ byte])
-    for b in bits[n_whole * 8:]:
-        fb = int(b) ^ (reg >> 23)
+    # packbits puts the first bit in the MSB, matching the register's
+    # first-in-at-the-top orientation.
+    for byte in np.packbits(bits[: n_whole * 8]).tolist():
+        reg = ((reg << 8) & 0xFFFFFF) ^ table[((reg >> 16) & 0xFF) ^ byte]
+    for b in bits[n_whole * 8:].tolist():
+        fb = b ^ (reg >> 23)
         reg = (reg << 1) & 0xFFFFFF
         if fb:
             reg ^= _CRC_POLY_MASK
@@ -159,5 +158,7 @@ def validate_packet(aa_rx: int, pdu_and_crc: np.ndarray) -> tuple[bool, bool]:
         )
     if aa_rx != ADVERTISING_ACCESS_ADDRESS:
         return False, False
+    # The bits are checked once, above; the CRC field, most-significant
+    # bit first, packs straight to its register value.
     pdu, crc_rx = pdu_and_crc[:-24], pdu_and_crc[-24:]
-    return True, crc24(pdu) == bits_to_int(crc_rx, lsb_first=False)
+    return True, crc24(pdu) == int.from_bytes(np.packbits(crc_rx).tobytes(), "big")

@@ -19,12 +19,16 @@ products, not by derotating the frame.
 
 receive() computes only the samples it reads, in every mode: each sync
 window derotates and filters the span that its overlap-save blocks
-read, equal to the whole corrected stream's samples to the bit, and the
-demodulator computes its symbol-boundary samples straight from the notch
-output with CFO-rotated taps, equal to the whole stream's up to rounding
-and each turned by a phase that the detector's one rotation takes out
-with the fine CFO.  Coded acquisition filters only the head of the frame
-that it reads.
+read, from a row boundary of the polyphase matched filter on, equal to
+the whole corrected stream's samples to the bit, and the demodulator
+computes its symbol-boundary samples straight from the notch output
+with CFO-rotated taps, through the same polyphase kernel, equal to the
+whole stream's up to rounding and each turned by a phase that the
+detector's one rotation takes out with the fine CFO.  Coded acquisition
+filters only the head of the frame that it reads.  Derotation
+multiplies by gmsk.phase_ramp, whose samples depend only on their
+absolute index, so a derotated span equals the same samples of the
+whole derotated stream.
 
 reference_receive() is the same chain written plainly on whole streams,
 and it returns every stage in STAGES that the frame reaches: the stage
@@ -65,6 +69,9 @@ from .gmsk import (
     gaussian_taps,
     gmsk_modulate,
     matched_filter,
+    phase_ramp,
+    polyphase,
+    tap_phases,
 )
 from .llpacket import (
     PDU_MAX_BITS,
@@ -599,36 +606,28 @@ def _rotated_boundaries(x: IqFrame, pulse: PulseShape, first: int, count: int,
     Filtering x[n]e^{-jwn} with taps h[k] gives e^{-jwm} times x filtered
     with h[k]e^{jwk}, so the boundaries come from x and the rotated taps,
     and the turn is e^{jw*SPS} on every lag-SPS product (see
-    _soft_differential).  The taps, padded to whole symbols, split into
-    phases of SPS taps: each row of SPS input samples meets each phase in
-    one small product, and each boundary sums one product per phase.
+    _soft_differential).  polyphase filters rows of SPS complex samples,
+    zero outside the frame, each ending at a boundary, by their float
+    view: a complex tap c meets a sample's real and imaginary parts as
+    the float views of c and of jc, (Re c, Im c) and (-Im c, Re c).
     """
     taps = pulse.taps.size
-    n_phase = -(-taps // SPS)  # taps, in whole symbols
     n = max(min(count + 1, -(-(len(x) + taps - 1 - first) // SPS)), 0)
-    rotated = np.zeros(n_phase * SPS, complex)
-    rotated[:taps] = pulse.taps * np.exp(
-        2j * np.pi * cfo_hz / x.sample_rate * np.arange(taps))
-    # phases[s, q] meets row sample s: it is tap q*SPS + SPS-1-s.
-    phases = rotated.reshape(n_phase, SPS)[:, ::-1].T
-    # Row i holds the input from first + 1 + (i - n_phase)*SPS on, zero
-    # outside the frame, and boundary j sums row j + n_phase-1-q with
-    # phase q.
-    rows = n + n_phase - 1
-    base = first + 1 - n_phase * SPS
-    lo, hi = max(base, 0), min(base + rows * SPS, len(x))
+    rotated = tap_phases(pulse.taps * phase_ramp(
+        2.0 * np.pi * cfo_hz / x.sample_rate, 0, taps), (SPS - 1,))
+    shifts = rotated.shape[0]
+    weights = np.concatenate([rotated, 1j * rotated], axis=2).view(float)
+    weights = weights.reshape(shifts, 2 * SPS, 2)
+    # Row i holds the input from base + i*SPS on, and boundary j ends row
+    # j + shifts - 1.
+    rows = n + shifts - 1
+    base = first + 1 - shifts * SPS
     held = np.zeros((rows, SPS), complex)
+    lo, hi = max(base, 0), min(base + rows * SPS, len(x))
     if hi > lo:
         held.ravel()[lo - base:hi - base] = x.samples[lo:hi]
-    # At most 1024 rows per product: OpenBLAS threads a product once m*n*k
-    # passes about 65,536, and its threads then spin for milliseconds.
-    products = np.empty((rows, n_phase), complex)
-    for a in range(0, rows, 1024):
-        np.matmul(held[a:a + 1024], phases, out=products[a:a + 1024])
-    out = np.zeros(n, complex)
-    for q in range(n_phase):
-        out += products[n_phase - 1 - q:n_phase - 1 - q + n, q]
-    return out
+    out = polyphase(held.view(float), weights, np.empty((rows, 2)))
+    return out[shifts - 1:].view(complex).ravel()
 
 
 def _soft_differential(boundaries: np.ndarray, count: int,
@@ -704,8 +703,8 @@ def expected_symbol_count(cfg: ReceiverConfig, s: int = 8) -> int:
 def _derotated(x: IqFrame, cfo_hz: float, a: int, b: int) -> np.ndarray:
     """Samples [a, b) of x with the carrier offset cfo_hz removed, by
     absolute sample index, so any slice equals the whole frame's."""
-    n = np.arange(a, b)
-    return x.samples[a:b] * np.exp(-2j * np.pi * cfo_hz * n / x.sample_rate)
+    ramp = phase_ramp(-2.0 * np.pi * cfo_hz / x.sample_rate, a, b)
+    return np.multiply(x.samples[a:b], ramp, out=ramp)
 
 
 def _filtered(x: IqFrame, pulse: PulseShape, lo: int, hi: int,
@@ -713,15 +712,16 @@ def _filtered(x: IqFrame, pulse: PulseShape, lo: int, hi: int,
     """Samples [lo, hi) of the matched filter's output on x, derotated
     first by cfo_hz (by absolute sample index) if given.
 
-    Output m reads the input from m - taps + 1 to m, and np.convolve forms
-    each output from those samples alone, so filtering only the input
-    that [lo, hi) reads gives the full call's samples to the bit.  The
-    slice is at least `taps` long, or all of x: np.convolve swaps its
-    operands when the second is the longer one.
+    The polyphase matched filter sums each output over the input rows of
+    SPS samples it reads, in an order fixed by the output's index, so
+    filtering the input from the row boundary `back` rows before lo's
+    row (the rows an output reaches back) up to hi gives the full call's
+    samples [lo, hi) to the bit: each of them takes a product with every
+    input row it reads, as in the full call.
     """
-    taps = pulse.taps.size
-    a = max(0, min(lo - taps + 1, len(x) - taps))
-    b = min(len(x), max(hi, a + taps))
+    back = pulse.phases.shape[0] - 1
+    a = max(lo // SPS - back, 0) * SPS
+    b = min(len(x), hi)
     part = x.samples[a:b] if cfo_hz is None else _derotated(x, cfo_hz, a, b)
     return matched_filter(x.replace(part), pulse).samples[lo - a:hi - a]
 
@@ -878,8 +878,8 @@ def reference_receive(frame: IqFrame, cfg: ReceiverConfig
     else:
         return stages, report
     tau, fine, fs = lo + sync.timing_offset, sync.fine_cfo_hz, y.sample_rate
-    n = np.arange(len(y) - tau)
-    keep(y.replace(y.samples[tau:] * np.exp(-2j * np.pi * fine * n / fs)))
+    ramp = phase_ramp(-2.0 * np.pi * fine / fs, 0, len(y) - tau)
+    keep(y.replace(np.multiply(y.samples[tau:], ramp, out=ramp)))
     count = expected_symbol_count(cfg)
     soft = _soft_differential(_boundaries(y.samples[tau:], 2 * pulse.delay,
                                           count),

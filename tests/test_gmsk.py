@@ -1,12 +1,15 @@
-"""Modulator, pulse and IQ file format tests; demodulation runs on the
-receiver's differential detector."""
+"""Modulator, pulse, matched filter, phase ramp and IQ file format tests;
+demodulation runs on the receiver's differential detector."""
 import struct
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from blesim.bits import random_bits
 from blesim.channel import awgn
+from blesim.coded import assemble_coded
 from blesim.errors import IoError, ParamError
 from blesim.gmsk import (
     SPS,
@@ -14,9 +17,12 @@ from blesim.gmsk import (
     gaussian_taps,
     gmsk_modulate,
     matched_filter,
+    phase_ramp,
     read_iq,
     write_iq,
 )
+from blesim.llpacket import PDU_MAX_BITS, LinkLayerPacket
+from blesim.phymode import PhyMode
 from blesim.receiver import _boundaries, _soft_differential
 
 
@@ -133,6 +139,89 @@ def test_matched_filter_rate_check():
             matched_filter(IqFrame(np.ones(64, complex), fs, rs), pulse)
     assert len(matched_filter(IqFrame(np.ones(64, complex), 16e6, 2e6),
                               pulse)) == 64 + pulse.taps.size - 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 13_500),
+       scale=st.sampled_from([1e-30, 1e-6, 1.0, 1e6, 1e200]),
+       seed=st.integers(0, 2**32 - 1))
+# One sample, frames shorter than the taps, one sample past whole rows,
+# row blocks of unequal size, and past an LE125K frame.
+@example(1, 1.0, 0)
+@example(17, 1.0, 1)
+@example(31, 1.0, 2)
+@example(8 * 1024 + 1, 1.0, 3)
+@example(8_801, 1.0, 4)
+@example(13_401, 1.0, 5)
+def test_matched_filter_matches_np_convolve(n, scale, seed):
+    # The polyphase filter is the full convolution: the same length and
+    # samples within 1e-12 of the input's scale.
+    rng = np.random.default_rng(seed)
+    x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    pulse = gaussian_taps()
+    got = matched_filter(IqFrame(x, 8e6, 1e6), pulse).samples
+    want = np.convolve(x, pulse.taps)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_bits=st.integers(1, 1700), seed=st.integers(0, 2**32 - 1),
+       rate=st.sampled_from([1e6, 2e6]))
+@example(1, 0, 1e6)
+def test_modulate_matches_the_impulse_convolution(n_bits, seed, rate):
+    # The per-symbol product and cos/sin give the CPM chain written as
+    # an NRZ impulse train convolved with the taps and exp(1j*phase).
+    bits = random_bits(n_bits, np.random.default_rng(seed))
+    pulse = gaussian_taps()
+    impulses = np.zeros(n_bits * SPS)
+    impulses[::SPS] = bits * 2.0 - 1.0
+    phase = np.pi * 0.5 * np.cumsum(np.convolve(impulses, pulse.taps))
+    frame = gmsk_modulate(bits, pulse, symbol_rate=rate)
+    assert frame.sample_rate == SPS * rate
+    assert frame.samples.shape == phase.shape
+    np.testing.assert_allclose(frame.samples, np.exp(1j * phase), rtol=0,
+                               atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(w=st.floats(-0.05, 0.05), a=st.integers(0, 20_000),
+       length=st.integers(0, 20_000))
+@example(0.039, 0, 13_430)
+@example(-0.039, 63, 1)
+def test_phase_ramp_matches_exp_and_any_slice(w, a, length):
+    # e^{jwn} within 1e-12, and any slice of a ramp from 0 is the same
+    # samples to the bit.  w covers every carrier offset a frame carries
+    # or the receiver removes, up to 62.5 kHz at 8 Msps; far past that,
+    # w*n itself rounds by more than 1e-12 and the oracle is the
+    # coarser one.
+    b = a + length
+    ramp = phase_ramp(w, a, b)
+    assert ramp.shape == (length,)
+    np.testing.assert_allclose(ramp, np.exp(1j * w * np.arange(a, b)),
+                               rtol=0, atol=1e-12)
+    assert np.array_equal(ramp, phase_ramp(w, 0, b)[a:])
+
+
+def test_filter_and_modulator_leave_no_helper_thread_cpu():
+    # LE125K packets of a 128-bit PDU, 12,958 samples, and of the longest
+    # PDU, 136,350: one product of all the longer one's rows would run on
+    # OpenBLAS's thread pool, whose threads then spin for milliseconds of
+    # CPU after each call (see the interferer's test in test_channel.py).
+    # The pause outlasts the spin after any earlier threaded product.
+    pulse = gaussian_taps()
+    frames = [assemble_coded(LinkLayerPacket(np.zeros(n, np.uint8)),
+                             PhyMode.LE125K) for n in (128, PDU_MAX_BITS)]
+    assert [len(gmsk_modulate(bits, pulse)) for bits in frames] == [
+        12_958, 136_350]
+    time.sleep(0.5)
+    helper = time.process_time() - time.thread_time()
+    for _ in range(4):
+        for bits in frames:
+            matched_filter(gmsk_modulate(bits, pulse), pulse)
+    time.sleep(0.05)
+    helper = time.process_time() - time.thread_time() - helper
+    assert helper < 0.02, f"{helper * 1e3:.1f} ms of helper-thread CPU"
 
 
 def test_iq_file_round_trip(tmp_path):

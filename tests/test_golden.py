@@ -104,19 +104,19 @@ CAPTURES = {
     "LE125K": (
         "dc392326087eadc51cb03ce313ff1560871be5a6bbb9895ef7faaba587680fe4",
         "d96e3a33ded0611cdfe0e15afa5d276ab30292104c8393cc67e1599f6238db3f",
-        "e88a3d55854caa39df8e21a031f0bd53aadf0e1a6348b6f6bcea01990aa30c44",
+        "2181519f8db7f58eeda521ea7e930bce548a1eb7515f7326aca42210b8faf4d5",
         "82d4ada38847ac7c2f1171daa32fce0b7b2f6389e3526ed77cd629732e688bb7",
         "3b7cb015dcf391fe57d59440d2ad7d7862a3407b1f020daa572077c7a6fb8e8b",
-        "1d55a016ef104f770aecc793afad8c85905aa17afee8f6eca658ed4ec0404621",
+        "ab2c2cf236a2eeb9fa6bd6c01934191307fcd2c121ddd07494254c0ae30f0014",
     ),
 }
 # sha256 of each capture's stages.json: the scenario, the frame and the
 # report of receive() on it.
 REPORTS = {
-    "LE1M": "9a67d27a8eb2bfd445ee087e5d672c18909ca69e3874913d881e2050c1b66ae7",
-    "LE2M": "5ef5ed7da1a3e817fcb7879c751924cf93f3d96be2ba294a1724fd4b398d627b",
-    "LE500K": "1239bf1990da21b6b9a241cc93b566592c625a3d147f79ff4fbcbabb7a1bec0b",
-    "LE125K": "3471c6152c9f2cc195b2496d18f33d55283a1d525f07d9b350656c20e22787ca",
+    "LE1M": "a952ab0872d355623a2c339eb6b5476d1842b838782def0ed872c8fae9496142",
+    "LE2M": "ba63060ac4f62676bebfe27a9e2643e79865f15d7ec239a49b28d0dc21c94dc8",
+    "LE500K": "b28b37451a31b8ae891a124ca1d70832d6741269401818e4d60f48fb9be4510a",
+    "LE125K": "3051425573a07d447f6b86f2bfc7de02ea2bd4809e5c01bbc1612e81d1c3d4e1",
 }
 STAGES = ("input", "agc", "dc_notch", "cfo_corrected", "matched_filter",
           "synchronized")

@@ -301,6 +301,32 @@ def test_rotated_boundaries_match_the_derotated_stream(n, first, count, cfo,
                                atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 14_000),
+       at=st.floats(0.0, 1.0),
+       width=st.integers(1, 3000),
+       cfo=st.none() | st.floats(-60e3, 60e3),
+       seed=st.integers(0, 2**32 - 1),
+       rates=st.sampled_from([(8e6, 1e6), (16e6, 2e6)]))
+@example(13_400, 0.5, 2700, 1234.5, 0, (8e6, 1e6))
+@example(5, 0.0, 40, None, 1, (8e6, 1e6))
+def test_filtered_slices_equal_the_whole_stream_to_the_bit(n, at, width, cfo,
+                                                           seed, rates):
+    # receive() filters only the spans it reads; from each of SPS
+    # successive starts, so every start offset mod SPS, a span equals
+    # the same samples of the whole derotated stream's matched filter,
+    # to the bit.
+    rng = np.random.default_rng(seed)
+    x = IqFrame(rng.standard_normal(n) + 1j * rng.standard_normal(n), *rates)
+    whole = x if cfo is None else x.replace(receiver._derotated(x, cfo, 0, n))
+    y = matched_filter(whole, PULSE).samples
+    first = int(at * (len(y) - 1))
+    for lo in range(first, min(first + SPS, len(y))):
+        hi = min(lo + width, len(y))
+        got = receiver._filtered(x, PULSE, lo, hi, cfo)
+        assert np.array_equal(got, y[lo:hi]), lo
+
+
 # Frames at criterion 2's NLOS point and criterion 4's harshest WLAN
 # point: the frames a campaign hands the receiver.
 EXACT_CASES = {
