@@ -8,10 +8,11 @@ a Gaussian (3 dB bandwidth BT times the symbol rate, SPAN symbols long)
 with a one-symbol rectangle, normalised so each symbol advances the
 phase by exactly pi*H.  BT, H and SPAN are BLE's for every PHY mode, and
 every frame has SPS samples per symbol, so they are constants, not
-options.  The same pulse serves as the receiver's matched filter, a
-polyphase filter over rows of SPS samples; demodulation lives in the
-receiver.  phase_ramp builds the linear phase ramps of carrier offsets
-from two short tables.
+options.  The same pulse serves as the receiver's matched filter: rows
+of SPS samples times the pulse's SPS-tap phases, one product per row
+shift, summed; demodulation lives in the receiver.  serial_matmul makes
+every BLAS product of the package, on the calling thread.  phase_ramp
+builds the linear phase ramps of carrier offsets from two short tables.
 """
 from __future__ import annotations
 
@@ -107,8 +108,8 @@ class PulseShape:
 
     @cached_property
     def phases(self) -> np.ndarray:
-        """The taps at every output phase of polyphase (see tap_phases);
-        read-only."""
+        """The taps at every output phase of the matched filter (see
+        tap_phases); read-only."""
         weights = tap_phases(self.taps, tuple(range(SPS)))
         weights.setflags(write=False)
         return weights
@@ -142,26 +143,27 @@ def gaussian_taps() -> PulseShape:
 _SERIAL_MNK = 65_536
 
 
-def _serial_blocks(rows: int, k: int, n: int) -> list[tuple[int, int]]:
-    """Row blocks [lo, hi) of near-equal size that split a product of rows
-    x k by k x n into products OpenBLAS runs on the calling thread.  Once
-    there are two, each holds at least half the rows the limit allows."""
-    per = max(_SERIAL_MNK // max(k * n, 1), 2)
-    n_blocks = max(-(-rows // per), 1)
-    return [(rows * i // n_blocks, rows * (i + 1) // n_blocks)
-            for i in range(n_blocks)]
+def serial_matmul(a: np.ndarray, b: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """out = a @ b for 2-D a and b, into a new array if out is None, in
+    row blocks of near-equal size that OpenBLAS runs on the calling
+    thread.  Once there are two blocks, each holds at least half the
+    rows the limit allows.
 
-
-def serial_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = a @ b for 2-D a and b, in the row blocks of _serial_blocks.
-
-    Where the limit allows four rows or more, as for every product here,
-    no block is the one row that numpy would multiply as a vector, which
-    can round differently, unless a is one row.  OpenBLAS computes each
-    row of a product alike, whatever rows share its block, so every row
-    of out is what one product gives, to the bit.
+    This is the package's one call of np.matmul.  Where the limit allows
+    four rows or more, as for every product here, no block is the one
+    row that numpy would multiply as a vector, which can round
+    differently, unless a is one row.  OpenBLAS computes each row of a
+    product alike, whatever rows share its block, so every row of out is
+    what one product gives, to the bit.
     """
-    for lo, hi in _serial_blocks(a.shape[0], a.shape[1], b.shape[1]):
+    rows = a.shape[0]
+    if out is None:
+        out = np.empty((rows, b.shape[1]), np.result_type(a, b))
+    per = max(_SERIAL_MNK // max(a.shape[1] * b.shape[1], 1), 2)
+    n_blocks = max(-(-rows // per), 1)
+    for i in range(n_blocks):
+        lo, hi = rows * i // n_blocks, rows * (i + 1) // n_blocks
         np.matmul(a[lo:hi], b, out=out[lo:hi])
     return out
 
@@ -199,47 +201,12 @@ def _phase_index(n_taps: int, phases: tuple) -> np.ndarray:
 
 
 def tap_phases(taps: np.ndarray, phases: tuple) -> np.ndarray:
-    """Taps split into SPS-tap phases for polyphase: w[d, s, i] is tap
-    d*SPS + phases[i] - s, 0 past either end, which sample s of input row
-    r - d meets in output sample r*SPS + phases[i], for each d up to the
-    furthest row back that the taps reach from the lowest phase."""
+    """Taps split into SPS-tap phases for a filter over rows of SPS input
+    samples: w[d, s, i] is tap d*SPS + phases[i] - s, 0 past either end,
+    which sample s of input row r - d meets in output sample
+    r*SPS + phases[i], for each d up to the furthest row back that the
+    taps reach from the lowest phase."""
     return np.append(taps, 0)[_phase_index(taps.size, phases)]
-
-
-def polyphase(rows: np.ndarray, weights: np.ndarray, out: np.ndarray
-              ) -> np.ndarray:
-    """Output row r of a polyphase filter, into out: the sum of input row
-    r - d times tap phase weights[d], for d = 0, 1, ... in that order,
-    with no term for rows before the first (see tap_phases).
-
-    The input rows are a stream's samples SPS at a time, as real planes
-    or as the float view of the complex samples, so each row meets each
-    tap phase in a small real product.  The output runs in the row
-    blocks of _serial_blocks, from the last to the first, each summed in
-    a buffer of its own and then written out; a block's rows lie past
-    every input row that the blocks before it read, so out may be rows
-    itself where the widths agree.  The sums run in an order fixed by d
-    alone and each product row is what one product gives (see
-    serial_matmul), so an output row depends only on the input rows it
-    reads: a slice of the rows gives the same output rows, to the bit,
-    from its row weights.shape[0] - 1 on.  A product of one row, which
-    numpy would multiply as a vector, arises only for at most
-    weights.shape[0] rows in all.
-    """
-    n, width = rows.shape[0], weights.shape[2]
-    blocks = _serial_blocks(n, rows.shape[1], width)
-    size = -(-n // len(blocks))
-    total, step = np.empty((size, width)), np.empty((size, width))
-    for lo, hi in reversed(blocks):
-        block = np.matmul(rows[lo:hi], weights[0], out=total[:hi - lo])
-        for d in range(1, weights.shape[0]):
-            # Input rows [a, hi - d) meet phase d in output rows [a + d, hi).
-            a = max(lo - d, 0)
-            if hi - d > a:
-                block[a + d - lo:] += np.matmul(rows[a:hi - d], weights[d],
-                                                out=step[:hi - d - a])
-        out[lo:hi] = block
-    return out
 
 
 def gmsk_modulate(bits: np.ndarray, pulse: PulseShape,
@@ -282,20 +249,31 @@ def matched_filter(frame: IqFrame, pulse: PulseShape) -> IqFrame:
     """Receive half of the split pulse filter, applied to IQ samples: the
     full convolution with the taps, len(frame) + taps - 1 samples.
 
-    polyphase filters the real and imaginary planes in place, each cut
-    into rows of SPS samples and followed by as many zero rows as the
-    taps reach back, so that the imaginary plane's first rows take only
-    zero products of the real plane's last ones.
+    The real and imaginary planes are cut into rows of SPS samples, each
+    plane followed by as many zero rows as the taps reach back, so that
+    the imaginary plane's first rows take only zero products of the real
+    plane's last ones.  Output row r is the sum of input row r - d times
+    the tap phases pulse.phases[d], for d = 0, 1, ... in that order, with
+    no term for rows before the first: one serial_matmul per d over all
+    rows.  An output row's sum thus runs in an order fixed by d alone and
+    each product row is what one product gives, so it depends only on
+    the input rows it reads: filtering from a row boundary gives the
+    same samples, to the bit, from that boundary's row
+    pulse.phases.shape[0] - 1 on.
     """
     if frame.sample_rate != SPS * frame.symbol_rate:
         raise ParamError(f"the pulse is for frames at {SPS} samples per symbol")
-    x = frame.samples
-    rows = -(-x.size // SPS) + pulse.phases.shape[0] - 1
+    x, phases = frame.samples, pulse.phases
+    rows = -(-x.size // SPS) + phases.shape[0] - 1
     planes = np.zeros((2, rows * SPS))
     planes[0, :x.size] = x.real
     planes[1, :x.size] = x.imag
     held = planes.reshape(2 * rows, SPS)
-    y = polyphase(held, pulse.phases, held).reshape(2, -1)
+    y = serial_matmul(held, phases[0])
+    for d in range(1, phases.shape[0]):
+        # Input rows [0, end - d) meet phase d in output rows [d, end).
+        y[d:] += serial_matmul(held[:-d], phases[d])
+    y = y.reshape(2, -1)
     out = np.empty(x.size + pulse.taps.size - 1, complex)
     out.real = y[0, :out.size]
     out.imag = y[1, :out.size]

@@ -19,16 +19,15 @@ products, not by derotating the frame.
 
 receive() computes only the samples it reads, in every mode: each sync
 window derotates and filters the span that its overlap-save blocks
-read, from a row boundary of the polyphase matched filter on, equal to
-the whole corrected stream's samples to the bit, and the demodulator
-computes its symbol-boundary samples straight from the notch output
-with CFO-rotated taps, through the same polyphase kernel, equal to the
-whole stream's up to rounding and each turned by a phase that the
-detector's one rotation takes out with the fine CFO.  Coded acquisition
-filters only the head of the frame that it reads.  Derotation
-multiplies by gmsk.phase_ramp, whose samples depend only on their
-absolute index, so a derotated span equals the same samples of the
-whole derotated stream.
+read, from a row boundary of the matched filter on, equal to the whole
+corrected stream's samples to the bit, and the demodulator computes
+its symbol-boundary samples straight from the notch output with
+CFO-rotated taps, in one complex product, equal to the whole stream's
+up to rounding and each turned by a phase that the detector's one
+rotation takes out with the fine CFO.  Coded acquisition filters only
+the head of the frame that it reads.  Derotation multiplies by
+gmsk.phase_ramp, whose samples depend only on their absolute index, so
+a derotated span equals the same samples of the whole derotated stream.
 
 reference_receive() is the same chain written plainly on whole streams,
 and it returns every stage in STAGES that the frame reaches: the stage
@@ -70,7 +69,7 @@ from .gmsk import (
     gmsk_modulate,
     matched_filter,
     phase_ramp,
-    polyphase,
+    serial_matmul,
     tap_phases,
 )
 from .llpacket import (
@@ -606,18 +605,16 @@ def _rotated_boundaries(x: IqFrame, pulse: PulseShape, first: int, count: int,
     Filtering x[n]e^{-jwn} with taps h[k] gives e^{-jwm} times x filtered
     with h[k]e^{jwk}, so the boundaries come from x and the rotated taps,
     and the turn is e^{jw*SPS} on every lag-SPS product (see
-    _soft_differential).  polyphase filters rows of SPS complex samples,
-    zero outside the frame, each ending at a boundary, by their float
-    view: a complex tap c meets a sample's real and imaginary parts as
-    the float views of c and of jc, (Re c, Im c) and (-Im c, Re c).
+    _soft_differential).  The input, zero outside the frame, is cut into
+    rows of SPS complex samples, each ending at a boundary; one product
+    of the rows with the rotated taps' phase at every row shift gives
+    each row's term of each boundary, and a boundary sums its terms.
     """
     taps = pulse.taps.size
     n = max(min(count + 1, -(-(len(x) + taps - 1 - first) // SPS)), 0)
     rotated = tap_phases(pulse.taps * phase_ramp(
         2.0 * np.pi * cfo_hz / x.sample_rate, 0, taps), (SPS - 1,))
     shifts = rotated.shape[0]
-    weights = np.concatenate([rotated, 1j * rotated], axis=2).view(float)
-    weights = weights.reshape(shifts, 2 * SPS, 2)
     # Row i holds the input from base + i*SPS on, and boundary j ends row
     # j + shifts - 1.
     rows = n + shifts - 1
@@ -626,8 +623,12 @@ def _rotated_boundaries(x: IqFrame, pulse: PulseShape, first: int, count: int,
     lo, hi = max(base, 0), min(base + rows * SPS, len(x))
     if hi > lo:
         held.ravel()[lo - base:hi - base] = x.samples[lo:hi]
-    out = polyphase(held.view(float), weights, np.empty((rows, 2)))
-    return out[shifts - 1:].view(complex).ravel()
+    # products[i, d]: row i's term of the boundary that ends row i + d.
+    products = serial_matmul(held, rotated[:, :, 0].T)
+    out = products[shifts - 1:, 0].copy()
+    for d in range(1, shifts):
+        out += products[shifts - 1 - d:rows - d, d]
+    return out
 
 
 def _soft_differential(boundaries: np.ndarray, count: int,
@@ -712,8 +713,8 @@ def _filtered(x: IqFrame, pulse: PulseShape, lo: int, hi: int,
     """Samples [lo, hi) of the matched filter's output on x, derotated
     first by cfo_hz (by absolute sample index) if given.
 
-    The polyphase matched filter sums each output over the input rows of
-    SPS samples it reads, in an order fixed by the output's index, so
+    The matched filter sums each output over the input rows of SPS
+    samples it reads, in an order fixed by the output's index, so
     filtering the input from the row boundary `back` rows before lo's
     row (the rows an output reaches back) up to hi gives the full call's
     samples [lo, hi) to the bit: each of them takes a product with every

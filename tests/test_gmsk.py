@@ -23,7 +23,7 @@ from blesim.gmsk import (
 )
 from blesim.llpacket import PDU_MAX_BITS, LinkLayerPacket
 from blesim.phymode import PhyMode
-from blesim.receiver import _boundaries, _soft_differential
+from blesim.receiver import _boundaries, _rotated_boundaries, _soft_differential
 
 
 def demodulate(frame, pulse, count):
@@ -219,6 +219,26 @@ def test_filter_and_modulator_leave_no_helper_thread_cpu():
     for _ in range(4):
         for bits in frames:
             matched_filter(gmsk_modulate(bits, pulse), pulse)
+    time.sleep(0.05)
+    helper = time.process_time() - time.thread_time() - helper
+    assert helper < 0.02, f"{helper * 1e3:.1f} ms of helper-thread CPU"
+
+
+def test_rotated_boundaries_leave_no_helper_thread_cpu():
+    # The symbol boundaries of the longest LE125K packet, 136,350 samples:
+    # one complex product of all their 17,000 rows with the rotated taps'
+    # phases would run on OpenBLAS's thread pool (see the test above).
+    pulse = gaussian_taps()
+    bits = assemble_coded(LinkLayerPacket(np.zeros(PDU_MAX_BITS, np.uint8)),
+                          PhyMode.LE125K)
+    frame = gmsk_modulate(bits, pulse)
+    first = 2 * pulse.delay - SPS // 2
+    assert _rotated_boundaries(frame, pulse, first, bits.size,
+                               2e4).size == bits.size + 1 > 17_000
+    time.sleep(0.5)
+    helper = time.process_time() - time.thread_time()
+    for _ in range(4):
+        _rotated_boundaries(frame, pulse, first, bits.size, 2e4)
     time.sleep(0.05)
     helper = time.process_time() - time.thread_time() - helper
     assert helper < 0.02, f"{helper * 1e3:.1f} ms of helper-thread CPU"

@@ -50,6 +50,27 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not found, found
 
 
+def test_only_serial_matmul_multiplies_matrices():
+    # gmsk.serial_matmul keeps a BLAS product on the calling thread, so an
+    # np.matmul or @ anywhere else could start OpenBLAS's thread pool.
+    found = []
+    for path in sorted(pathlib.Path(blesim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "gmsk.py":
+            allowed = {id(node) for fn in tree.body
+                       if isinstance(fn, ast.FunctionDef) and fn.name == "serial_matmul"
+                       for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "matmul"
+                    or isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)):
+                found.append(f"{path.name}:"
+                             + ("serial_matmul" if id(node) in allowed
+                                else str(node.lineno)))
+    assert found == ["gmsk.py:serial_matmul"], found
+
+
 def test_blesim_runs_without_scipy():
     # blesim needs only numpy at run time; scipy is a test dependency.
     # pytest's own process has scipy loaded, so a fresh interpreter
