@@ -75,7 +75,7 @@ def test_campaign_csv_is_the_same_at_jobs_3(name):
 
 
 # sha256 of each stage file that dump-stages writes, in stage order.  The
-# LE2M frame is detected and fails its CRC.
+# LE2M frame is detected and fails its access-address check.
 CAPTURES = {
     "LE500K": (
         "3b53cea21a272e2f250dae7f3bc82629a725fb705962808b3c08f83dbfae5e9b",
@@ -89,17 +89,17 @@ CAPTURES = {
         "48062b28e1d6c215d4d7649c95ed30ecbbb21fa144c6ec862b0126e54f1dfe99",
         "b77ec34e86f7995234e39766c63689de1b86e0b00069b2639535002f328dc7fa",
         "1e89b95e9de700df0a31259a00b463119555cef80417d53a7c2dca600a363c9d",
-        "28306eaacfb9c1ce390c7772098bcb128b1a7fcf68033434b7ff83b384101886",
-        "59b8ccea18aed121a45ad2b6ae133dd7c1a238a45d70eab62a07e62f436c42ab",
-        "45d22901cf1c7eeb6b48cccc386c909ce267f2a05d4ed7e8766af2bc5c754be7",
+        "06f982df9103d0edb68c099035abd1192470d3abd324dd8677c32693f74311fa",
+        "eefc22fea9b65c9556807e866e3ebc61fa17c44841293d35367f8210cbe45f41",
+        "e8799c91dfc4b2f4dcd1cd85aab9204c58f6929276d3d0f23cdf3c35188b1144",
     ),
     "LE2M": (
         "6e226412022970f41a53bf44011dad3e8af3d1a280080d3a54f5f2d928e5eaa0",
         "50ae2c208bdcce70da68114661d95097a302c4e125d9bb5ca641bae7391f405e",
         "a0143e76a275a4e623fb94cca3219532f2870c4866aeb5ff1db458544a96100e",
-        "495e6f8696e4ac14dc3bc5a912f548a4bd9fda8dc86dfa08f7b1ae5ad0453c2a",
-        "61b4f67eae31d51fde884b783ea931a42b35d88bb07b02759be3b8b244b69c97",
-        "3bcded0fdd07f6695d482be49c0471a722cf06c3ea0669dbf462bdeb31d3b259",
+        "21a369ed3f355e14995e9abf738d2670bd9a89829d90a3e28edc11a0c9e900a9",
+        "8aa3513dd7ee8794a0862e85eca6b471c43bd31daab77f32a31ee693e7b49550",
+        "cfe1044d64fefb1379b2b1655258aa23552f507c50c164fadcd3c838f2fadd1f",
     ),
     "LE125K": (
         "dc392326087eadc51cb03ce313ff1560871be5a6bbb9895ef7faaba587680fe4",
@@ -113,8 +113,8 @@ CAPTURES = {
 # sha256 of each capture's stages.json: the scenario, the frame and the
 # report of receive() on it.
 REPORTS = {
-    "LE1M": "a952ab0872d355623a2c339eb6b5476d1842b838782def0ed872c8fae9496142",
-    "LE2M": "ba63060ac4f62676bebfe27a9e2643e79865f15d7ec239a49b28d0dc21c94dc8",
+    "LE1M": "4875cb53405dc04d1ba3d2baa9770bd3ce4c0a126a4bcab7d9c4d46fc6679cd1",
+    "LE2M": "08243234ef4754d4f3b48df144ded8213aef7958b9dc0ab99aca96269fe8e90c",
     "LE500K": "b28b37451a31b8ae891a124ca1d70832d6741269401818e4d60f48fb9be4510a",
     "LE125K": "3051425573a07d447f6b86f2bfc7de02ea2bd4809e5c01bbc1612e81d1c3d4e1",
 }

@@ -5,10 +5,18 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.signal import lfilter
 
 from blesim.bits import int_to_bits, random_bits
-from blesim.channel import apply_cfo, apply_dc, awgn, interferer_at_rate, mix
+from blesim.channel import (
+    InterfererConfig,
+    apply_cfo,
+    apply_dc,
+    awgn,
+    interferer_at_rate,
+    mix,
+    nlos_profile,
+)
 from blesim.errors import NoSignalError, ParamError, SyncFailure
 from blesim.gmsk import SPS, IqFrame, gaussian_taps, gmsk_modulate, matched_filter
-from blesim.harness import wilson_interval
+from blesim.harness import ScenarioConfig, received_frame, wilson_interval
 from blesim.llpacket import (
     ADVERTISING_ACCESS_ADDRESS,
     ChannelIndex,
@@ -34,6 +42,7 @@ from blesim.receiver import (
     STAGES,
     ReceiverConfig,
     _acquisition_head,
+    _even_samples,
     _template,
     agc,
     coarse_cfo_estimate,
@@ -256,6 +265,48 @@ def test_coarse_cfo_no_signal():
         coarse_cfo_estimate(IqFrame(np.zeros(5000, complex), 8e6, 1e6))
     with pytest.raises(NoSignalError):
         coarse_cfo_estimate(IqFrame(np.ones(8, complex), 8e6, 1e6))
+
+
+def _uncoded_estimate_frames(mode, count=40):
+    """Notched uncoded frames as receive() estimates their CFO from: as in
+    acceptance criterion 5 (AWGN at 15 dB, a CFO of up to +-50 kHz), in
+    NLOS at 0 dB and with the WLAN interferer at SIR -10 dB."""
+    rng = np.random.default_rng(505)
+    for _ in range(count):
+        pkt = LinkLayerPacket(random_bits(128, rng), ChannelIndex(9))
+        tx = gmsk_modulate(assemble_uncoded(pkt, mode), PULSE,
+                           symbol_rate=mode.symbol_rate)
+        lead = int(rng.integers(100, 2000))
+        frame = tx.replace(np.concatenate([np.zeros(lead, complex), tx.samples,
+                                           np.zeros(128, complex)]))
+        frame = awgn(apply_cfo(frame, float(rng.uniform(-50e3, 50e3))), 15.0,
+                     seed=int(rng.integers(2**63)))
+        yield dc_notch(agc(frame))
+    cases = (
+        (ScenarioConfig(id="drift-nlos", seed=11, profile=nlos_profile(),
+                        phy_modes=(mode,), snr_sweep_db=(0.0,)), 0.0, None),
+        (ScenarioConfig(id="drift-wlan", seed=12, interferer=InterfererConfig(),
+                        phy_modes=(mode,), snr_sweep_db=(20.0,),
+                        sir_sweep_db=(-10.0,)), 20.0, -10.0),
+    )
+    for cfg, snr, sir in cases:
+        for k in range(count):
+            yield dc_notch(agc(received_frame(cfg, mode, snr, sir, k)[0]))
+
+
+@pytest.mark.parametrize("mode", [PhyMode.LE1M, PhyMode.LE2M])
+def test_half_rate_estimate_stays_on_the_full_rate_one(mode):
+    # receive() estimates from the matched filter's even samples, at half
+    # the sample rate and half the FFT.  On these frames it moved by at
+    # most 0.005 Hz from the full-rate estimate; a quarter-rate copy moved
+    # it by up to 46 Hz.
+    gaps = []
+    for x in _uncoded_estimate_frames(mode):
+        y = matched_filter(x, PULSE)
+        full = coarse_cfo_estimate(y)
+        half = coarse_cfo_estimate(_even_samples(y))
+        gaps.append(abs(half - full))
+    assert max(gaps) < 0.1, f"{max(gaps):.3f} Hz"
 
 
 @pytest.mark.parametrize("mode", [PhyMode.LE500K, PhyMode.LE125K])
