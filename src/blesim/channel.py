@@ -21,8 +21,12 @@ from .gmsk import IqFrame, phase_ramp, serial_matmul
 def measured_power(samples: np.ndarray) -> float:
     """Mean power over active (non-padding) samples, those above 1e-12 of
     the peak power; 0 for an empty frame."""
-    power = np.abs(samples) ** 2
-    active = power[power > power.max(initial=0.0) * 1e-12]
+    power = np.abs(samples)
+    np.multiply(power, power, out=power)
+    floor = power.max(initial=0.0) * 1e-12
+    if power.size and power.min() > floor:
+        return float(np.mean(power))
+    active = power[power > floor]
     if not active.size:
         return 0.0
     return float(np.mean(active))
@@ -44,8 +48,8 @@ def awgn(frame: IqFrame, snr_db: float, seed: int,
     if p_sig == 0.0:
         return frame.replace(frame.samples.copy())
     sigma2 = p_sig * 10.0 ** (-snr_db / 10.0)
-    noise = _unit_noise(seed, len(frame))
-    return frame.replace(frame.samples + noise * np.sqrt(sigma2 / 2.0))
+    noisy = np.multiply(_unit_noise(seed, len(frame)), np.sqrt(sigma2 / 2.0))
+    return frame.replace(np.add(frame.samples, noisy, out=noisy))
 
 
 # A campaign adds one frame's noise at each of its sweep points in turn,
@@ -268,7 +272,8 @@ def mix(signal: IqFrame, interferer: IqFrame, sir_db: float,
     if p_int == 0.0:
         return signal.replace(signal.samples.copy())
     alpha = np.sqrt(p_sig / (p_int * 10.0 ** (sir_db / 10.0)))
-    return signal.replace(signal.samples + alpha * interferer.samples)
+    mixed = np.multiply(alpha, interferer.samples)
+    return signal.replace(np.add(signal.samples, mixed, out=mixed))
 
 
 def interferer_inband_fraction(fs: float) -> float:

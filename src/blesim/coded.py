@@ -10,6 +10,14 @@ The rate-1/2 encoder has constraint length 4 with generators
 that drive the trellis back to state zero, so both blocks decode with a
 terminated traceback.  The S=8 pattern mapper spreads coded bit 0 to
 symbols 0011 and coded bit 1 to 1100; S=2 maps bits straight through.
+
+The Viterbi decoder returns the terminated codeword c (+-1 per coded
+bit) that maximises sum c*x over the block's soft values x (Forney,
+"The Viterbi algorithm", Proc. IEEE 61(3), 1973).  No codeword scores
+above sum |x|, which the hard decisions sign(x) score, so when those
+decisions already form a terminated codeword the decoder re-encodes
+their input and returns it without running the trellis: the trellis
+would return the same bits (see viterbi_decode).
 """
 from __future__ import annotations
 
@@ -116,13 +124,64 @@ def viterbi_decode(symbols: np.ndarray, s: int) -> np.ndarray:
     `symbols` are on-air symbols (hard 0/1 or soft, positive = 1) of a
     block whose input ended with the TERM flush, so the traceback starts
     from state zero.  Returns the decoded input bits including the flush.
+
+    A block whose hard decisions are a terminated codeword, with every
+    soft value clear of zero (see _codeword_input), decodes to that
+    codeword's input without the trellis.  The codeword scores sum |x|,
+    and every other path into a state on its path differs from it in at
+    least one coded bit, so each of its survivor comparisons wins by at
+    least 2*min|x|.  A path metric is a float sum of at most soft.size
+    terms, each no larger than sum |x|, so its rounding error is under
+    soft.size * 2**-53 * sum |x|; with min|x| above 1e-9 of sum |x| that
+    is far smaller for any block of under a million coded bits, and the
+    trellis below would pick the same path, to the bit.  Every other
+    block runs the trellis.
     """
     soft = pattern_demap(symbols, s)
     if soft.size % 2:
         raise LengthError(f"{soft.size} coded bits do not form (g0, g1) pairs")
     if soft.size == 0:
         raise LengthError("empty coded block")
+    bits = _codeword_input(soft)
+    return _trellis(soft) if bits is None else bits
 
+
+# A soft value counts as clear of zero above this share of sum |x|.
+_CLEAR_SHARE = 1e-9
+
+
+def _codeword_input(soft: np.ndarray) -> np.ndarray | None:
+    """The input bits of the terminated codeword that the hard decisions
+    soft > 0 form, or None if they form none or some |x| is not above
+    _CLEAR_SHARE of sum |x| (zeros, NaN and inf fail that test).
+
+    g0 is g1 plus the tap on b[n-1] (see fec_encode), so b[n-1] is g0[n]
+    xor g1[n], and the last input bit is the flush, 0.  With b so
+    chosen, g0[n] re-encodes to the decision wherever g1[n] does for n
+    >= 1, and both are b[0] at n = 0: the input re-encodes to every hard
+    decision exactly when its g1 stream does and g0[0] = g1[0].  The
+    codeword is terminated when the last TERM_BITS input bits are 0.
+    """
+    hard = (soft > 0).view(np.uint8)
+    # The encoder's zero state before the block, then the input bits.
+    held = np.zeros(soft.size // 2 + 3, np.uint8)
+    bits = held[3:]
+    np.bitwise_xor(hard[2::2], hard[3::2], out=bits[:-1])
+    if bits[-TERM_BITS:].any() or hard[0] != hard[1]:
+        return None
+    g1 = bits ^ held[1:-2]
+    g1 ^= held[:-3]
+    if not np.array_equal(g1, hard[1::2]):
+        return None
+    mag = np.abs(soft)
+    if not mag.min() > _CLEAR_SHARE * mag.sum():
+        return None
+    return bits
+
+
+def _trellis(soft: np.ndarray) -> np.ndarray:
+    """The Viterbi trellis over soft values, one (g0, g1) pair per step,
+    from state zero with a traceback from state zero."""
     # Add-compare-select over Python floats, unrolled over the 8 states:
     # on so small a trellis numpy's per-call overhead costs more than the
     # arithmetic.  State s encodes (b[n-1], b[n-2], b[n-3]), newest first;

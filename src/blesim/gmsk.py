@@ -265,16 +265,21 @@ def matched_filter(frame: IqFrame, pulse: PulseShape) -> IqFrame:
         raise ParamError(f"the pulse is for frames at {SPS} samples per symbol")
     x, phases = frame.samples, pulse.phases
     rows = -(-x.size // SPS) + phases.shape[0] - 1
-    planes = np.zeros((2, rows * SPS))
+    planes = np.empty((2, rows * SPS))
+    planes[:, x.size:] = 0.0
     planes[0, :x.size] = x.real
     planes[1, :x.size] = x.imag
     held = planes.reshape(2 * rows, SPS)
     y = serial_matmul(held, phases[0])
+    # The output holds as many floats as y, so each shift's product goes
+    # into its buffer before the sums are written there.
+    out = np.empty(rows * SPS, complex)
+    product = out.view(float).reshape(held.shape)
     for d in range(1, phases.shape[0]):
         # Input rows [0, end - d) meet phase d in output rows [d, end).
-        y[d:] += serial_matmul(held[:-d], phases[d])
+        y[d:] += serial_matmul(held[:-d], phases[d], product[d:])
     y = y.reshape(2, -1)
-    out = np.empty(x.size + pulse.taps.size - 1, complex)
+    out = out[:x.size + pulse.taps.size - 1]
     out.real = y[0, :out.size]
     out.imag = y[1, :out.size]
     return frame.replace(out)

@@ -207,12 +207,14 @@ def _one_pole(v: np.ndarray, alpha: float, y0, gain: float = 1.0,
     """
     n = v.size
     rise, fall, last = _pole_weights(alpha, gain * 2.0 ** -scale)
-    u = np.zeros((-(-n // _BLOCK), _BLOCK), np.result_type(v, float))
+    u = np.empty((-(-n // _BLOCK), _BLOCK), np.result_type(v, float))
+    flat = u.ravel()
+    flat[n:] = 0.0
     if difference:
-        u.ravel()[:1] = v[:1]
-        np.subtract(v[1:], v[:-1], out=u.ravel()[1:n])
+        flat[:1] = v[:1]
+        np.subtract(v[1:], v[:-1], out=flat[1:n])
     else:
-        u.ravel()[:n] = v
+        flat[:n] = v
     with np.errstate(over="ignore", invalid="ignore"):
         u *= rise
         np.cumsum(u, axis=1, out=u)
@@ -226,7 +228,7 @@ def _one_pole(v: np.ndarray, alpha: float, y0, gain: float = 1.0,
             return _one_pole(v, alpha, y0, gain, 64, difference)
         u += np.array(carry)[:, None]
         u *= fall
-        y = u.ravel()[:n]
+        y = flat[:n]
         if scale:
             y *= 2.0 ** scale
     return y
@@ -239,7 +241,8 @@ def agc(frame: IqFrame) -> IqFrame:
         return frame.replace(x.copy())
     a = AGC_ALPHA
     with np.errstate(over="ignore"):  # inf past |x| ~ 1.3e154, no warning
-        power = np.abs(x) ** 2
+        power = np.abs(x)
+        np.multiply(power, power, out=power)
     # Seed the tracker with the first sample's power to avoid a cold-start
     # spike, then clamp so silent stretches cannot produce infinite gain.
     p = _one_pole(power, 1.0 - a, max(float(power[0]), 1e-18), gain=a)
@@ -353,27 +356,40 @@ def preamble_acquire(frame: IqFrame, max_lag: int) -> tuple[float, list[int]]:
     coarse_cfo_estimate does, over the frame it is given.
     """
     y = frame.samples
-    power = np.abs(y) ** 2
+    power = np.abs(y)
+    np.multiply(power, power, out=power)
     _require_signal(power)
     d, w = PREAMBLE_PERIOD, PREAMBLE_WINDOW
     n = min(len(y) - d - w, max_lag + SYNC_LEAD) + 1
     if n < 1:
         return 0.0, []
-    lagged = np.zeros(n + w, complex)
-    np.cumsum(y[:n + w - 1] * np.conj(y[d:d + n + w - 1]), out=lagged[1:])
-    p = lagged[w:] - lagged[:n]
-    energy = np.zeros(n + d + w)
+    # Every step writes into an array already held: the running sums'
+    # buffers, each window's difference over the sums' own leading part
+    # (read ahead of where it writes), and the metric over the powers.
+    lagged = np.empty(n + w, complex)
+    lagged[0] = 0.0
+    products = lagged[1:]
+    np.conjugate(y[d:d + n + w - 1], out=products)
+    np.multiply(y[:n + w - 1], products, out=products)
+    np.cumsum(products, out=products)
+    p = np.subtract(lagged[w:], lagged[:n], out=lagged[:n])
+    energy = np.empty(n + d + w)
+    energy[0] = 0.0
     np.cumsum(power[:n + d + w - 1], out=energy[1:])
-    r = energy[w:] - energy[:-w]
     # Over exact silence both sums stay 0; past a signal their
     # differences are round-off of the running sums, so windows with
     # less than 1e-9 of the energy read count as silent.
-    r = np.maximum(r, max(1e-9 * energy[-1], 1e-30))
-    metric = np.abs(p) / np.sqrt(r[:n] * r[d:])
-    top = float(metric.max())
+    floor = max(1e-9 * energy[-1], 1e-30)
+    r = np.subtract(energy[w:], energy[:-w], out=energy[:-w])
+    np.maximum(r, floor, out=r)
+    den = np.multiply(r[:n], r[d:], out=r[:n])
+    metric = np.abs(p, out=power[:n])
+    np.divide(metric, np.sqrt(den, out=den), out=metric)
     starts = []
-    while len(starts) < ACQUIRE_PEAKS:
+    for _ in range(ACQUIRE_PEAKS):
         t = int(np.argmax(metric))
+        if not starts:
+            top = float(metric[t])
         if not metric[t] > 0 or metric[t] < ACQUIRE_SHARE * top:
             break
         starts.append(t)

@@ -11,6 +11,7 @@ from blesim.channel import (
     WLAN_BANDWIDTH_HZ,
     ChannelProfile,
     _ofdm_tones,
+    _unit_noise,
     apply_cfo,
     apply_dc,
     awgn,
@@ -87,6 +88,39 @@ def test_awgn_and_mix_take_the_measured_power_from_the_caller():
     weak = mix(frame, inter, -4.0, p_int=p_int * 100.0).samples - frame.samples
     strong = mix(frame, inter, -4.0).samples - frame.samples
     assert np.allclose(weak * 10.0, strong)
+
+
+def _bits(a):
+    return np.asarray(a, complex).view(np.uint64)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 14_000), lead=st.sampled_from([0, 1, 200]),
+       log_amp=st.floats(-100.0, 100.0), snr_db=st.floats(-10.0, 30.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_awgn_mix_and_power_are_the_plain_formulas_to_the_bit(n, lead, log_amp,
+                                                              snr_db, seed):
+    # The stages write into their own arrays; the bits are those of the
+    # formulas written with temporaries.  With lead 0 every sample is
+    # active, so measured_power takes the mean of all of them.
+    rng = np.random.default_rng(seed)
+    x = np.zeros(lead + n + lead, complex)
+    x[lead:lead + n] = 10.0 ** log_amp * (rng.standard_normal(n)
+                                         + 1j * rng.standard_normal(n))
+    frame = IqFrame(x, 8e6, 1e6)
+    power = np.abs(x) ** 2
+    active = power[power > power.max() * 1e-12]
+    p_sig = float(np.mean(active))
+    assert measured_power(x) == p_sig
+    sigma2 = p_sig * 10.0 ** (-snr_db / 10.0)
+    noise = _unit_noise(seed, len(frame))
+    assert np.array_equal(_bits(awgn(frame, snr_db, seed).samples),
+                          _bits(x + noise * np.sqrt(sigma2 / 2.0)))
+    inter = interferer_at_rate(len(frame), 8e6, seed)
+    p_int = measured_power(inter.samples)
+    alpha = np.sqrt(p_sig / (p_int * 10.0 ** (snr_db / 10.0)))
+    assert np.array_equal(_bits(mix(frame, inter, snr_db).samples),
+                          _bits(x + alpha * inter.samples))
 
 
 def test_awgn_snr_ignores_zero_padding():

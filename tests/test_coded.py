@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blesim.bits import bits_to_int, int_to_bits, random_bits
+from unittest import mock
+
+from blesim import coded
 from blesim.coded import (
     BLOCK1_INPUT_BITS,
     CODING_SCHEMES,
@@ -219,6 +222,85 @@ def test_viterbi_returns_bits_on_nan_input():
             bits = viterbi_decode(soft, s)
             assert bits.dtype == np.uint8 and bits.shape == (40,)
             assert set(bits.tolist()) <= {0, 1}
+
+
+# The blocks of the shortcut oracle: a noisy codeword, the same block
+# with one soft value replaced, the codeword of an input whose flush is
+# not zero, random soft values, and small integers that tie exactly.
+_POISON = {"zero": 0.0, "tiny": 1e-300, "minus_tiny": -1e-300,
+           "nan": np.nan, "inf": np.inf, "minus_inf": -np.inf}
+
+
+def _noisy_codeword(rng, s, steps, terminated=True):
+    """A codeword's soft symbols, each of its own magnitude, and its input
+    bits, whose last TERM_BITS are zero if terminated."""
+    msg = random_bits(steps, rng)
+    if terminated:
+        msg[-TERM_BITS:] = 0
+    else:
+        # The last bit is 0, as the flush the decoder assumes, and the one
+        # before it 1 (a one-step block gets a last bit of 1).
+        msg[-1] = 0
+        msg[-min(steps, 2)] = 1
+    signs = pattern_map(fec_encode(msg), s) * 2.0 - 1.0
+    return signs * rng.uniform(0.05, 3.0, signs.size) * 10.0 ** rng.uniform(-3, 3), msg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(s=st.sampled_from([2, 8]),
+       steps=st.integers(1, 200),
+       kind=st.sampled_from(["codeword", *_POISON, "unterminated", "random", "ties"]),
+       where=st.floats(0.0, 1.0, exclude_max=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_codeword_shortcut_decodes_as_the_trellis(s, steps, kind, where, seed):
+    # Whichever path viterbi_decode takes, its bits are the trellis's.
+    rng = np.random.default_rng(seed)
+    n = steps * 2 * _spreading(s)
+    if kind == "random":
+        symbols = rng.standard_normal(n)
+    elif kind == "ties":
+        symbols = rng.integers(-2, 3, n).astype(np.float64)
+    else:
+        symbols, msg = _noisy_codeword(rng, s, steps, kind != "unterminated")
+        if kind in _POISON:
+            symbols[int(where * n)] = _POISON[kind]
+    soft = pattern_demap(symbols, s)
+    shortcut = coded._codeword_input(soft)
+    if kind == "codeword" or (kind in ("zero", "tiny", "minus_tiny") and s == 8):
+        # At S=8 a coded bit keeps three of its four symbols.
+        assert np.array_equal(shortcut, msg)
+    elif kind in _POISON or kind == "unterminated":
+        assert shortcut is None
+    assert np.array_equal(viterbi_decode(symbols, s), coded._trellis(soft))
+
+
+def test_codeword_shortcut_decodes_as_the_trellis_past_a_strong_error():
+    # One coded bit's decision turned over and made 1000 times stronger
+    # than the rest: the decisions are then no codeword, and where the
+    # flipped bit outweighs the others the trellis's path is another one.
+    rng = np.random.default_rng(33)
+    msg = np.concatenate([random_bits(20, rng), np.zeros(TERM_BITS, np.uint8)])
+    clean = fec_encode(msg) * 2.0 - 1.0
+    for s in (2, 8):
+        for i in range(clean.size):
+            soft = clean.copy()
+            soft[i] *= -1000.0
+            symbols = pattern_map((soft > 0).view(np.uint8), s) * 2.0 - 1.0
+            symbols *= np.repeat(np.abs(soft), _spreading(s)) / _spreading(s)
+            assert coded._codeword_input(pattern_demap(symbols, s)) is None
+            assert np.array_equal(viterbi_decode(symbols, s),
+                                  coded._trellis(pattern_demap(symbols, s))), (s, i)
+
+
+def test_a_clean_block_skips_the_trellis():
+    rng = np.random.default_rng(34)
+    for s in (2, 8):
+        symbols, msg = _noisy_codeword(rng, s, 155)
+        with mock.patch.object(coded, "_trellis",
+                               side_effect=AssertionError("trellis ran")):
+            assert np.array_equal(viterbi_decode(symbols, s), msg)
+            hard = pattern_map(fec_encode(msg), s)
+            assert np.array_equal(viterbi_decode(hard, s), msg)
 
 
 def test_viterbi_round_trip():

@@ -19,6 +19,7 @@ from blesim.gmsk import (
     matched_filter,
     phase_ramp,
     read_iq,
+    serial_matmul,
     write_iq,
 )
 from blesim.llpacket import PDU_MAX_BITS, LinkLayerPacket
@@ -163,6 +164,45 @@ def test_matched_filter_matches_np_convolve(n, scale, seed):
     want = np.convolve(x, pulse.taps)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+def _summed_shift_products(x, pulse):
+    """The matched filter on zeroed planes, each shift's product a new
+    array added to the sums: the per-output order the filter keeps."""
+    phases = pulse.phases
+    rows = -(-x.size // SPS) + phases.shape[0] - 1
+    planes = np.zeros((2, rows * SPS))
+    planes[0, :x.size] = x.real
+    planes[1, :x.size] = x.imag
+    held = planes.reshape(2 * rows, SPS)
+    y = serial_matmul(held, phases[0])
+    for d in range(1, phases.shape[0]):
+        y[d:] += serial_matmul(held[:-d], phases[d])
+    y = y.reshape(2, -1)
+    out = np.empty(x.size + pulse.taps.size - 1, complex)
+    out.real = y[0, :out.size]
+    out.imag = y[1, :out.size]
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 13_500),
+       scale=st.sampled_from([1e-30, 1.0, 1e200]),
+       seed=st.integers(0, 2**32 - 1))
+@example(1, 1.0, 0)
+@example(8 * 1024 + 1, 1.0, 3)
+@example(13_430, 1.0, 5)
+def test_matched_filter_pins_the_summed_shift_products(n, scale, seed):
+    # The filter zeroes only its planes' padding and writes every shift's
+    # product into one buffer; its samples are the summed products', to
+    # the bit, and a contiguous array.
+    rng = np.random.default_rng(seed)
+    x = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    pulse = gaussian_taps()
+    got = matched_filter(IqFrame(x, 8e6, 1e6), pulse).samples
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64),
+                          _summed_shift_products(x, pulse).view(np.uint64))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

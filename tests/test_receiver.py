@@ -1,4 +1,6 @@
 """Receiver stage tests: AGC, notch, CFO, sync, and the full chain."""
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -34,9 +36,13 @@ from blesim.coded import (
 )
 from blesim.phymode import PhyMode
 from blesim.receiver import (
+    ACQUIRE_PEAKS,
+    ACQUIRE_SHARE,
+    ACQUIRE_SPACING,
     AGC_ALPHA,
     NOTCH_RADIUS,
     PREAMBLE_PERIOD,
+    PREAMBLE_WINDOW,
     SYNC_LEAD,
     SYNC_TRAIL,
     STAGES,
@@ -170,6 +176,102 @@ def test_agc_and_dc_notch_match_lfilter(n, log_amp, step_at, step_db, seed):
         assert np.isfinite(want).all()
         peak = np.abs(want).max(initial=0.0)
         assert np.all(np.abs(got - want) <= 1e-12 * peak)
+
+
+def _one_pole_oracle(v, alpha, y0, gain=1.0, scale=0, difference=False):
+    """receiver._one_pole's block recurrence with its buffer zeroed whole
+    and every step on temporaries."""
+    n, block = v.size, 256
+    i = np.arange(block, dtype=float)
+    g = gain * 2.0 ** -scale
+    rise, fall = g * alpha ** -i, alpha ** i
+    u = np.zeros((-(-n // block), block), np.result_type(v, float))
+    u.ravel()[:n] = np.concatenate([v[:1], v[1:] - v[:-1]]) if difference else v
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.cumsum(u * rise, axis=1)
+        carry, y_end = [], y0 * 2.0 ** -scale
+        for end in u[:, -1].tolist():
+            carry.append(alpha * y_end)
+            y_end = float(fall[-1]) * (end + alpha * y_end)
+        if not (scale or np.isfinite(y_end)):
+            return _one_pole_oracle(v, alpha, y0, gain, 64, difference)
+        y = ((u + np.array(carry)[:, None]) * fall).ravel()[:n]
+        return y * 2.0 ** scale if scale else y
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 255, 256, 257, 3 * 256 + 7, 13_450]),
+       log_amp=st.floats(-100.0, 100.0), seed=st.integers(0, 2**32 - 1))
+@example(n=3 * 256 + 7, log_amp=152.0, seed=2)
+@example(n=3 * 256 + 7, log_amp=-300.0, seed=3)
+def test_agc_and_dc_notch_are_the_plain_recurrence_to_the_bit(n, log_amp, seed):
+    # The AGC squares its magnitudes in place, and the recurrence fills
+    # a buffer made empty and zeroes only its tail: the bits are those of
+    # the recurrence written on temporaries.  (A tail left unzeroed could
+    # make a block's sum non-finite and force the scaled pass, whose
+    # 2**-64 takes samples near 1e-300 into subnormals.)
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** log_amp * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    frame = IqFrame(x, 8e6, 1e6)
+    with np.errstate(over="ignore"):
+        power = np.abs(x) ** 2
+    a = AGC_ALPHA
+    p = _one_pole_oracle(power, 1.0 - a, max(float(power[0]), 1e-18), gain=a)
+    want = x * np.sqrt(1.0 / np.maximum(p, 1e-18))
+    assert np.array_equal(agc(frame).samples.view(np.uint64), want.view(np.uint64))
+    notch = _one_pole_oracle(x, NOTCH_RADIUS, 0.0, difference=True)
+    assert np.array_equal(dc_notch(frame).samples.view(np.uint64),
+                          notch.view(np.uint64))
+
+
+def _acquire_oracle(y, max_lag, fs):
+    """preamble_acquire with every step on temporaries."""
+    power = np.abs(y) ** 2
+    d, w = PREAMBLE_PERIOD, PREAMBLE_WINDOW
+    n = min(len(y) - d - w, max_lag + SYNC_LEAD) + 1
+    if n < 1:
+        return 0.0, []
+    lagged = np.zeros(n + w, complex)
+    np.cumsum(y[:n + w - 1] * np.conj(y[d:d + n + w - 1]), out=lagged[1:])
+    p = lagged[w:] - lagged[:n]
+    energy = np.zeros(n + d + w)
+    np.cumsum(power[:n + d + w - 1], out=energy[1:])
+    r = np.maximum(energy[w:] - energy[:-w], max(1e-9 * energy[-1], 1e-30))
+    metric = np.abs(p) / np.sqrt(r[:n] * r[d:])
+    top = float(metric.max())
+    starts = []
+    while len(starts) < ACQUIRE_PEAKS:
+        t = int(np.argmax(metric))
+        if not metric[t] > 0 or metric[t] < ACQUIRE_SHARE * top:
+            break
+        starts.append(t)
+        metric[max(t - ACQUIRE_SPACING, 0):t + ACQUIRE_SPACING + 1] = 0.0
+    if not starts:
+        return 0.0, []
+    return -cmath.phase(p[starts[0]]) * fs / (2.0 * np.pi * d), sorted(starts)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mode=st.sampled_from([PhyMode.LE500K, PhyMode.LE125K]),
+       snr_db=st.sampled_from([-5.0, 5.0, 30.0]),
+       sir_db=st.sampled_from([None, -10.0]),
+       tail=st.sampled_from([0, 3000]),
+       max_lag=st.sampled_from([0, 500, 10**6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_preamble_acquire_is_the_plain_metric_to_the_bit(mode, snr_db, sir_db,
+                                                         tail, max_lag, seed):
+    # Acquisition writes every step into arrays it holds and takes the
+    # top value from its first argmax; the CFO and the starts are those
+    # of the metric written on temporaries, to the bit.
+    frame, _ = make_frame(mode=mode, pdu_bits=32, lead=300 + tail, seed=seed % 1000)
+    if sir_db is not None:
+        inter = interferer_at_rate(len(frame), frame.sample_rate, seed)
+        frame = mix(frame, inter, sir_db)
+    y = matched_filter(awgn(frame, snr_db, seed + 1), PULSE)
+    cfo, starts = preamble_acquire(y, max_lag)
+    want_cfo, want_starts = _acquire_oracle(y.samples, max_lag, y.sample_rate)
+    assert starts == want_starts
+    assert np.float64(cfo).view(np.uint64) == np.float64(want_cfo).view(np.uint64)
 
 
 def _cfo_probe(offset_hz, snr_db=15.0, seed=1):
